@@ -2,9 +2,9 @@
 
 Numerical toolkit for fuzzy (coarse-grained) correlation functions of
 macroscopic entangled states, symmetric multi-settings Bell witnesses and
-linear steering witnesses, angle optimization, and location of the
-coarsening / visibility values where the optimized witness drops to its
-classical bound.
+linear steering witnesses, their optima at fixed closed-form angles, and
+location of the coarsening / visibility values where the optimized witness
+drops to its classical bound.
 """
 
 from .correlation import (
@@ -25,7 +25,6 @@ from .kernel import (
     reference_nodes,
     zeta,
 )
-from .optimizer import OptimizerConfig, OptResult, maximize, maximize_profile
 from .transition import (
     BoundaryCurve,
     NoTransitionAtHi,
@@ -44,6 +43,8 @@ from .witness import (
     bell_spec,
     evaluate,
     lhv_bound_bruteforce,
+    optimal_angles,
+    optimum,
     steering_spec,
     violation_margin,
 )

@@ -10,7 +10,7 @@ table1      transition variances for m = 2 at several visibilities,
 
 Configuration is a JSON file of key/value pairs; command-line flags
 override individual keys.  Every output file starts with the fully
-resolved configuration so a run can be reproduced bit-exactly.
+resolved configuration; the same configuration reproduces the same bytes.
 
 Exit status: 0 success, 2 configuration error, 3 numeric failure
 (no transition inside the bracket).
@@ -19,15 +19,11 @@ Exit status: 0 success, 2 configuration error, 3 numeric failure
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .correlation import (
     CoarseningParams,
@@ -39,14 +35,13 @@ from .correlation import (
     corr_werner_full,
     corr_werner_resolution,
 )
-from .optimizer import OptimizerConfig, maximize_profile
 from .transition import (
     TransitionError,
     find_critical_Delta,
     find_critical_delta,
     trace_boundary,
 )
-from .witness import bell_spec, steering_spec
+from .witness import bell_spec, optimal_angles, optimum, steering_spec
 
 __all__ = ["ExperimentConfig", "ResultRow", "main"]
 
@@ -69,12 +64,28 @@ RESULT_FIELDS = [
     "bound",
     "violated",
     "angles",
-    "seed",
 ]
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; maps to exit status 2."""
+
+
+def _real(name, value):
+    """``value`` as a float, or ConfigError naming ``name`` unless it is a finite number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{name}: must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _reals(name, values, lo=0.0, hi=math.inf):
+    """A list of finite numbers in [lo, hi], or ConfigError naming ``name``."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{name}: must be a list of numbers, got {values!r}")
+    reals = [_real(name, v) for v in values]
+    if any(not lo <= v <= hi for v in reals):
+        raise ConfigError(f"{name}: values must lie in [{lo:g}, {hi:g}]")
+    return reals
 
 
 @dataclass
@@ -91,52 +102,42 @@ class ExperimentConfig:
     Delta_sq_grid: list = field(default_factory=list)
     angle_pairs: list = field(default_factory=lambda: [[0.0, 0.0]])
     p_list: list = field(default_factory=lambda: [0.85, 0.80, 0.75])
-    restarts: int = 24
-    seed: int = 0
-    tolerance: float = 1e-8
-    max_iterations: int = 2000
     transition_tol: float = 1e-3
-    sigmas: float = 8.0
-    quadrature_order: int = 32
-    threads: int = 0
     format: str = "csv"
     out: str = ""
 
     def validate(self):
+        """Check the type and range of every field; raise ConfigError naming the first bad one."""
         if self.witness not in ("bell", "steering"):
             raise ConfigError(f"witness: unknown kind {self.witness!r}")
-        if self.m < 2:
-            raise ConfigError("m: must be >= 2")
-        if self.n < 1:
-            raise ConfigError("n: must be >= 1")
-        if not 0.0 <= self.p <= 1.0:
-            raise ConfigError("p: must lie in [0, 1]")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format: unknown format {self.format!r}")
+        if not isinstance(self.out, str):
+            raise ConfigError(f"out: must be a path, got {self.out!r}")
+        for name, minimum in (("m", 2), ("n", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+                raise ConfigError(f"{name}: must be an integer >= {minimum}, got {value!r}")
+        for name, hi in (("p", 1.0), ("delta_sq", math.inf), ("Delta_sq", math.inf)):
+            _reals(name, [getattr(self, name)], hi=hi)
+        if not _real("transition_tol", self.transition_tol) > 0:
+            raise ConfigError("transition_tol: must be positive")
         for name in ("delta_sq_grid", "Delta_sq_grid"):
-            grid = getattr(self, name)
-            arr = np.asarray(grid, dtype=float)
-            if arr.size and not np.all(np.isfinite(arr)):
-                raise ConfigError(f"{name}: values must be finite")
-            if arr.size and arr.min() < 0:
-                raise ConfigError(f"{name}: values must be non-negative")
-            if arr.size > 1 and np.any(np.diff(arr) < 0):
+            grid = _reals(name, getattr(self, name))
+            if any(b < a for a, b in zip(grid, grid[1:])):
                 raise ConfigError(f"{name}: values must be sorted ascending")
+        _reals("p_list", self.p_list, hi=1.0)
+        pairs = self.angle_pairs
+        if not isinstance(pairs, list) or any(
+            not isinstance(pair, list) or len(pair) != 2 for pair in pairs
+        ):
+            raise ConfigError("angle_pairs: must be a list of [theta_i, theta_j] pairs")
+        for pair in pairs:
+            _reals("angle_pairs", pair, lo=-math.inf)
         return self
 
     def witness_spec(self):
         return bell_spec(self.m) if self.witness == "bell" else steering_spec(self.m)
-
-    def optimizer_config(self):
-        return OptimizerConfig(
-            restarts=self.restarts,
-            max_iterations=self.max_iterations,
-            tolerance=self.tolerance,
-            seed=self.seed,
-        )
-
-    def worker_count(self):
-        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
 
 
 @dataclass
@@ -153,7 +154,16 @@ class ResultRow:
     bound: float
     violated: bool
     angles: list
-    seed: int
+
+
+def _grid_number(text, value):
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"grid: {value.strip()!r} in {text!r} is not a finite number")
+    return number
 
 
 def parse_grid(text):
@@ -162,12 +172,12 @@ def parse_grid(text):
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"grid: expected a:b:step, got {text!r}")
-        a, b, step = (float(v) for v in parts)
+        a, b, step = (_grid_number(text, v) for v in parts)
         if step <= 0:
             raise ConfigError("grid: step must be positive")
         count = int(math.floor((b - a) / step + 1e-9)) + 1
         return [a + i * step for i in range(max(count, 1))]
-    return [float(v) for v in text.split(",") if v.strip()]
+    return [_grid_number(text, v) for v in text.split(",") if v.strip()]
 
 
 def load_config(args):
@@ -184,10 +194,7 @@ def load_config(args):
             if key not in known:
                 raise ConfigError(f"config: unknown key {key!r}")
             values[key] = value
-    for key in (
-        "witness", "m", "n", "p", "seed", "threads", "format", "out",
-        "restarts", "transition_tol",
-    ):
+    for key in ("witness", "m", "n", "p", "format", "out", "transition_tol"):
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -250,16 +257,34 @@ def write_plot_data(path, columns, header):
             fh.write(",".join(format_number(float(v)) for v in values) + "\n")
 
 
+def _params(delta_sq, Delta_sq):
+    return CoarseningParams(delta=math.sqrt(delta_sq), Delta=math.sqrt(Delta_sq))
+
+
+def _flat(angles):
+    return list(angles.alice) + list(angles.bob)
+
+
+def _transition_row(config, kind, m, p, pt):
+    return ResultRow(
+        m=m,
+        n=config.n,
+        p=p,
+        delta_sq=pt.delta_sq,
+        Delta_sq=pt.Delta_sq,
+        witness_kind=kind,
+        witness_value=pt.achieved_value,
+        bound=pt.bound,
+        violated=False,
+        angles=_flat(pt.angles),
+    )
+
+
 def cmd_correlate(config):
     """Correlator values for the configured angle pairs, one row per regime."""
     state = StateSpec(n=config.n, p=config.p)
     pure = StateSpec(n=config.n, p=1.0)
-    params = CoarseningParams(
-        delta=math.sqrt(config.delta_sq),
-        Delta=math.sqrt(config.Delta_sq),
-        sigmas=config.sigmas,
-        quadrature_order=config.quadrature_order,
-    )
+    params = _params(config.delta_sq, config.Delta_sq)
     kernel = params.discrete_kernel()
     rows = []
     for ti, tj in config.angle_pairs:
@@ -283,35 +308,10 @@ def cmd_correlate(config):
                     bound=float("nan"),
                     violated=False,
                     angles=[ti, tj],
-                    seed=config.seed,
                 )
             )
     emit(config, rows)
     return 0
-
-
-def _profile_chunk(config, axis, chunk):
-    """Warm-swept optimization over one contiguous chunk of the variance grid."""
-    spec = config.witness_spec()
-    state = StateSpec(n=config.n, p=config.p)
-    correlators = []
-    for variance in chunk:
-        if axis == "delta_sq":
-            params = CoarseningParams(
-                delta=math.sqrt(variance),
-                Delta=math.sqrt(config.Delta_sq),
-                sigmas=config.sigmas,
-                quadrature_order=config.quadrature_order,
-            )
-        else:
-            params = CoarseningParams(
-                delta=math.sqrt(config.delta_sq),
-                Delta=math.sqrt(variance),
-                sigmas=config.sigmas,
-                quadrature_order=config.quadrature_order,
-            )
-        correlators.append(Correlator(state, params))
-    return maximize_profile(spec, correlators, config.optimizer_config())
 
 
 def cmd_profile(config):
@@ -325,19 +325,13 @@ def cmd_profile(config):
     else:
         raise ConfigError("delta_sq_grid: profile requires a variance grid")
     spec = config.witness_spec()
-
-    workers = min(config.worker_count(), len(grid))
-    chunks = [list(c) for c in np.array_split(grid, workers)]
-    results = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_profile_chunk, config, axis, chunk) for chunk in chunks]
-        for future in futures:
-            results.extend(future.result())
-
+    state = StateSpec(n=config.n, p=config.p)
+    angles = _flat(optimal_angles(spec))
     rows = []
-    for variance, result in zip(grid, results):
+    for variance in grid:
         delta_sq = variance if axis == "delta_sq" else config.delta_sq
         Delta_sq = variance if axis == "Delta_sq" else config.Delta_sq
+        value = optimum(spec, Correlator(state, _params(delta_sq, Delta_sq)))
         rows.append(
             ResultRow(
                 m=config.m,
@@ -346,11 +340,10 @@ def cmd_profile(config):
                 delta_sq=delta_sq,
                 Delta_sq=Delta_sq,
                 witness_kind=config.witness,
-                witness_value=result.value,
+                witness_value=value,
                 bound=spec.bound,
-                violated=result.value > spec.bound,
-                angles=list(result.angles.alice) + list(result.angles.bob),
-                seed=config.seed,
+                violated=value > spec.bound,
+                angles=angles,
             )
         )
     emit(config, rows)
@@ -369,34 +362,13 @@ def cmd_boundary(config):
         raise ConfigError("Delta_sq_grid: boundary requires a Delta^2 grid")
     spec = config.witness_spec()
     state = StateSpec(n=config.n, p=config.p)
-    curve = trace_boundary(
-        spec,
-        state,
-        config.Delta_sq_grid,
-        tol=config.transition_tol,
-        config=config.optimizer_config(),
-        sigmas=config.sigmas,
-        quadrature_order=config.quadrature_order,
-    )
+    curve = trace_boundary(spec, state, config.Delta_sq_grid, tol=config.transition_tol)
     if not curve.points:
         raise TransitionError("no boundary point found on the supplied grid")
-    rows = []
-    for pt in curve.points:
-        rows.append(
-            ResultRow(
-                m=config.m,
-                n=config.n,
-                p=config.p,
-                delta_sq=pt.delta_sq,
-                Delta_sq=pt.Delta_sq,
-                witness_kind=config.witness,
-                witness_value=pt.achieved_value,
-                bound=pt.bound,
-                violated=False,
-                angles=list(pt.angles.alice) + list(pt.angles.bob),
-                seed=config.seed,
-            )
-        )
+    rows = [
+        _transition_row(config, config.witness, config.m, config.p, pt)
+        for pt in curve.points
+    ]
     emit(config, rows)
     if config.out:
         write_plot_data(
@@ -414,7 +386,6 @@ def cmd_table1(config):
     relative deviations; rows are also emitted through the standard writer
     when an output path is set.
     """
-    opt_config = config.optimizer_config()
     rows = []
     lines = [
         f"{'p':>6} {'witness':>9} {'d2(D=0)':>10} {'ref':>10} {'rel':>9}"
@@ -423,16 +394,8 @@ def cmd_table1(config):
     for p in config.p_list:
         state = StateSpec(n=config.n, p=p)
         for kind, spec in (("bell", bell_spec(2)), ("steering", steering_spec(2))):
-            d2 = find_critical_delta(
-                spec, state, Delta_fixed=0.0, tol=config.transition_tol,
-                config=opt_config, sigmas=config.sigmas,
-                quadrature_order=config.quadrature_order,
-            )
-            D2 = find_critical_Delta(
-                spec, state, delta_fixed=0.0, tol=config.transition_tol,
-                config=opt_config, sigmas=config.sigmas,
-                quadrature_order=config.quadrature_order,
-            )
+            d2 = find_critical_delta(spec, state, Delta_fixed=0.0, tol=config.transition_tol)
+            D2 = find_critical_Delta(spec, state, delta_fixed=0.0, tol=config.transition_tol)
             ref = TABLE1_REFERENCE.get(round(p, 2))
             if ref is not None:
                 ref_d2, ref_D2 = (ref[0], ref[1]) if kind == "bell" else (ref[2], ref[3])
@@ -447,22 +410,7 @@ def cmd_table1(config):
                     f"{p:>6.2f} {kind:>9} {d2.delta_sq:>10.4f} {'-':>10}"
                     f" {'-':>9} {D2.Delta_sq:>10.5f} {'-':>10} {'-':>9}"
                 )
-            for pt in (d2, D2):
-                rows.append(
-                    ResultRow(
-                        m=2,
-                        n=config.n,
-                        p=p,
-                        delta_sq=pt.delta_sq,
-                        Delta_sq=pt.Delta_sq,
-                        witness_kind=kind,
-                        witness_value=pt.achieved_value,
-                        bound=pt.bound,
-                        violated=False,
-                        angles=list(pt.angles.alice) + list(pt.angles.bob),
-                        seed=config.seed,
-                    )
-                )
+            rows += [_transition_row(config, kind, 2, p, pt) for pt in (d2, D2)]
     print("\n".join(lines))
     if config.out:
         emit(config, rows)
@@ -490,9 +438,6 @@ def build_parser():
         cmd.add_argument("--witness", choices=["bell", "steering"])
         cmd.add_argument("--delta-sq-grid", dest="delta_sq_grid", metavar="a:b:step")
         cmd.add_argument("--Delta-sq-grid", dest="Delta_sq_grid", metavar="a:b:step")
-        cmd.add_argument("--seed", type=int)
-        cmd.add_argument("--threads", type=int)
-        cmd.add_argument("--restarts", type=int)
         cmd.add_argument("--transition-tol", dest="transition_tol", type=float)
         cmd.add_argument("--format", choices=["csv", "json"])
         cmd.add_argument("--out")

@@ -13,26 +13,20 @@ Four regimes are exposed as plain functions:
 * :func:`corr_full`              -- both coarsenings, pure state
 * :func:`corr_werner_resolution` / :func:`corr_werner_full` -- noisy state
 
-:class:`Correlator` packages the same quantities as a fast reusable handle
-for the optimization loops: the kernel sums are evaluated once at
-construction, after which a correlator call is a handful of trig operations.
+:class:`Correlator` reduces the same quantities to the two scalars of the
+closed form E(a, b) = c0 - V cos 2(a + b): the kernel sums are evaluated once
+at construction, after which a correlator call is one cosine.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import (
-    DiscreteKernel,
-    ReferenceKernel,
-    make_discrete_kernel,
-    reference_nodes,
-    zeta,
-    zeta_mean,
-)
+from .kernel import ReferenceKernel, make_discrete_kernel, reference_nodes, zeta_mean
 
 __all__ = [
     "StateSpec",
@@ -61,7 +55,7 @@ class StateSpec:
     p: float = 1.0
 
     def __post_init__(self):
-        if self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 1:
             raise ValueError("n must be a positive integer")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
@@ -69,18 +63,16 @@ class StateSpec:
 
 @dataclass(frozen=True)
 class CoarseningParams:
-    """The coarsening pair (delta, Delta) plus kernel policy.
+    """The coarsening pair (delta, Delta) plus kernel truncation.
 
     delta smears the outcome-label dichotomization (label units); Delta
     jitters the measurement angle (radians).  ``sigmas`` truncates the
-    discrete kernel; ``quadrature_order`` sets the Gauss-Hermite rule for
-    the angle average.
+    discrete kernel.
     """
 
     delta: float = 0.0
     Delta: float = 0.0
     sigmas: float = 8.0
-    quadrature_order: int = 32
 
     def __post_init__(self):
         if self.delta < 0 or self.Delta < 0:
@@ -90,7 +82,7 @@ class CoarseningParams:
         return make_discrete_kernel(self.delta, self.sigmas)
 
     def reference_kernel(self):
-        return ReferenceKernel(self.Delta, self.quadrature_order)
+        return ReferenceKernel(self.Delta)
 
 
 def q_func(n, phi, kernel):
@@ -113,19 +105,42 @@ def r_func(n, phi, kernel):
     return math.sin(phi) * math.cos(phi) * float(np.dot(w, plus - minus))
 
 
+def _node_averages(n, theta, kernel, ref):
+    """Angle-jitter averages of Q(n,.), Q(-n,.), R(n,.) around theta."""
+    qp = qm = r = 0.0
+    for phi, w in reference_nodes(ref, theta):
+        qp += w * q_func(n, phi, kernel)
+        qm += w * q_func(-n, phi, kernel)
+        r += w * r_func(n, phi, kernel)
+    return qp, qm, r
+
+
+def _werner_bracket(parts_i, parts_j, p):
+    """p times the pure bracket plus (1-p)/4 times the white-noise bracket.
+
+    The pure bracket is (1/2)[Q(n,ti)Q(-n,tj) + Q(-n,ti)Q(n,tj) + 2 R(n,ti)R(n,tj)],
+    the white-noise bracket the four Q-products; each party's Q(+-n, .) and
+    R(n, .) enter as ``parts_i`` / ``parts_j``.
+    """
+    (qp_i, qm_i, r_i), (qp_j, qm_j, r_j) = parts_i, parts_j
+    pure = 0.5 * (qp_i * qm_j + qm_i * qp_j + 2.0 * r_i * r_j)
+    noise = (qp_i + qm_i) * (qp_j + qm_j)
+    return p * pure + 0.25 * (1.0 - p) * noise
+
+
+def _require_pure(state, name):
+    if state.p != 1.0:
+        raise ValueError(f"{name} is defined for the pure state (p = 1)")
+
+
 def corr_resolution(theta_i, theta_j, state, kernel):
     """Pure-state correlator under resolution coarsening only.
 
-    (1/2)[Q(n,ti)Q(-n,tj) + Q(-n,ti)Q(n,tj) + 2 R(n,ti)R(n,tj)].
-    At delta = 0 this reduces to -cos 2(ti + tj).
+    The pure bracket of :func:`_werner_bracket`; at delta = 0 it reduces to
+    -cos 2(ti + tj).
     """
-    if state.p != 1.0:
-        raise ValueError("corr_resolution is defined for the pure state (p = 1)")
-    n = state.n
-    qp_i, qp_j = q_func(n, theta_i, kernel), q_func(n, theta_j, kernel)
-    qm_i, qm_j = q_func(-n, theta_i, kernel), q_func(-n, theta_j, kernel)
-    r_i, r_j = r_func(n, theta_i, kernel), r_func(n, theta_j, kernel)
-    return 0.5 * (qp_i * qm_j + qm_i * qp_j + 2.0 * r_i * r_j)
+    _require_pure(state, "corr_resolution")
+    return corr_werner_resolution(theta_i, theta_j, state, kernel)
 
 
 def corr_reference(theta_i, theta_j, Delta):
@@ -153,16 +168,6 @@ def corr_reference_quadrature(theta_i, theta_j, Delta, order=32):
     return total
 
 
-def _node_averages(n, theta, kernel, ref):
-    """Angle-jitter averages of Q(n,.), Q(-n,.), R(n,.) around theta."""
-    qp = qm = r = 0.0
-    for phi, w in reference_nodes(ref, theta):
-        qp += w * q_func(n, phi, kernel)
-        qm += w * q_func(-n, phi, kernel)
-        r += w * r_func(n, phi, kernel)
-    return qp, qm, r
-
-
 def corr_full(theta_i, theta_j, state, params):
     """Pure-state correlator under both coarsenings.
 
@@ -171,13 +176,8 @@ def corr_full(theta_i, theta_j, state, params):
     Collapses to corr_resolution at Delta = 0 and to corr_reference at
     delta = 0.
     """
-    if state.p != 1.0:
-        raise ValueError("corr_full is defined for the pure state (p = 1)")
-    kernel = params.discrete_kernel()
-    ref = params.reference_kernel()
-    qp_i, qm_i, r_i = _node_averages(state.n, theta_i, kernel, ref)
-    qp_j, qm_j, r_j = _node_averages(state.n, theta_j, kernel, ref)
-    return 0.5 * (qp_i * qm_j + qm_i * qp_j + 2.0 * r_i * r_j)
+    _require_pure(state, "corr_full")
+    return corr_werner_full(theta_i, theta_j, state, params)
 
 
 def corr_werner_resolution(theta_i, theta_j, state, kernel):
@@ -186,86 +186,52 @@ def corr_werner_resolution(theta_i, theta_j, state, kernel):
     p times the pure bracket plus (1-p)/4 times the white-noise bracket
     (the four Q-products).  Equals corr_resolution at p = 1.
     """
-    n, p = state.n, state.p
-    qp_i, qp_j = q_func(n, theta_i, kernel), q_func(n, theta_j, kernel)
-    qm_i, qm_j = q_func(-n, theta_i, kernel), q_func(-n, theta_j, kernel)
-    r_i, r_j = r_func(n, theta_i, kernel), r_func(n, theta_j, kernel)
-    pure = 0.5 * (qp_i * qm_j + qm_i * qp_j + 2.0 * r_i * r_j)
-    noise = (qp_i + qm_i) * (qp_j + qm_j)
-    return p * pure + 0.25 * (1.0 - p) * noise
+    sharp = ReferenceKernel(0.0)
+    parts_i = _node_averages(state.n, theta_i, kernel, sharp)
+    parts_j = _node_averages(state.n, theta_j, kernel, sharp)
+    return _werner_bracket(parts_i, parts_j, state.p)
 
 
 def corr_werner_full(theta_i, theta_j, state, params):
     """Noisy-state correlator under both coarsenings.
 
-    Angle-jitter average of p*M/2 + (1-p)/4*T where M is the pure bracket
-    and T the white-noise bracket; both factorize per party.  Consistent
-    with corr_werner_resolution at Delta = 0 and corr_full at p = 1.
+    Angle-jitter average of the Werner bracket; both of its brackets
+    factorize per party.  Consistent with corr_werner_resolution at
+    Delta = 0 and corr_full at p = 1.
     """
     kernel = params.discrete_kernel()
     ref = params.reference_kernel()
-    n, p = state.n, state.p
-    qp_i, qm_i, r_i = _node_averages(n, theta_i, kernel, ref)
-    qp_j, qm_j, r_j = _node_averages(n, theta_j, kernel, ref)
-    pure = 0.5 * (qp_i * qm_j + qm_i * qp_j + 2.0 * r_i * r_j)
-    noise = (qp_i + qm_i) * (qp_j + qm_j)
-    return p * pure + 0.25 * (1.0 - p) * noise
+    parts_i = _node_averages(state.n, theta_i, kernel, ref)
+    parts_j = _node_averages(state.n, theta_j, kernel, ref)
+    return _werner_bracket(parts_i, parts_j, state.p)
 
 
 class Correlator:
     """Reusable pairwise-correlation handle closed over (state, coarsening).
 
-    Precomputes the two kernel sign sums and the angle-jitter attenuation at
-    construction; a call is then pure trigonometry.  Exposes a vectorized
-    :meth:`matrix` for the witness evaluators.  Instances are immutable and
-    safe for concurrent use.
+    Every correlator of the model has the form E(a, b) = c0 - V cos 2(a + b).
+    With s_+ and s_- the kernel sign sums at +n and -n, c0 = ((s_+ + s_-)/2)^2
+    is the square of the kernel mass at label n, and
+    V = p ((s_+ - s_-)/2)^2 exp(-4 Delta^2), where exp(-2 Delta^2) is the
+    angle-jitter attenuation of cos/sin(2 phi) per party.  Both are computed
+    once at construction; instances are immutable.
     """
 
     def __init__(self, state, params):
         self.state = state
         self.params = params
         kernel = params.discrete_kernel()
-        # s_plus/s_minus: kernel sign sums at +-n.  Their half-sum is the
-        # angle-independent part of Q, their half-difference the amplitude
-        # of the cos/sin(2 theta) parts.
         s_plus = zeta_mean(kernel, state.n)
         s_minus = zeta_mean(kernel, -state.n)
-        self._mean = 0.5 * (s_plus + s_minus)
-        self._amp = 0.5 * (s_plus - s_minus)
-        # Attenuation of cos/sin(2 phi) under the symmetric jitter nodes;
-        # equals exp(-2 Delta^2) up to quadrature error.
-        ref = params.reference_kernel()
-        self._att = sum(w * math.cos(2.0 * (phi)) for phi, w in reference_nodes(ref, 0.0))
-
-    def _components(self, angles):
-        """Jitter-averaged Q(+n,.), Q(-n,.), R(n,.) at each angle."""
-        angles = np.asarray(angles, dtype=float)
-        c = self._att * np.cos(2.0 * angles)
-        s = self._att * np.sin(2.0 * angles)
-        qp = self._mean + self._amp * c
-        qm = self._mean - self._amp * c
-        r = self._amp * s
-        return qp, qm, r
+        self.c0 = (0.5 * (s_plus + s_minus)) ** 2
+        amp = 0.5 * (s_plus - s_minus)
+        self.V = state.p * amp**2 * math.exp(-4.0 * params.Delta**2)
 
     def matrix(self, alice, bob):
         """All pairwise correlations: entry [i, j] = corr(alice[i], bob[j])."""
-        qp_a, qm_a, r_a = self._components(alice)
-        qp_b, qm_b, r_b = self._components(bob)
-        pure = 0.5 * (
-            np.outer(qp_a, qm_b) + np.outer(qm_a, qp_b) + 2.0 * np.outer(r_a, r_b)
-        )
-        noise = np.outer(qp_a + qm_a, qp_b + qm_b)
-        p = self.state.p
-        return p * pure + 0.25 * (1.0 - p) * noise
-
-    def diagonal(self, alice, bob):
-        """Matched-settings correlations corr(alice[i], bob[i])."""
-        qp_a, qm_a, r_a = self._components(alice)
-        qp_b, qm_b, r_b = self._components(bob)
-        pure = 0.5 * (qp_a * qm_b + qm_a * qp_b + 2.0 * r_a * r_b)
-        noise = (qp_a + qm_a) * (qp_b + qm_b)
-        p = self.state.p
-        return p * pure + 0.25 * (1.0 - p) * noise
+        alice = np.asarray(alice, dtype=float)
+        bob = np.asarray(bob, dtype=float)
+        return self.c0 - self.V * np.cos(2.0 * (alice[:, None] + bob[None, :]))
 
     def __call__(self, theta_i, theta_j):
         return float(self.matrix([theta_i], [theta_j])[0, 0])

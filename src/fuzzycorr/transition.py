@@ -2,9 +2,10 @@
 
 A transition point is the coarsening (or visibility) at which the
 angle-optimized witness value falls to its classical bound.  All searches
-bisect on the squared parameter (variance), re-optimizing the angles at
-every probe with a warm start from the previous one, since the optimal
-angles drift as the coarsening grows.
+bisect on the squared parameter (variance) or on p.  Each probe builds one
+correlator and reads the witness optimum at the fixed angles of
+:func:`~fuzzycorr.witness.optimal_angles`, which do not depend on the
+probed parameter.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correlation import CoarseningParams, Correlator, StateSpec
-from .optimizer import OptimizerConfig, maximize
-from .witness import WitnessSpec
+from .witness import WitnessSpec, optimal_angles, optimum
 
 __all__ = [
     "TransitionPoint",
@@ -55,8 +55,8 @@ class TransitionPoint:
     """A (delta^2, Delta^2, p) triple on the quantum-to-classical boundary.
 
     ``margin_lo`` / ``margin_hi`` certify the final bracket: the optimized
-    margin is positive at (parameter - tol) and negative at
-    (parameter + tol).
+    margin is positive at (parameter - tol) and not positive at
+    (parameter + tol), both clamped to the search bracket.
     """
 
     delta_sq: float
@@ -89,81 +89,75 @@ class BoundaryCurve:
 
 
 def _bisect_margin(margin, lo, hi, tol, lo_error, hi_error):
-    """Bisection on a scalar parameter given margin(lo) > 0 > margin(hi).
+    """Bisection on a scalar parameter given margin(lo) > 0 >= margin(hi).
 
-    Returns (root, value_at_root, margin at root - tol, margin at root + tol).
+    Returns (root, margin at root - tol, margin at root + tol), the two
+    certificate probes clamped to [lo, hi].  Raises TransitionError when the
+    certificates do not bracket a sign change (a non-monotone margin).
     """
-    m_lo, _ = margin(lo)
-    if m_lo <= 0:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if margin(lo) <= 0:
         raise lo_error
-    m_hi, _ = margin(hi)
-    if m_hi > 0:
+    if margin(hi) > 0:
         raise hi_error
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        m_mid, _ = margin(mid)
-        if m_mid > 0:
-            lo, m_lo = mid, m_mid
+    a, b = lo, hi
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:  # a and b are adjacent floats: tol is below their spacing
+            break
+        if margin(mid) > 0:
+            a = mid
         else:
-            hi, m_hi = mid, m_mid
-    root = 0.5 * (lo + hi)
-    _, value = margin(root)
-    cert_lo, _ = margin(max(root - tol, 0.0))
-    cert_hi, _ = margin(root + tol)
-    return root, value, cert_lo, cert_hi
+            b = mid
+    root = 0.5 * (a + b)
+    cert_lo = margin(max(root - tol, lo))
+    cert_hi = margin(min(root + tol, hi))
+    if not cert_lo > 0 >= cert_hi:
+        raise TransitionError(
+            f"uncertified bracket at {root}: margin {cert_lo} at -tol, {cert_hi} at +tol"
+        )
+    return root, cert_lo, cert_hi
 
 
-class _WarmOptimizer:
-    """Re-optimizes the witness at each probe, carrying the last optimum as a warm start."""
+def _search(spec, corr_at, bracket, tol, lo_error, hi_error):
+    """Root of optimum(spec, corr_at(x)) - bound over ``bracket``, with its value and certificates."""
 
-    def __init__(self, spec, config, warm=None):
-        self.spec = spec
-        self.config = config
-        self.warm = list(warm) if warm is not None else []
-        self.last_angles = None
+    def margin(x):
+        return optimum(spec, corr_at(x)) - spec.bound
 
-    def margin(self, corr):
-        result = maximize(self.spec, corr, self.config, extra_starts=self.warm)
-        self.warm = [np.concatenate([result.angles.alice, result.angles.bob])]
-        self.last_angles = result.angles
-        return result.value - self.spec.bound, result.value
+    root, cert_lo, cert_hi = _bisect_margin(margin, *bracket, tol, lo_error, hi_error)
+    return root, optimum(spec, corr_at(root)), cert_lo, cert_hi
 
 
-def find_critical_delta(
-    spec,
-    state,
-    Delta_fixed=0.0,
-    bracket=None,
-    tol=DEFAULT_TOL,
-    config=OptimizerConfig(),
-    warm=None,
-    sigmas=8.0,
-    quadrature_order=32,
-):
+def _point(spec, n, value, cert_lo, cert_hi, **coords):
+    return TransitionPoint(
+        **coords,
+        witness=spec,
+        n=n,
+        achieved_value=value,
+        bound=spec.bound,
+        margin_lo=cert_lo,
+        margin_hi=cert_hi,
+        angles=optimal_angles(spec),
+    )
+
+
+def find_critical_delta(spec, state, Delta_fixed=0.0, bracket=None, tol=DEFAULT_TOL):
     """Critical resolution variance delta^2 at fixed Delta for (witness, state).
 
-    Bisects on delta^2 over ``bracket`` (default [0, 4 n^2]); each probe
-    fully re-optimizes the measurement angles.  Raises NoViolationAtLo if
-    the state is classical already at the lower edge, NoTransitionAtHi if
-    it still violates at the upper edge.
+    Bisects on delta^2 over ``bracket`` (default [0, 4 n^2]).  Raises
+    NoViolationAtLo if the state is classical already at the lower edge,
+    NoTransitionAtHi if it still violates at the upper edge.
     """
     if bracket is None:
         bracket = (0.0, 4.0 * state.n**2)
-    opt = _WarmOptimizer(spec, config, warm)
-
-    def margin(delta_sq):
-        params = CoarseningParams(
-            delta=math.sqrt(delta_sq),
-            Delta=Delta_fixed,
-            sigmas=sigmas,
-            quadrature_order=quadrature_order,
-        )
-        return opt.margin(Correlator(state, params))
-
-    root, value, cert_lo, cert_hi = _bisect_margin(
-        margin,
-        bracket[0],
-        bracket[1],
+    root, *rest = _search(
+        spec,
+        lambda delta_sq: Correlator(
+            state, CoarseningParams(delta=math.sqrt(delta_sq), Delta=Delta_fixed)
+        ),
+        bracket,
         tol,
         NoViolationAtLo(
             f"no violation at delta^2 = {bracket[0]} for {spec.kind} m={spec.m}, "
@@ -171,47 +165,18 @@ def find_critical_delta(
         ),
         NoTransitionAtHi(f"still violating at delta^2 = {bracket[1]}"),
     )
-    return TransitionPoint(
-        delta_sq=root,
-        Delta_sq=Delta_fixed**2,
-        p=state.p,
-        witness=spec,
-        n=state.n,
-        achieved_value=value,
-        bound=spec.bound,
-        margin_lo=cert_lo,
-        margin_hi=cert_hi,
-        angles=opt.last_angles,
-    )
+    return _point(spec, state.n, *rest,
+                  delta_sq=root, Delta_sq=Delta_fixed**2, p=state.p)
 
 
-def find_critical_Delta(
-    spec,
-    state,
-    delta_fixed=0.0,
-    bracket=(0.0, 1.0),
-    tol=DEFAULT_TOL,
-    config=OptimizerConfig(),
-    warm=None,
-    sigmas=8.0,
-    quadrature_order=32,
-):
+def find_critical_Delta(spec, state, delta_fixed=0.0, bracket=(0.0, 1.0), tol=DEFAULT_TOL):
     """Critical reference variance Delta^2 at fixed delta; mirror of find_critical_delta."""
-    opt = _WarmOptimizer(spec, config, warm)
-
-    def margin(Delta_sq):
-        params = CoarseningParams(
-            delta=delta_fixed,
-            Delta=math.sqrt(Delta_sq),
-            sigmas=sigmas,
-            quadrature_order=quadrature_order,
-        )
-        return opt.margin(Correlator(state, params))
-
-    root, value, cert_lo, cert_hi = _bisect_margin(
-        margin,
-        bracket[0],
-        bracket[1],
+    root, *rest = _search(
+        spec,
+        lambda Delta_sq: Correlator(
+            state, CoarseningParams(delta=delta_fixed, Delta=math.sqrt(Delta_sq))
+        ),
+        bracket,
         tol,
         NoViolationAtLo(
             f"no violation at Delta^2 = {bracket[0]} for {spec.kind} m={spec.m}, "
@@ -219,101 +184,45 @@ def find_critical_Delta(
         ),
         NoTransitionAtHi(f"still violating at Delta^2 = {bracket[1]}"),
     )
-    return TransitionPoint(
-        delta_sq=delta_fixed**2,
-        Delta_sq=root,
-        p=state.p,
-        witness=spec,
-        n=state.n,
-        achieved_value=value,
-        bound=spec.bound,
-        margin_lo=cert_lo,
-        margin_hi=cert_hi,
-        angles=opt.last_angles,
-    )
+    return _point(spec, state.n, *rest,
+                  delta_sq=delta_fixed**2, Delta_sq=root, p=state.p)
 
 
-def find_critical_visibility(
-    spec,
-    n,
-    params=CoarseningParams(),
-    tol=DEFAULT_TOL,
-    config=OptimizerConfig(),
-    warm=None,
-):
+def find_critical_visibility(spec, n, params=CoarseningParams(), tol=DEFAULT_TOL):
     """Critical visibility p in [0, 1] at fixed coarsening.
 
     Raises NoViolationAtPureState when even the pure state fails to violate.
     """
-    opt = _WarmOptimizer(spec, config, warm)
-
-    def margin(p):
-        return opt.margin(Correlator(StateSpec(n=n, p=p), params))
-
-    m_hi, _ = margin(1.0)
-    if m_hi <= 0:
-        raise NoViolationAtPureState(
-            f"no violation at p = 1 for {spec.kind} m={spec.m}, n={n}"
-        )
-    # Roles are flipped relative to coarsening searches: the margin is
-    # increasing in p, so bisect on the negated parameter.
-    root, value, cert_lo, cert_hi = _bisect_margin(
-        lambda q: margin(1.0 - q),
-        0.0,
-        1.0,
+    # The margin is increasing in p, so bisect on q = 1 - p, which puts the
+    # violating edge (p = 1) at the lower end of the bracket.
+    root, *rest = _search(
+        spec,
+        lambda q: Correlator(StateSpec(n=n, p=1.0 - q), params),
+        (0.0, 1.0),
         tol,
-        NoViolationAtPureState(f"no violation at p = 1 for {spec.kind} m={spec.m}"),
+        NoViolationAtPureState(f"no violation at p = 1 for {spec.kind} m={spec.m}, n={n}"),
         NoTransitionAtHi("still violating at p = 0"),
     )
-    return TransitionPoint(
-        delta_sq=params.delta**2,
-        Delta_sq=params.Delta**2,
-        p=1.0 - root,
-        witness=spec,
-        n=n,
-        achieved_value=value,
-        bound=spec.bound,
-        margin_lo=cert_lo,
-        margin_hi=cert_hi,
-        angles=opt.last_angles,
-    )
+    return _point(spec, n, *rest,
+                  delta_sq=params.delta**2, Delta_sq=params.Delta**2, p=1.0 - root)
 
 
-def trace_boundary(
-    spec,
-    state,
-    Delta_sq_grid,
-    bracket=None,
-    tol=DEFAULT_TOL,
-    config=OptimizerConfig(),
-    sigmas=8.0,
-    quadrature_order=32,
-):
+def trace_boundary(spec, state, Delta_sq_grid, bracket=None, tol=DEFAULT_TOL):
     """Transition curve delta_c^2(Delta^2) over an ascending Delta^2 grid.
 
-    Each point is warm-started from its left neighbor's angles.  The trace
-    stops where the curve reaches the delta^2 = 0 axis (NoViolationAtLo);
-    other per-point bracket failures are recorded in ``skipped`` and the
-    trace continues.
+    The trace stops where the curve reaches the delta^2 = 0 axis
+    (NoViolationAtLo); other per-point bracket failures are recorded in
+    ``skipped`` and the trace continues.
     """
     grid = list(Delta_sq_grid)
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("Delta_sq_grid must be sorted ascending")
     points = []
     skipped = []
-    warm = None
     for Delta_sq in grid:
         try:
             pt = find_critical_delta(
-                spec,
-                state,
-                Delta_fixed=math.sqrt(Delta_sq),
-                bracket=bracket,
-                tol=tol,
-                config=config,
-                warm=warm,
-                sigmas=sigmas,
-                quadrature_order=quadrature_order,
+                spec, state, Delta_fixed=math.sqrt(Delta_sq), bracket=bracket, tol=tol
             )
         except NoViolationAtLo:
             break
@@ -321,7 +230,6 @@ def trace_boundary(
             skipped.append(Delta_sq)
             continue
         points.append(pt)
-        warm = [np.concatenate([pt.angles.alice, pt.angles.bob])]
     return BoundaryCurve(
         points=tuple(points),
         n=state.n,

@@ -4,6 +4,12 @@ The Bell family has coefficient +1 on settings pairs with i + j <= m + 1
 (1-based) and -1 elsewhere, with local-realist bound floor((m^2 + 1)/2);
 m = 2 is CHSH with bound 2.  The steering witness is
 (1/sqrt(m)) |sum_i <A_i B_i>| with unsteerable bound 1.
+
+Every correlator of the model is E(a, b) = c0 - V cos 2(a + b) with
+c0, V >= 0, so both witnesses are maximized at fixed angles that do not
+depend on the state or the coarsening (:func:`optimal_angles`): the Bell
+optimum is m c0 + V m / sin(pi / 2m) and the steering optimum
+sqrt(m) (c0 + V).
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ __all__ = [
     "steering_spec",
     "lhv_bound_bruteforce",
     "evaluate",
+    "optimal_angles",
+    "optimum",
     "violation_margin",
 ]
 
@@ -110,19 +118,39 @@ def evaluate(spec, angles, corr):
     """Witness value for the given angles under the given correlator.
 
     Bell: sum_ij c[i,j] corr(alice[i], bob[j]).
-    Steering: (1/sqrt(m)) |sum_i corr(alice[i], bob[i])| (non-negative).
+    Steering: (1/sqrt(m)) |sum_i corr(alice[i], bob[i])| (non-negative), the
+    trace of the same pair matrix.
     """
     if len(angles.alice) != spec.m:
         raise ValueError(f"expected {spec.m} settings per party, got {len(angles.alice)}")
+    pairs = _pair_values(angles, corr)
     if spec.kind == BELL:
-        return float(np.sum(spec.coefficients * _pair_values(angles, corr)))
+        return float(np.sum(spec.coefficients * pairs))
     if spec.kind == STEERING:
-        if hasattr(corr, "diagonal"):
-            diag = np.asarray(corr.diagonal(angles.alice, angles.bob))
-        else:
-            diag = np.array([corr(a, b) for a, b in zip(angles.alice, angles.bob)])
-        return abs(float(diag.sum())) / math.sqrt(spec.m)
+        return abs(float(np.trace(pairs))) / math.sqrt(spec.m)
     raise ValueError(f"unknown witness kind: {spec.kind!r}")
+
+
+def optimal_angles(spec):
+    """Angles that maximize the witness for every correlator c0 - V cos 2(a + b), V >= 0.
+
+    alice[i] = (i-1) pi / (2m) (1-based).  Bell: bob[j] = pi/2 +
+    (j - (m+1)/2) pi / (2m), which gives sum_ij c[i,j] (-cos 2(a_i + b_j))
+    = m / sin(pi / 2m).  Steering: bob[i] = pi/2 - alice[i], so every matched
+    pair has cos 2(a_i + b_i) = -1.
+    """
+    m = spec.m
+    alice = np.arange(m) * math.pi / (2 * m)
+    if spec.kind == STEERING:
+        bob = math.pi / 2 - alice
+    else:
+        bob = math.pi / 2 + (np.arange(1, m + 1) - (m + 1) / 2) * math.pi / (2 * m)
+    return AngleAssignment(alice=alice, bob=bob)
+
+
+def optimum(spec, corr):
+    """Witness value maximized over all angles: :func:`evaluate` at :func:`optimal_angles`."""
+    return evaluate(spec, optimal_angles(spec), corr)
 
 
 def violation_margin(spec, angles, corr):

@@ -1,14 +1,13 @@
 """Shared fixtures for the test suite.
 
-The transition searches at the three reference visibilities are by far the
-most expensive computations in the suite, so they are run once per session
-and shared between the transition-property tests and the acceptance tests.
+The transition searches at the three reference visibilities are shared
+between the transition-property tests and the acceptance tests, so they
+are run once per session.
 """
 
 import pytest
 
 from fuzzycorr import (
-    OptimizerConfig,
     StateSpec,
     bell_spec,
     find_critical_Delta,
@@ -25,12 +24,11 @@ def table1_points():
     critical delta^2 at Delta=0 and Delta_point the critical Delta^2 at
     delta=0.
     """
-    config = OptimizerConfig()
     points = {}
     for p in (0.85, 0.80, 0.75):
         state = StateSpec(n=5, p=p)
         for kind, spec in (("bell", bell_spec(2)), ("steering", steering_spec(2))):
-            d2 = find_critical_delta(spec, state, Delta_fixed=0.0, config=config)
-            D2 = find_critical_Delta(spec, state, delta_fixed=0.0, config=config)
+            d2 = find_critical_delta(spec, state, Delta_fixed=0.0)
+            D2 = find_critical_Delta(spec, state, delta_fixed=0.0)
             points[(p, kind)] = (d2, D2)
     return points

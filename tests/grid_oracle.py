@@ -1,9 +1,10 @@
-"""Dense grid-search oracles for the sharp-limit witness optima.
+"""Dense grid-search oracles for the witness optima.
 
-Independent of the optimizer: the sharp correlator is -cos 2(a + b), so
+Independent of the closed-form angles.  For any correlator (the sharp one,
+-cos 2(a + b), by default):
 
 * the steering witness splits into independent per-pair maxima, each found
-  by scanning the pair sum on a dense grid;
+  by scanning the pair on a dense grid;
 * the CHSH form groups Bob's two angles into two independent brackets, so
   for every Alice pair the best Bob responses are dense-grid maxima.
 
@@ -19,21 +20,27 @@ def sharp_corr(a, b):
     return -np.cos(2.0 * (a + b))
 
 
-def steering_grid_max(m):
-    """(1/sqrt(m)) * m * max over a dense (a, b) grid of |corr|."""
+def _grid_matrix(corr):
+    """The grid and M[a, b] = corr(a, b) over it."""
     grid = np.arange(0.0, np.pi, RESOLUTION)
-    values = sharp_corr(grid[:, None], grid[None, :])
+    if corr is None:
+        return grid, sharp_corr(grid[:, None], grid[None, :])
+    return grid, np.asarray(corr.matrix(grid, grid))
+
+
+def steering_grid_max(m, corr=None):
+    """(1/sqrt(m)) * m * max over a dense (a, b) grid of |corr|."""
+    _, values = _grid_matrix(corr)
     return m * float(np.abs(values).max()) / np.sqrt(m)
 
 
-def chsh_grid_max(chunk=24):
-    """Dense grid search of the CHSH form for the sharp correlator.
+def chsh_grid_max(corr=None, chunk=24):
+    """Dense grid search of the CHSH form for ``corr`` (default: sharp).
 
     B = [E(a1,b1) + E(a2,b1)] + [E(a1,b2) - E(a2,b2)]; each bracket is
     maximized over its own Bob angle for every (a1, a2) pair.
     """
-    grid = np.arange(0.0, np.pi, RESOLUTION)
-    M = sharp_corr(grid[:, None], grid[None, :])  # M[a, b]
+    grid, M = _grid_matrix(corr)  # M[a, b]
     best = -np.inf
     for start in range(0, len(grid), chunk):
         block = M[start : start + chunk]  # a1 rows

@@ -12,7 +12,6 @@ import pytest
 from fuzzycorr import (
     CoarseningParams,
     Correlator,
-    OptimizerConfig,
     StateSpec,
     bell_spec,
     corr_full,
@@ -23,8 +22,8 @@ from fuzzycorr import (
     find_critical_delta,
     lhv_bound_bruteforce,
     make_discrete_kernel,
-    maximize,
-    maximize_profile,
+    optimal_angles,
+    optimum,
     steering_spec,
 )
 from fuzzycorr.correlation import corr_reference_quadrature
@@ -43,13 +42,10 @@ TABLE1_DELTA_CAP_SQ = {0.85: 0.046, 0.80: 0.0308, 0.75: 0.0147}
 
 def test_criterion_1_reference_coarsening_columns():
     """Delta^2 transitions match the published column and the closed form."""
-    config = OptimizerConfig(restarts=6)
     for p, published in TABLE1_DELTA_CAP_SQ.items():
         closed = math.log(math.sqrt(2.0) * p) / 4.0
         for spec in (bell_spec(2), steering_spec(2)):
-            pt = find_critical_Delta(
-                spec, StateSpec(n=5, p=p), tol=1e-7, config=config
-            )
+            pt = find_critical_Delta(spec, StateSpec(n=5, p=p), tol=1e-7)
             print(
                 f"criterion 1: p={p} {spec.kind}: Delta^2_c={pt.Delta_sq:.7f} "
                 f"published={published} closed={closed:.7f}"
@@ -101,19 +97,18 @@ def test_criterion_2_resolution_coarsening_columns(table1_points):
 
 def test_criterion_3_sharp_limit_optima():
     """Optimized sharp-limit witnesses hit 2*sqrt(2) and sqrt(m)."""
-    config = OptimizerConfig(restarts=8)
     sharp = Correlator(StateSpec(5, p=1.0), CoarseningParams())
-    bell = maximize(bell_spec(2), sharp, config)
+    bell = optimum(bell_spec(2), sharp)
     grid = chsh_grid_max()
-    print(f"criterion 3: B_2={bell.value:.10f} grid-oracle={grid:.6f}")
-    assert bell.value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-6)
-    assert grid <= bell.value + 1e-6 and grid == pytest.approx(bell.value, abs=1e-3)
+    print(f"criterion 3: B_2={bell:.10f} grid-oracle={grid:.6f}")
+    assert bell == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-6)
+    assert grid <= bell + 1e-6 and grid == pytest.approx(bell, abs=1e-3)
     for m in (2, 3, 4, 5):
-        steer = maximize(steering_spec(m), sharp, config)
+        steer = optimum(steering_spec(m), sharp)
         oracle = steering_grid_max(m)
-        print(f"criterion 3: S_{m}={steer.value:.10f} grid-oracle={oracle:.6f}")
-        assert steer.value == pytest.approx(math.sqrt(m), abs=1e-6)
-        assert oracle <= steer.value + 1e-6
+        print(f"criterion 3: S_{m}={steer:.10f} grid-oracle={oracle:.6f}")
+        assert steer == pytest.approx(math.sqrt(m), abs=1e-6)
+        assert oracle <= steer + 1e-6
 
 
 def test_criterion_4_reference_closed_form():
@@ -139,11 +134,10 @@ def test_criterion_5_lhv_bound_oracle():
 
 def test_criterion_6_even_odd_bell_trend():
     """Even settings counts lose violation earlier than m=2; odd ones gain."""
-    config = OptimizerConfig(restarts=12)
     state = StateSpec(n=5, p=1.0)
     d2 = {}
     for m in (2, 3, 4, 5):
-        d2[m] = find_critical_delta(bell_spec(m), state, config=config).delta_sq
+        d2[m] = find_critical_delta(bell_spec(m), state).delta_sq
         print(f"criterion 6: bell m={m} delta^2_c={d2[m]:.4f}")
     assert d2[4] < d2[2]
     assert d2[3] < d2[5]
@@ -151,11 +145,10 @@ def test_criterion_6_even_odd_bell_trend():
 
 def test_criterion_7_steering_monotonicity():
     """Steering transition variance strictly increases with settings count."""
-    config = OptimizerConfig(restarts=12)
     state = StateSpec(n=5, p=1.0)
     d2 = []
     for m in (2, 3, 4, 5):
-        d2.append(find_critical_delta(steering_spec(m), state, config=config).delta_sq)
+        d2.append(find_critical_delta(steering_spec(m), state).delta_sq)
         print(f"criterion 7: steering m={m} delta^2_c={d2[-1]:.4f}")
     assert all(lo < hi for lo, hi in zip(d2, d2[1:]))
 
@@ -163,10 +156,9 @@ def test_criterion_7_steering_monotonicity():
 def test_criterion_8_pure_coincidence_mixed_split(table1_points):
     """m=2 transitions coincide at p=1 and split (steering later) at p=0.85."""
     tol = 2e-2
-    config = OptimizerConfig(restarts=8)
     state = StateSpec(n=5, p=1.0)
-    bell = find_critical_delta(bell_spec(2), state, tol=tol, config=config).delta_sq
-    steer = find_critical_delta(steering_spec(2), state, tol=tol, config=config).delta_sq
+    bell = find_critical_delta(bell_spec(2), state, tol=tol).delta_sq
+    steer = find_critical_delta(steering_spec(2), state, tol=tol).delta_sq
     print(f"criterion 8: p=1 bell={bell:.4f} steering={steer:.4f} "
           f"|diff|={abs(bell - steer):.4f} (2 tol={2 * tol})")
     assert abs(bell - steer) <= 2 * tol
@@ -223,18 +215,17 @@ def test_criterion_9_property_suite():
         ti, tj = rng.uniform(0, math.pi, 2)
         assert abs(corr(ti, tj)) <= 1 + 1e-12
         assert corr(ti, tj) == pytest.approx(corr(tj, ti), abs=1e-15)
-    # optimizer determinism, bit-exact
+    # optimum determinism, bit-exact
     corr = Correlator(StateSpec(5, p=0.9), CoarseningParams(delta=1.0))
-    config = OptimizerConfig(restarts=6, seed=11)
-    a = maximize(bell_spec(2), corr, config)
-    b = maximize(bell_spec(2), corr, config)
-    assert a.value == b.value
-    np.testing.assert_array_equal(a.angles.alice, b.angles.alice)
+    assert optimum(bell_spec(2), corr) == optimum(bell_spec(2), corr)
+    np.testing.assert_array_equal(
+        optimal_angles(bell_spec(2)).alice, optimal_angles(bell_spec(2)).alice
+    )
     # monotone degradation within 1e-4
     grids = [
         Correlator(StateSpec(5, p=1.0), CoarseningParams(delta=math.sqrt(v)))
         for v in (0.0, 4.0, 8.0, 12.0)
     ]
-    values = [r.value for r in maximize_profile(bell_spec(2), grids, config)]
+    values = [optimum(bell_spec(2), corr) for corr in grids]
     assert all(cur <= prev + 1e-4 for prev, cur in zip(values, values[1:]))
     print("criterion 9: all property families hold")

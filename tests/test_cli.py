@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fuzzycorr import OptimizerConfig, StateSpec, bell_spec, find_critical_delta
+import fuzzycorr
+from fuzzycorr import StateSpec, bell_spec, find_critical_delta
 from fuzzycorr.cli import RESULT_FIELDS, ConfigError, main, parse_grid
 
 
@@ -39,6 +44,12 @@ def test_parse_grid_bad_shape():
         parse_grid("0:1")
 
 
+@pytest.mark.parametrize("text", ["0,x", "0:1:nan", "0:inf:1", "1e999"])
+def test_parse_grid_rejects_non_numbers(text):
+    with pytest.raises(ConfigError, match="not a finite number"):
+        parse_grid(text)
+
+
 # -------------------------------------------------------------- correlate
 
 def test_correlate_sharp_value(tmp_path):
@@ -46,7 +57,7 @@ def test_correlate_sharp_value(tmp_path):
     code = main(["correlate", "--n", "5", "--out", str(out)])
     assert code == 0
     config, rows = read_csv(out)
-    assert config["n"] == 5 and config["seed"] == 0
+    assert config["n"] == 5
     resolution = [r for r in rows if r["witness_kind"] == "corr_resolution"]
     assert float(resolution[0]["witness_value"]) == pytest.approx(-1.0)
 
@@ -82,13 +93,57 @@ def test_profile_without_grid_exits_2(capsys):
     assert "grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,values,field", [
+    ("correlate", {"m": "2"}, "m"),
+    ("correlate", {"m": True}, "m"),
+    ("correlate", {"m": 1}, "m"),
+    ("correlate", {"n": 2.5}, "n"),
+    ("correlate", {"n": 0}, "n"),
+    ("correlate", {"p": "0.9"}, "p"),
+    ("correlate", {"p": 1.5}, "p"),
+    ("correlate", {"delta_sq": -1}, "delta_sq"),
+    ("correlate", {"Delta_sq": float("nan")}, "Delta_sq"),
+    ("correlate", {"angle_pairs": [[0.1]]}, "angle_pairs"),
+    ("correlate", {"angle_pairs": [[0.1, "x"]]}, "angle_pairs"),
+    ("correlate", {"witness": "chsh"}, "witness"),
+    ("correlate", {"format": "xml"}, "format"),
+    ("correlate", {"out": 3}, "out"),
+    ("profile", {"delta_sq_grid": "0:1:0.5"}, "delta_sq_grid"),
+    ("profile", {"Delta_sq_grid": [0.1, float("inf")]}, "Delta_sq_grid"),
+    ("boundary", {"Delta_sq_grid": [0.0], "transition_tol": 0}, "transition_tol"),
+    ("boundary", {"Delta_sq_grid": [0.0], "transition_tol": float("nan")}, "transition_tol"),
+    ("table1", {"p_list": [1.5]}, "p_list"),
+    ("table1", {"p_list": 0.85}, "p_list"),
+])
+def test_bad_config_value_exits_2(tmp_path, capsys, command, values, field):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(values))
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}:"), err
+
+
+def test_zero_transition_tol_flag_exits_2(capsys):
+    assert main(["boundary", "--Delta-sq-grid", "0", "--transition-tol", "0"]) == 2
+    assert "transition_tol" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(fuzzycorr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, fuzzycorr.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------- profile
 
 def test_profile_sharp_optima(tmp_path):
     out = tmp_path / "bell.csv"
     code = main([
         "profile", "--witness", "bell", "--m", "2", "--n", "5",
-        "--delta-sq-grid", "0", "--restarts", "8", "--out", str(out),
+        "--delta-sq-grid", "0", "--out", str(out),
     ])
     assert code == 0
     _, rows = read_csv(out)
@@ -98,7 +153,7 @@ def test_profile_sharp_optima(tmp_path):
     out = tmp_path / "steer.csv"
     code = main([
         "profile", "--witness", "steering", "--m", "3", "--n", "5",
-        "--delta-sq-grid", "0", "--restarts", "8", "--out", str(out),
+        "--delta-sq-grid", "0", "--out", str(out),
     ])
     assert code == 0
     _, rows = read_csv(out)
@@ -109,7 +164,7 @@ def test_profile_curve_crosses_bound(tmp_path):
     out = tmp_path / "curve.csv"
     code = main([
         "profile", "--witness", "bell", "--m", "2", "--n", "5",
-        "--delta-sq-grid", "0:16:4", "--restarts", "6", "--out", str(out),
+        "--delta-sq-grid", "0:16:4", "--out", str(out),
     ])
     assert code == 0
     _, rows = read_csv(out)
@@ -122,31 +177,24 @@ def test_profile_curve_crosses_bound(tmp_path):
     assert all(line.endswith(",2") for line in plot[1:])
 
 
-def test_profile_reproducible_and_thread_invariant(tmp_path):
+def test_profile_rerun_is_byte_identical(tmp_path):
+    out = tmp_path / "rerun.csv"
     args = [
         "profile", "--witness", "steering", "--m", "2", "--n", "5",
-        "--delta-sq-grid", "0:6:2", "--restarts", "6",
+        "--delta-sq-grid", "0:6:2", "--out", str(out),
     ]
-    outs = []
-    for name, threads in (("a.csv", "1"), ("b.csv", "1"), ("c.csv", "4")):
-        out = tmp_path / name
-        assert main(args + ["--threads", threads, "--out", str(out)]) == 0
-        outs.append(out.read_text())
-    # identical config (apart from the output path header) => identical rows
-    assert outs[0].splitlines()[1:] == outs[1].splitlines()[1:]
-    # different worker counts chunk the warm-started sweep differently, so
-    # only demand agreement to optimizer accuracy, not bit-exactness
-    for line1, line4 in zip(outs[0].splitlines()[2:], outs[2].splitlines()[2:]):
-        value1 = float(line1.split(",")[6])
-        value4 = float(line4.split(",")[6])
-        assert value1 == pytest.approx(value4, abs=1e-7)
+    runs = []
+    for _ in range(2):
+        assert main(args) == 0
+        runs.append((out.read_bytes(), (tmp_path / "rerun.csv.plot.csv").read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def test_profile_json_format(tmp_path):
     out = tmp_path / "rows.json"
     code = main([
         "profile", "--witness", "bell", "--m", "2", "--n", "5",
-        "--delta-sq-grid", "0", "--restarts", "6",
+        "--delta-sq-grid", "0",
         "--format", "json", "--out", str(out),
     ])
     assert code == 0
@@ -162,14 +210,12 @@ def test_boundary_single_point(tmp_path):
     out = tmp_path / "boundary.csv"
     code = main([
         "boundary", "--witness", "bell", "--m", "2", "--n", "5",
-        "--Delta-sq-grid", "0", "--restarts", "6",
+        "--Delta-sq-grid", "0",
         "--transition-tol", "0.005", "--out", str(out),
     ])
     assert code == 0
     _, rows = read_csv(out)
-    direct = find_critical_delta(
-        bell_spec(2), StateSpec(5, 1.0), tol=5e-3, config=OptimizerConfig(restarts=6)
-    )
+    direct = find_critical_delta(bell_spec(2), StateSpec(5, 1.0), tol=5e-3)
     assert float(rows[0]["delta_sq"]) == pytest.approx(direct.delta_sq, abs=1e-2)
     plot = (tmp_path / "boundary.csv.plot.csv").read_text().splitlines()
     assert plot[0] == "Delta_sq,delta_sq"
@@ -179,7 +225,7 @@ def test_boundary_no_transition_exits_3(capsys):
     # p = 0.5 is below the sharp-limit threshold 1/sqrt(2): nothing violates
     code = main([
         "boundary", "--witness", "bell", "--m", "2", "--n", "5",
-        "--p", "0.5", "--Delta-sq-grid", "0", "--restarts", "6",
+        "--p", "0.5", "--Delta-sq-grid", "0",
     ])
     assert code == 3
     assert "error" in capsys.readouterr().err
@@ -192,7 +238,7 @@ def test_table1_smoke(tmp_path, capsys):
     cfg.write_text(json.dumps({"p_list": [0.85]}))
     out = tmp_path / "table.csv"
     code = main([
-        "table1", "--config", str(cfg), "--restarts", "6",
+        "table1", "--config", str(cfg),
         "--transition-tol", "0.005", "--out", str(out),
     ])
     assert code == 0

@@ -261,15 +261,42 @@ def test_correlator_matches_functions():
 
 
 def test_correlator_matrix_and_diagonal_consistent():
+    # the steering witness reads the matched settings off the matrix diagonal
     corr = Correlator(StateSpec(5, p=0.9), CoarseningParams(delta=1.0, Delta=0.2))
     alice = np.array([0.1, 0.7, 1.3])
     bob = np.array([0.4, 1.0, 2.0])
     matrix = corr.matrix(alice, bob)
-    diag = corr.diagonal(alice, bob)
+    assert matrix.shape == (3, 3)
     for i in range(3):
-        assert matrix[i, i] == pytest.approx(diag[i], abs=1e-15)
+        assert matrix[i, i] == pytest.approx(
+            corr_werner_full(alice[i], bob[i], corr.state, corr.params), abs=1e-12
+        )
         for j in range(3):
             assert matrix[i, j] == pytest.approx(corr(alice[i], bob[j]), abs=1e-15)
+
+
+def test_correlator_invariants_against_operator_oracle():
+    # E(a, b) = c0 - V cos 2(a + b): E = c0 where a + b = pi/4, c0 - V where a + b = 0
+    rng = np.random.default_rng(2)
+    for _ in range(4):
+        n = int(rng.integers(1, 8))
+        p = float(rng.uniform(0, 1))
+        delta = float(rng.uniform(0, 4))
+        Delta = float(rng.uniform(0, 0.6))
+        corr = Correlator(StateSpec(n, p), CoarseningParams(delta=delta, Delta=Delta))
+        assert corr.c0 >= 0.0 and corr.V >= 0.0
+        assert corr.c0 == pytest.approx(
+            operator_oracle(math.pi / 8, math.pi / 8, n, p, delta, Delta), abs=1e-12
+        )
+        assert corr.c0 - corr.V == pytest.approx(
+            operator_oracle(0.3, -0.3, n, p, delta, Delta), abs=1e-12
+        )
+
+
+def test_state_rejects_non_integral_n():
+    for n in (2.5, 2.0, True, "3", 0):
+        with pytest.raises(ValueError):
+            StateSpec(n)
 
 
 def test_boundedness_randomized():

@@ -1,4 +1,9 @@
-"""Optimizer tests: sharp-limit optima, determinism, monotone degradation."""
+"""Witness optimum tests: sharp-limit optima, determinism, monotone degradation.
+
+``optimum`` evaluates the witness at the fixed angles of ``optimal_angles``;
+these tests check it against dense grid searches and against a plain
+multi-start Nelder-Mead over all angles (``nm_oracle.maximize``).
+"""
 
 import math
 
@@ -8,19 +13,19 @@ import pytest
 from fuzzycorr import (
     CoarseningParams,
     Correlator,
-    OptimizerConfig,
     StateSpec,
     bell_spec,
     evaluate,
-    maximize,
-    maximize_profile,
+    optimal_angles,
+    optimum,
     steering_spec,
 )
+from fuzzycorr.cli import main
 from fuzzycorr.witness import AngleAssignment
 from grid_oracle import chsh_grid_max, steering_grid_max
+from nm_oracle import maximize
 
 SHARP = Correlator(StateSpec(5, p=1.0), CoarseningParams())
-FAST = OptimizerConfig(restarts=8)
 
 
 class ScaledCorrelator:
@@ -33,93 +38,100 @@ class ScaledCorrelator:
     def matrix(self, alice, bob):
         return self.scale * self.inner.matrix(alice, bob)
 
-    def diagonal(self, alice, bob):
-        return self.scale * self.inner.diagonal(alice, bob)
-
     def __call__(self, a, b):
         return self.scale * self.inner(a, b)
 
 
 def test_chsh_sharp_optimum_vs_grid_oracle():
-    result = maximize(bell_spec(2), SHARP, FAST)
-    assert result.value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-6)
+    value = optimum(bell_spec(2), SHARP)
+    assert value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-6)
     # the pi/720 grid search cannot beat the continuous optimum, and must
     # get within its own resolution of it
     grid = chsh_grid_max()
-    assert grid <= result.value + 1e-6
-    assert grid == pytest.approx(result.value, abs=1e-3)
+    assert grid <= value + 1e-6
+    assert grid == pytest.approx(value, abs=1e-3)
 
 
 def test_steering_sharp_optima_vs_grid_oracle():
     for m in (2, 3, 4, 5):
-        result = maximize(steering_spec(m), SHARP, FAST)
-        assert result.value == pytest.approx(math.sqrt(m), abs=1e-6)
-        assert steering_grid_max(m) <= result.value + 1e-6
+        value = optimum(steering_spec(m), SHARP)
+        assert value == pytest.approx(math.sqrt(m), abs=1e-6)
+        assert steering_grid_max(m) <= value + 1e-6
 
 
 def test_scaled_correlator_halves_value():
     # Werner p = 0.5 at zero coarsening is exactly the halved correlator
     corr = Correlator(StateSpec(5, p=0.5), CoarseningParams())
-    result = maximize(bell_spec(2), corr, FAST)
-    assert result.value == pytest.approx(math.sqrt(2.0), abs=1e-6)
+    assert optimum(bell_spec(2), corr) == pytest.approx(math.sqrt(2.0), abs=1e-6)
 
 
 def test_result_value_consistent_with_angles():
-    spec = bell_spec(2)
-    result = maximize(spec, SHARP, FAST)
-    assert evaluate(spec, result.angles, SHARP) == pytest.approx(result.value, abs=1e-8)
+    corr = Correlator(StateSpec(4, p=0.9), CoarseningParams(delta=1.5, Delta=0.2))
+    for spec in (bell_spec(2), bell_spec(3), steering_spec(2), steering_spec(4)):
+        value, angles = maximize(spec, corr)
+        assert evaluate(spec, angles, corr) == pytest.approx(value, abs=1e-8)
+        assert evaluate(spec, optimal_angles(spec), corr) == pytest.approx(
+            optimum(spec, corr), abs=1e-8
+        )
 
 
 def test_determinism_bit_exact():
     spec = bell_spec(3)
-    corr = Correlator(StateSpec(5, p=0.9), CoarseningParams(delta=1.5, Delta=0.1))
-    config = OptimizerConfig(restarts=10, seed=123)
-    a = maximize(spec, corr, config)
-    b = maximize(spec, corr, config)
-    assert a.value == b.value
-    np.testing.assert_array_equal(a.angles.alice, b.angles.alice)
-    np.testing.assert_array_equal(a.angles.bob, b.angles.bob)
-    assert a.restart_index == b.restart_index and a.iterations == b.iterations
+    a = optimum(spec, Correlator(StateSpec(5, p=0.9), CoarseningParams(delta=1.5, Delta=0.1)))
+    b = optimum(spec, Correlator(StateSpec(5, p=0.9), CoarseningParams(delta=1.5, Delta=0.1)))
+    assert a == b
+    first, second = optimal_angles(spec), optimal_angles(spec)
+    np.testing.assert_array_equal(first.alice, second.alice)
+    np.testing.assert_array_equal(first.bob, second.bob)
 
 
 def test_local_maximum_certificate():
-    spec = bell_spec(2)
     corr = Correlator(StateSpec(5, p=1.0), CoarseningParams(delta=2.0))
-    result = maximize(spec, corr, FAST)
-    x = np.concatenate([result.angles.alice, result.angles.bob])
-    for i in range(len(x)):
-        for step in (1e-4, -1e-4):
-            y = x.copy()
-            y[i] += step
-            perturbed = evaluate(
-                spec, AngleAssignment(alice=y[:2], bob=y[2:]), corr
-            )
-            assert perturbed <= result.value + 1e-9
+    for spec in (bell_spec(2), bell_spec(3), steering_spec(3)):
+        value = optimum(spec, corr)
+        angles = optimal_angles(spec)
+        x = np.concatenate([angles.alice, angles.bob])
+        m = spec.m
+        for i in range(len(x)):
+            for step in (1e-4, -1e-4):
+                y = x.copy()
+                y[i] += step
+                perturbed = evaluate(spec, AngleAssignment(alice=y[:m], bob=y[m:]), corr)
+                assert perturbed <= value + 1e-9
 
 
 def test_scaling_covariance():
     spec = bell_spec(2)
-    base = maximize(spec, SHARP, FAST)
+    base = optimum(spec, SHARP)
     for s in (0.25, 0.6, 1.0):
-        scaled = maximize(spec, ScaledCorrelator(SHARP, s), FAST)
-        assert scaled.value == pytest.approx(s * base.value, abs=1e-6)
-        # the scaled argmax is optimal for the unscaled problem too
-        assert evaluate(spec, scaled.angles, SHARP) == pytest.approx(
-            base.value, abs=1e-5
-        )
+        scaled = ScaledCorrelator(SHARP, s)
+        assert optimum(spec, scaled) == pytest.approx(s * base, abs=1e-6)
+        # the scaled argmax found by a free search is optimal for the
+        # unscaled problem too
+        _, angles = maximize(spec, scaled)
+        assert evaluate(spec, angles, SHARP) == pytest.approx(base, abs=1e-5)
 
 
-def test_profile_single_point_matches_maximize():
-    spec = bell_spec(2)
-    single = maximize_profile(spec, [SHARP], FAST)
-    assert len(single) == 1
-    assert single[0].value == maximize(spec, SHARP, FAST).value
+def test_profile_single_point_matches_maximize(tmp_path):
+    out = tmp_path / "single.csv"
+    code = main([
+        "profile", "--witness", "bell", "--m", "3", "--n", "5", "--p", "0.9",
+        "--delta-sq-grid", "2.5", "--out", str(out),
+    ])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 3
+    row = dict(zip(lines[1].split(","), lines[2].split(",")))
+    corr = Correlator(StateSpec(5, p=0.9), CoarseningParams(delta=math.sqrt(2.5)))
+    value, _ = maximize(bell_spec(3), corr)
+    assert float(row["witness_value"]) == pytest.approx(value, abs=1e-9)
 
 
 def test_profile_constant_family():
+    # with no coarsening the correlator is -p cos 2(a + b) whatever n is
     spec = steering_spec(2)
-    results = maximize_profile(spec, [SHARP, SHARP, SHARP], FAST)
-    values = [r.value for r in results]
+    family = [Correlator(StateSpec(n, p=1.0), CoarseningParams()) for n in (1, 5, 50)]
+    values = [optimum(spec, corr) for corr in family]
     assert max(values) - min(values) < 1e-9
 
 
@@ -130,14 +142,13 @@ def test_profile_monotone_degradation_in_delta():
     correlators = [
         Correlator(state, CoarseningParams(delta=math.sqrt(v))) for v in grid
     ]
-    results = maximize_profile(spec, correlators, FAST)
-    values = [r.value for r in results]
+    values = [optimum(spec, corr) for corr in correlators]
     for prev, cur in zip(values, values[1:]):
         assert cur <= prev + 1e-4
-    # spot-check the warm-swept values against cold starts
+    # spot-check the closed-form angles against a free search
     for idx in (0, 6, 12):
-        cold = maximize(spec, correlators[idx], FAST)
-        assert values[idx] == pytest.approx(cold.value, abs=1e-6)
+        free, _ = maximize(spec, correlators[idx])
+        assert values[idx] == pytest.approx(free, abs=1e-6)
 
 
 def test_profile_monotone_degradation_in_Delta():
@@ -147,13 +158,6 @@ def test_profile_monotone_degradation_in_Delta():
     correlators = [
         Correlator(state, CoarseningParams(Delta=math.sqrt(v))) for v in grid
     ]
-    values = [r.value for r in maximize_profile(spec, correlators, FAST)]
+    values = [optimum(spec, corr) for corr in correlators]
     for prev, cur in zip(values, values[1:]):
         assert cur <= prev + 1e-4
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(restarts=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(tolerance=0.0)

@@ -10,8 +10,8 @@ from fuzzycorr import (
     NoTransitionAtHi,
     NoViolationAtLo,
     NoViolationAtPureState,
-    OptimizerConfig,
     StateSpec,
+    TransitionError,
     bell_spec,
     find_critical_Delta,
     find_critical_delta,
@@ -19,8 +19,8 @@ from fuzzycorr import (
     steering_spec,
     trace_boundary,
 )
+from fuzzycorr.transition import _bisect_margin
 
-FAST = OptimizerConfig(restarts=8)
 PURE5 = StateSpec(n=5, p=1.0)
 
 
@@ -30,13 +30,13 @@ def test_critical_Delta_closed_form():
     for p in (0.80, 0.92, 1.0):
         expected = math.log(math.sqrt(2.0) * p) / 4.0
         for spec in (bell_spec(2), steering_spec(2)):
-            pt = find_critical_Delta(spec, StateSpec(n=5, p=p), config=FAST)
+            pt = find_critical_Delta(spec, StateSpec(n=5, p=p))
             assert pt.Delta_sq == pytest.approx(expected, abs=2e-3)
 
 
 def test_critical_visibility_sharp():
     for spec in (bell_spec(2), steering_spec(2)):
-        pt = find_critical_visibility(spec, n=5, config=FAST)
+        pt = find_critical_visibility(spec, n=5)
         assert pt.p == pytest.approx(1.0 / math.sqrt(2.0), abs=2e-3)
         assert pt.delta_sq == 0.0 and pt.Delta_sq == 0.0
 
@@ -45,29 +45,29 @@ def test_no_violation_at_pure_state():
     # far past the resolution transition even the pure state is classical
     params = CoarseningParams(delta=math.sqrt(30.0))
     with pytest.raises(NoViolationAtPureState):
-        find_critical_visibility(bell_spec(2), n=5, params=params, config=FAST)
+        find_critical_visibility(bell_spec(2), n=5, params=params)
 
 
 def test_no_violation_at_lower_edge():
     with pytest.raises(NoViolationAtLo):
-        find_critical_delta(bell_spec(2), PURE5, bracket=(20.0, 100.0), config=FAST)
+        find_critical_delta(bell_spec(2), PURE5, bracket=(20.0, 100.0))
 
 
 def test_no_transition_at_upper_edge():
     with pytest.raises(NoTransitionAtHi):
-        find_critical_delta(bell_spec(2), PURE5, bracket=(0.0, 1.0), config=FAST)
+        find_critical_delta(bell_spec(2), PURE5, bracket=(0.0, 1.0))
 
 
 def test_bracket_certificate():
-    pt = find_critical_delta(bell_spec(2), PURE5, config=FAST)
+    pt = find_critical_delta(bell_spec(2), PURE5)
     assert pt.margin_lo > 0.0 > pt.margin_hi
     assert abs(pt.achieved_value - pt.bound) < 0.05  # tol times the local slope
-    pt = find_critical_Delta(steering_spec(2), PURE5, config=FAST)
+    pt = find_critical_Delta(steering_spec(2), PURE5)
     assert pt.margin_lo > 0.0 > pt.margin_hi
 
 
 def test_transition_point_metadata():
-    pt = find_critical_delta(steering_spec(2), StateSpec(n=5, p=0.9), config=FAST)
+    pt = find_critical_delta(steering_spec(2), StateSpec(n=5, p=0.9))
     assert pt.n == 5 and pt.p == 0.9
     assert pt.witness.kind == "steering"
     assert pt.Delta_sq == 0.0
@@ -85,19 +85,17 @@ def test_mixed_state_split(table1_points):
 def test_macroscopicity_monotonicity():
     spec = bell_spec(2)
     values = []
-    warm = None
     for n in range(2, 11):
-        pt = find_critical_delta(spec, StateSpec(n=n, p=1.0), config=FAST, warm=warm)
-        warm = [np.concatenate([pt.angles.alice, pt.angles.bob])]
+        pt = find_critical_delta(spec, StateSpec(n=n, p=1.0))
         values.append(pt.delta_sq)
     for prev, cur in zip(values, values[1:]):
         assert cur >= prev - 2e-3
 
 
 def test_trace_boundary_single_point():
-    curve = trace_boundary(bell_spec(2), PURE5, [0.0], config=FAST)
+    curve = trace_boundary(bell_spec(2), PURE5, [0.0])
     assert len(curve.points) == 1
-    direct = find_critical_delta(bell_spec(2), PURE5, config=FAST)
+    direct = find_critical_delta(bell_spec(2), PURE5)
     assert curve.points[0].delta_sq == pytest.approx(direct.delta_sq, abs=2e-3)
 
 
@@ -105,7 +103,7 @@ def test_trace_boundary_shape_and_truncation():
     # Delta^2-axis intercept for p=1 sits at ln(sqrt 2)/4 ~ 0.0866; a grid
     # crossing it must truncate there, and delta_c^2 shrinks as Delta^2 grows
     grid = [0.0, 0.03, 0.06, 0.12]
-    curve = trace_boundary(bell_spec(2), PURE5, grid, config=FAST)
+    curve = trace_boundary(bell_spec(2), PURE5, grid)
     assert len(curve.points) == 3
     d2 = curve.delta_sq()
     assert np.all(np.diff(d2) < 0.0)
@@ -114,15 +112,14 @@ def test_trace_boundary_shape_and_truncation():
 
 def test_trace_boundary_rejects_unsorted_grid():
     with pytest.raises(ValueError):
-        trace_boundary(bell_spec(2), PURE5, [0.02, 0.0], config=FAST)
+        trace_boundary(bell_spec(2), PURE5, [0.02, 0.0])
 
 
 def test_steering_boundary_grows_with_settings():
     # the quantum region traced by the steering witness expands with m
     grid = [0.0, 0.03, 0.06]
-    fast = OptimizerConfig(restarts=6)
     curves = {
-        m: trace_boundary(steering_spec(m), PURE5, grid, tol=5e-3, config=fast)
+        m: trace_boundary(steering_spec(m), PURE5, grid, tol=5e-3)
         for m in (2, 3, 4, 5)
     }
     areas = {}
@@ -133,3 +130,57 @@ def test_steering_boundary_grows_with_settings():
     # and enclosure is pointwise, not just in area
     for lo, hi in zip(curves[2].delta_sq(), curves[5].delta_sq()):
         assert hi > lo
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
+def test_bisect_rejects_bad_tolerance(tol):
+    calls = []
+
+    def margin(x):
+        calls.append(x)
+        return 0.5 - x
+
+    with pytest.raises(ValueError, match="tol"):
+        _bisect_margin(margin, 0.0, 1.0, tol, NoViolationAtLo(), NoTransitionAtHi())
+    assert calls == []
+
+
+def test_bisect_tolerance_below_float_spacing_ends():
+    # near x = 8 adjacent floats are 1.8e-15 apart, so the bracket can never
+    # shrink to 1e-20; the search stops and the certificates cannot both hold
+    with pytest.raises(TransitionError, match="uncertified"):
+        _bisect_margin(lambda x: 8.0 - x, 0.0, 100.0, 1e-20,
+                       NoViolationAtLo(), NoTransitionAtHi())
+
+
+def test_bisect_checks_certificates():
+    # Positive below 0.5, negative on [0.5, 0.503) and again at the upper
+    # edge, positive in between: bisection closes in on 0.5, but the probe
+    # at root + tol lands where the margin is positive again.
+    def margin(x):
+        if x < 0.5:
+            return 1.0
+        if x < 0.503 or x >= 0.99:
+            return -1.0
+        return 1.0
+
+    with pytest.raises(TransitionError, match="uncertified"):
+        _bisect_margin(margin, 0.0, 1.0, 0.01, NoViolationAtLo(), NoTransitionAtHi())
+    # the same margin is certified once the tolerance is inside the dip
+    root, cert_lo, cert_hi = _bisect_margin(
+        margin, 0.0, 1.0, 0.001, NoViolationAtLo(), NoTransitionAtHi()
+    )
+    assert abs(root - 0.5) <= 0.001 and cert_lo > 0.0 >= cert_hi
+
+
+def test_certificate_probes_stay_in_bracket():
+    # a tolerance wider than the whole p bracket used to probe p < 0
+    pt = find_critical_visibility(bell_spec(2), n=5, tol=1.5)
+    assert 0.0 <= pt.p <= 1.0
+    assert pt.margin_lo > 0.0 >= pt.margin_hi
+
+
+def test_no_violation_at_pure_state_names_n():
+    params = CoarseningParams(delta=math.sqrt(30.0))
+    with pytest.raises(NoViolationAtPureState, match="n=7"):
+        find_critical_visibility(bell_spec(2), n=7, params=params)

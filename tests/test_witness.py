@@ -1,4 +1,4 @@
-"""Witness module tests: coefficient patterns, classical bounds, evaluation."""
+"""Witness module tests: coefficient patterns, classical bounds, evaluation, optima."""
 
 import math
 
@@ -13,10 +13,14 @@ from fuzzycorr import (
     bell_spec,
     evaluate,
     lhv_bound_bruteforce,
+    optimal_angles,
+    optimum,
     steering_spec,
     violation_margin,
 )
-from grid_oracle import chsh_grid_max
+from grid_oracle import chsh_grid_max, steering_grid_max
+from nm_oracle import maximize
+from operator_oracle import operator_oracle
 
 SHARP = Correlator(StateSpec(5, p=1.0), CoarseningParams())
 
@@ -24,9 +28,6 @@ SHARP = Correlator(StateSpec(5, p=1.0), CoarseningParams())
 class ZeroCorrelator:
     def matrix(self, alice, bob):
         return np.zeros((len(alice), len(bob)))
-
-    def diagonal(self, alice, bob):
-        return np.zeros(len(alice))
 
     def __call__(self, a, b):
         return 0.0
@@ -105,7 +106,7 @@ def test_evaluate_dimension_mismatch():
 
 
 def test_evaluate_plain_callable_correlator():
-    # works without the fast-path matrix/diagonal hooks
+    # works without the fast-path matrix hook
     plain = lambda a, b: -math.cos(2.0 * (a + b))
     angles = AngleAssignment(
         alice=[0.0, math.pi / 4],
@@ -137,9 +138,6 @@ def test_steering_sign_flip_invariance():
         def __init__(self, inner):
             self.inner = inner
 
-        def diagonal(self, alice, bob):
-            return -self.inner.diagonal(alice, bob)
-
         def matrix(self, alice, bob):
             return -self.inner.matrix(alice, bob)
 
@@ -169,3 +167,75 @@ def test_angles_reduced_to_pi_interval():
 def test_angle_length_mismatch_rejected():
     with pytest.raises(ValueError):
         AngleAssignment(alice=[0.0], bob=[0.0, 1.0])
+
+
+# ------------------------------------------------------------------ optimum
+
+# (n, p, delta, Delta): sharp, resolution only, reference only, both, noisy
+OPTIMUM_POINTS = [
+    (5, 1.0, 0.0, 0.0),
+    (5, 1.0, 2.5, 0.0),
+    (3, 0.9, 0.0, 0.3),
+    (7, 0.8, 3.0, 0.2),
+    (2, 0.6, 1.2, 0.45),
+]
+
+
+@pytest.mark.parametrize("kind", ["bell", "steering"])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_optimum_against_free_search_and_grid(kind, m):
+    spec = bell_spec(m) if kind == "bell" else steering_spec(m)
+    for n, p, delta, Delta in OPTIMUM_POINTS:
+        corr = Correlator(StateSpec(n, p), CoarseningParams(delta=delta, Delta=Delta))
+        value = optimum(spec, corr)
+        free, _ = maximize(spec, corr)
+        assert free <= value + 1e-12, (n, p, delta, Delta)
+        assert free == pytest.approx(value, abs=1e-9), (n, p, delta, Delta)
+        if kind == "steering":
+            grid = steering_grid_max(m, corr)
+        elif m == 2:
+            grid = chsh_grid_max(corr)
+        else:
+            continue  # no dense grid over 2m >= 6 angles
+        assert grid <= value + 1e-12, (n, p, delta, Delta)
+        assert grid == pytest.approx(value, abs=1e-3), (n, p, delta, Delta)
+
+
+def test_sharp_bell_optimum_closed_form():
+    for m in range(2, 9):
+        assert optimum(bell_spec(m), SHARP) == pytest.approx(
+            m / math.sin(math.pi / (2 * m)), abs=1e-12
+        )
+
+
+def test_optimal_angles_layout():
+    spec = bell_spec(3)
+    angles = optimal_angles(spec)
+    np.testing.assert_allclose(angles.alice, [0.0, math.pi / 6, math.pi / 3], atol=1e-15)
+    np.testing.assert_allclose(
+        angles.bob, [math.pi / 2 - math.pi / 6, math.pi / 2, math.pi / 2 + math.pi / 6],
+        atol=1e-15,
+    )
+    steer = optimal_angles(steering_spec(4))
+    np.testing.assert_allclose(steer.alice + steer.bob, math.pi / 2, atol=1e-15)
+
+
+def test_evaluate_against_operator_oracle():
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        n = int(rng.integers(1, 8))
+        p = float(rng.uniform(0, 1))
+        delta = float(rng.uniform(0, 4))
+        Delta = float(rng.uniform(0, 0.6))
+        corr = Correlator(StateSpec(n, p), CoarseningParams(delta=delta, Delta=Delta))
+        for m in (2, 3):
+            alice = rng.uniform(0, math.pi, m)
+            bob = rng.uniform(0, math.pi, m)
+            angles = AngleAssignment(alice=alice, bob=bob)
+            exact = np.array(
+                [[operator_oracle(a, b, n, p, delta, Delta) for b in bob] for a in alice]
+            )
+            bell = float(np.sum(bell_spec(m).coefficients * exact))
+            steer = abs(float(np.trace(exact))) / math.sqrt(m)
+            assert evaluate(bell_spec(m), angles, corr) == pytest.approx(bell, abs=1e-12)
+            assert evaluate(steering_spec(m), angles, corr) == pytest.approx(steer, abs=1e-12)
