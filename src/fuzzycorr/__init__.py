@@ -7,24 +7,8 @@ location of the coarsening / visibility values where the optimized witness
 drops to its classical bound.
 """
 
-from .correlation import (
-    CoarseningParams,
-    Correlator,
-    StateSpec,
-    corr_full,
-    corr_reference,
-    corr_resolution,
-    corr_werner_full,
-    corr_werner_resolution,
-)
-from .kernel import (
-    DiscreteKernel,
-    ReferenceKernel,
-    distinguishability,
-    make_discrete_kernel,
-    reference_nodes,
-    zeta,
-)
+from .correlation import CoarseningParams, Correlator, StateSpec
+from .kernel import DiscreteKernel, make_discrete_kernel
 from .transition import (
     BoundaryCurve,
     NoTransitionAtHi,

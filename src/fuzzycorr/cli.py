@@ -25,16 +25,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .correlation import (
-    CoarseningParams,
-    Correlator,
-    StateSpec,
-    corr_full,
-    corr_reference,
-    corr_resolution,
-    corr_werner_full,
-    corr_werner_resolution,
-)
+from .correlation import CoarseningParams, Correlator, StateSpec
 from .transition import (
     TransitionError,
     find_critical_Delta,
@@ -210,8 +201,9 @@ def load_config(args):
 
 
 def format_number(value):
+    """Shortest text that reads back as the same float; integral floats drop ".0"."""
     if isinstance(value, float):
-        return f"{value:.12g}"
+        return repr(float(value)).removesuffix(".0")
     return str(value)
 
 
@@ -281,21 +273,24 @@ def _transition_row(config, kind, m, p, pt):
 
 
 def cmd_correlate(config):
-    """Correlator values for the configured angle pairs, one row per regime."""
+    """Correlator values for the configured angle pairs, one row per regime.
+
+    Each regime is the one correlator at a restricted (state, coarsening):
+    the pure state or the configured p, with delta, Delta or both.
+    """
     state = StateSpec(n=config.n, p=config.p)
     pure = StateSpec(n=config.n, p=1.0)
-    params = _params(config.delta_sq, config.Delta_sq)
-    kernel = params.discrete_kernel()
+    delta_sq, Delta_sq = config.delta_sq, config.Delta_sq
+    regimes = [
+        ("resolution", Correlator(pure, _params(delta_sq, 0.0))),
+        ("reference", Correlator(pure, _params(0.0, Delta_sq))),
+        ("full", Correlator(pure, _params(delta_sq, Delta_sq))),
+        ("werner_resolution", Correlator(state, _params(delta_sq, 0.0))),
+        ("werner_full", Correlator(state, _params(delta_sq, Delta_sq))),
+    ]
     rows = []
     for ti, tj in config.angle_pairs:
-        regimes = [
-            ("corr_resolution", corr_resolution(ti, tj, pure, kernel)),
-            ("corr_reference", corr_reference(ti, tj, params.Delta)),
-            ("corr_full", corr_full(ti, tj, pure, params)),
-            ("corr_werner_resolution", corr_werner_resolution(ti, tj, state, kernel)),
-            ("corr_werner_full", corr_werner_full(ti, tj, state, params)),
-        ]
-        for name, value in regimes:
+        for name, corr in regimes:
             rows.append(
                 ResultRow(
                     m=config.m,
@@ -303,8 +298,8 @@ def cmd_correlate(config):
                     p=config.p,
                     delta_sq=config.delta_sq,
                     Delta_sq=config.Delta_sq,
-                    witness_kind=name,
-                    witness_value=value,
+                    witness_kind="corr_" + name,
+                    witness_value=corr(ti, tj),
                     bound=float("nan"),
                     violated=False,
                     angles=[ti, tj],

@@ -1,16 +1,9 @@
-"""Gaussian coarse-graining kernels.
+"""Gaussian resolution-coarsening kernel.
 
-Two kinds of fuzziness enter the measurement model:
-
-* resolution coarsening -- the dichotomization boundary of the outcome
-  labels is smeared by a discrete Gaussian of standard deviation ``delta``
-  (in outcome-label units);
-* reference coarsening -- the measurement angle jitters around its nominal
-  value with a Gaussian of standard deviation ``Delta`` (radians).
-
-This module builds both kernels, the sign step ``zeta`` that dichotomizes
-outcome labels, and the success probability for telling the two macroscopic
-branch states apart under a fuzzy readout.
+The dichotomization boundary of the outcome labels is smeared by a discrete
+Gaussian of standard deviation ``delta`` (in outcome-label units).  This
+module builds that kernel and the kernel average of the sign step that
+dichotomizes the labels.
 """
 
 from __future__ import annotations
@@ -20,23 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "DiscreteKernel",
-    "ReferenceKernel",
-    "zeta",
-    "make_discrete_kernel",
-    "zeta_mean",
-    "distinguishability",
-    "reference_nodes",
-]
+__all__ = ["DiscreteKernel", "TRUNCATION_SIGMAS", "make_discrete_kernel", "zeta_mean"]
 
-
-def zeta(x):
-    """Dichotomizing sign step: +1 for x > 0, -1 for x <= 0.
-
-    The boundary label x = 0 belongs to the minus branch.
-    """
-    return 1 if x > 0 else -1
+# Kernel support half-width in units of max(delta, 1); the Gaussian tail
+# beyond 8 standard deviations holds about 1e-15 of the total mass.
+TRUNCATION_SIGMAS = 8.0
 
 
 @dataclass(frozen=True)
@@ -66,36 +47,22 @@ class DiscreteKernel:
         k = self.support_halfwidth
         return np.arange(-k, k + 1)
 
-    def weight(self, k):
-        """Weight at integer offset k (zero outside the truncated support)."""
-        half = self.support_halfwidth
-        if -half <= k <= half:
-            return float(self.weights[k + half])
-        return 0.0
 
-
-def make_discrete_kernel(delta, sigmas=8.0):
+def make_discrete_kernel(delta):
     """Build the resolution-coarsening kernel for standard deviation ``delta``.
 
-    The support is truncated at K = ceil(sigmas * max(delta, 1)) and the
-    truncated weights are renormalized to sum exactly to one, so every
-    delta >= 0 yields a proper probability distribution.  delta = 0 is the
-    point mass at offset zero (sharp readout).
-
-    Parameters
-    ----------
-    delta : float
-        Standard deviation of the coarsening, in outcome-label units.
-    sigmas : float
-        Truncation half-width in units of delta; must be >= 1.
+    The support is truncated at K = ceil(TRUNCATION_SIGMAS * max(delta, 1))
+    and the truncated weights are renormalized to sum exactly to one, so
+    every finite delta >= 0 yields a proper probability distribution.
+    delta = 0 is the point mass at offset zero (sharp readout).
     """
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
-    if sigmas < 1:
-        raise ValueError("sigmas must be >= 1")
-    half = int(math.ceil(sigmas * max(delta, 1.0)))
+    if not 0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and non-negative, got {delta!r}")
+    half = int(math.ceil(TRUNCATION_SIGMAS * max(delta, 1.0)))
     k = np.arange(-half, half + 1)
-    if delta == 0:
+    # Below delta ~ 0.026 every weight but the centre one underflows to 0, and
+    # below ~1.5e-162 delta**2 itself does: either way the point mass, exactly.
+    if delta**2 == 0 or math.exp(-0.5 / delta**2) == 0:
         weights = np.zeros(2 * half + 1)
         weights[half] = 1.0
     else:
@@ -111,57 +78,10 @@ def make_discrete_kernel(delta, sigmas=8.0):
 def zeta_mean(kernel, n):
     """Kernel average of the sign step, sum_k weights[k] * zeta(n - k).
 
-    This single number carries the whole effect of resolution coarsening on
-    a dichotomic readout centered at label n; the correlation functions are
-    trigonometric combinations of it.
+    zeta(x) = +1 for x > 0 and -1 for x <= 0: the boundary label belongs to
+    the minus branch.  This single number carries the whole effect of
+    resolution coarsening on a dichotomic readout centered at label n; its
+    square is the probability of telling the two branch states apart.
     """
     signs = np.where(n - kernel.offsets > 0, 1.0, -1.0)
     return float(np.dot(kernel.weights, signs))
-
-
-def distinguishability(n, kernel):
-    """Success probability of discriminating the two branch states |l_{+n}>, |l_{-n}>.
-
-    Returns |sum_k weights[k] * zeta(n - k)|**2, a value in [0, 1].
-    """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    return zeta_mean(kernel, n) ** 2
-
-
-@dataclass(frozen=True)
-class ReferenceKernel:
-    """Gaussian jitter of the measurement angle: std. dev. Delta (radians).
-
-    ``quadrature_order`` controls the Gauss-Hermite rule used to average
-    smooth integrands against the jitter distribution.
-    """
-
-    Delta: float
-    quadrature_order: int = 32
-
-    def __post_init__(self):
-        if self.Delta < 0:
-            raise ValueError("Delta must be non-negative")
-        if self.quadrature_order < 2:
-            raise ValueError("quadrature_order must be >= 2")
-
-
-def reference_nodes(kernel, center):
-    """Quadrature nodes and weights for the angle-jitter average.
-
-    Returns a list of (angle, weight) pairs such that
-    sum_i w_i * f(phi_i) approximates the Gaussian average of f around
-    ``center`` with standard deviation ``kernel.Delta``.  The weights sum
-    to one.  Delta = 0 collapses to the single node (center, 1).
-
-    Gauss-Hermite with the change of variable phi = center + sqrt(2)*Delta*t;
-    exact to machine precision for the low-frequency trigonometric
-    polynomials that appear in the correlators.
-    """
-    if kernel.Delta == 0:
-        return [(float(center), 1.0)]
-    t, w = np.polynomial.hermite.hermgauss(kernel.quadrature_order)
-    phis = center + math.sqrt(2.0) * kernel.Delta * t
-    weights = w / math.sqrt(math.pi)
-    return list(zip(phis.tolist(), weights.tolist()))

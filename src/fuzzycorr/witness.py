@@ -105,25 +105,17 @@ def lhv_bound_bruteforce(m):
     return best
 
 
-def _pair_values(angles, corr):
-    """Correlation matrix over the assignment, via corr.matrix when available."""
-    if hasattr(corr, "matrix"):
-        return np.asarray(corr.matrix(angles.alice, angles.bob))
-    return np.array(
-        [[corr(a, b) for b in angles.bob] for a in angles.alice]
-    )
-
-
 def evaluate(spec, angles, corr):
     """Witness value for the given angles under the given correlator.
 
+    ``corr.matrix(alice, bob)`` supplies every pairwise correlation.
     Bell: sum_ij c[i,j] corr(alice[i], bob[j]).
     Steering: (1/sqrt(m)) |sum_i corr(alice[i], bob[i])| (non-negative), the
     trace of the same pair matrix.
     """
     if len(angles.alice) != spec.m:
         raise ValueError(f"expected {spec.m} settings per party, got {len(angles.alice)}")
-    pairs = _pair_values(angles, corr)
+    pairs = corr.matrix(angles.alice, angles.bob)
     if spec.kind == BELL:
         return float(np.sum(spec.coefficients * pairs))
     if spec.kind == STEERING:

@@ -11,9 +11,13 @@ Independent of the closed-form angles.  For any correlator (the sharp one,
 Resolution is pi/720 on every scanned angle.
 """
 
+import functools
+
 import numpy as np
 
 RESOLUTION = np.pi / 720
+# Alice rows per CHSH block: one 4 x 720 x 720 buffer (16 MB) serves both brackets.
+CHUNK = 4
 
 
 def sharp_corr(a, b):
@@ -34,17 +38,35 @@ def steering_grid_max(m, corr=None):
     return m * float(np.abs(values).max()) / np.sqrt(m)
 
 
-def chsh_grid_max(corr=None, chunk=24):
+def chsh_grid_max(corr=None):
     """Dense grid search of the CHSH form for ``corr`` (default: sharp).
 
     B = [E(a1,b1) + E(a2,b1)] + [E(a1,b2) - E(a2,b2)]; each bracket is
     maximized over its own Bob angle for every (a1, a2) pair.
     """
-    grid, M = _grid_matrix(corr)  # M[a, b]
+    if corr is None:
+        return _sharp_chsh_max()
+    return _chsh_max(corr)
+
+
+@functools.cache
+def _sharp_chsh_max():
+    return _chsh_max(None)
+
+
+def _chsh_max(corr):
+    _, M = _grid_matrix(corr)  # M[a, b]
+    size = len(M)
+    buf = np.empty((CHUNK, size, size))
+    plus = np.empty((CHUNK, size))
+    minus = np.empty((CHUNK, size))
     best = -np.inf
-    for start in range(0, len(grid), chunk):
-        block = M[start : start + chunk]  # a1 rows
-        plus = (block[:, None, :] + M[None, :, :]).max(axis=2)
-        minus = (block[:, None, :] - M[None, :, :]).max(axis=2)
-        best = max(best, float((plus + minus).max()))
+    for start in range(0, size, CHUNK):
+        block = M[start : start + CHUNK, None, :]  # a1 rows
+        rows = len(block)
+        np.add(block, M[None, :, :], out=buf[:rows])
+        buf[:rows].max(axis=2, out=plus[:rows])
+        np.subtract(block, M[None, :, :], out=buf[:rows])
+        buf[:rows].max(axis=2, out=minus[:rows])
+        best = max(best, float((plus[:rows] + minus[:rows]).max()))
     return best

@@ -20,12 +20,12 @@ def operator_oracle(ti, tj, n, p, delta, Delta, order=40):
     angle, averages the rotation angle over the Gaussian jitter, and traces
     against the noisy two-party density matrix on the branch subspace.
     """
-    kernel = make_discrete_kernel(delta, 8.0)
+    kernel = make_discrete_kernel(delta)
     K = kernel.support_halfwidth
     levels = np.arange(-(K + n + 2), K + n + 3)
     fdiag = np.array(
         [
-            sum(kernel.weight(k) * (1.0 if l - k > 0 else -1.0) for k in range(-K, K + 1))
+            sum(kernel.weights[k + K] * (1.0 if l - k > 0 else -1.0) for k in range(-K, K + 1))
             for l in levels
         ]
     )

@@ -14,10 +14,6 @@ from fuzzycorr import (
     Correlator,
     StateSpec,
     bell_spec,
-    corr_full,
-    corr_reference,
-    corr_resolution,
-    corr_werner_resolution,
     find_critical_Delta,
     find_critical_delta,
     lhv_bound_bruteforce,
@@ -26,18 +22,17 @@ from fuzzycorr import (
     optimum,
     steering_spec,
 )
-from fuzzycorr.correlation import corr_reference_quadrature
+from fuzzycorr.cli import TABLE1_REFERENCE
 from fuzzycorr.transition import DEFAULT_TOL
 from grid_oracle import chsh_grid_max, steering_grid_max
 from operator_oracle import operator_oracle
+from paper_oracle import corr_reference_quadrature, corr_werner_full
 import table1_oracle
 
-TABLE1_DELTA_SQ = {  # p -> (bell, steering), resolution columns at Delta=0
-    0.85: (8.29, 8.94),
-    0.80: (6.72, 7.615),
-    0.75: (4.81042, 6.137),
-}
-TABLE1_DELTA_CAP_SQ = {0.85: 0.046, 0.80: 0.0308, 0.75: 0.0147}
+# p -> (bell, steering) resolution columns at Delta = 0, and the Delta^2
+# column at delta = 0 (the same for both witnesses)
+TABLE1_DELTA_SQ = {p: (ref[0], ref[2]) for p, ref in TABLE1_REFERENCE.items()}
+TABLE1_DELTA_CAP_SQ = {p: ref[1] for p, ref in TABLE1_REFERENCE.items()}
 
 
 def test_criterion_1_reference_coarsening_columns():
@@ -112,7 +107,7 @@ def test_criterion_3_sharp_limit_optima():
 
 
 def test_criterion_4_reference_closed_form():
-    """Quadrature path of the reference correlator matches the closed form."""
+    """The paper's quadrature of the reference correlator matches the closed form."""
     worst = 0.0
     for Delta in (0.1, 0.4, 0.9):
         for ti in np.linspace(0.0, math.pi, 10):
@@ -176,32 +171,28 @@ def test_criterion_9_property_suite():
         assert np.all(kernel.weights >= 0) and abs(kernel.weights.sum() - 1) < 1e-14
         np.testing.assert_array_equal(kernel.weights, kernel.weights[::-1])
     # sharp-limit equivalence at 1e-12
-    sharp_kernel = make_discrete_kernel(0.0)
+    sharp = Correlator(StateSpec(3), CoarseningParams())
     for ti, tj in ((0.0, 0.0), (0.3, 1.2), (2.0, 0.7)):
-        assert abs(
-            corr_resolution(ti, tj, StateSpec(3), sharp_kernel)
-            + math.cos(2 * (ti + tj))
-        ) < 1e-12
+        assert abs(sharp(ti, tj) + math.cos(2 * (ti + tj))) < 1e-12
     # n-independence at delta=0 within 1e-10
     params = CoarseningParams(delta=0.0, Delta=0.4)
     assert abs(
-        corr_full(0.3, 0.1, StateSpec(2), params)
-        - corr_full(0.3, 0.1, StateSpec(10), params)
+        Correlator(StateSpec(2), params)(0.3, 0.1)
+        - Correlator(StateSpec(10), params)(0.3, 0.1)
     ) < 1e-10
-    # regime collapses within 1e-9
+    # regime collapses within 1e-9, against the paper's formulas
     params = CoarseningParams(delta=2.0, Delta=0.0)
     assert abs(
-        corr_full(0.2, 0.5, StateSpec(5), params)
-        - corr_resolution(0.2, 0.5, StateSpec(5), params.discrete_kernel())
+        Correlator(StateSpec(5), params)(0.2, 0.5)
+        - corr_werner_full(0.2, 0.5, StateSpec(5), params)
     ) < 1e-9
     assert abs(
-        corr_full(0.2, 0.5, StateSpec(5), CoarseningParams(delta=0.0, Delta=0.3))
-        - corr_reference(0.2, 0.5, 0.3)
+        Correlator(StateSpec(5), CoarseningParams(delta=0.0, Delta=0.3))(0.2, 0.5)
+        - corr_reference_quadrature(0.2, 0.5, 0.3)
     ) < 1e-9
     # linearity in p within 1e-12
-    kernel = make_discrete_kernel(1.5)
     v = [
-        corr_werner_resolution(0.4, 0.9, StateSpec(5, p=p), kernel)
+        Correlator(StateSpec(5, p=p), CoarseningParams(1.5))(0.4, 0.9)
         for p in (0.0, 0.5, 1.0)
     ]
     assert abs(v[1] - 0.5 * (v[0] + v[2])) < 1e-12

@@ -10,7 +10,16 @@ from pathlib import Path
 import pytest
 
 import fuzzycorr
-from fuzzycorr import StateSpec, bell_spec, find_critical_delta
+from fuzzycorr import (
+    AngleAssignment,
+    CoarseningParams,
+    Correlator,
+    StateSpec,
+    bell_spec,
+    evaluate,
+    find_critical_delta,
+    steering_spec,
+)
 from fuzzycorr.cli import RESULT_FIELDS, ConfigError, main, parse_grid
 
 
@@ -72,6 +81,20 @@ def test_correlate_reference_closed_form(tmp_path):
     assert float(reference[0]["witness_value"]) == pytest.approx(
         -math.exp(-1.0), abs=1e-6
     )
+
+
+def test_correlate_large_Delta_rows_equal_c0(tmp_path):
+    # Delta = 4 attenuates V by exp(-64): the correlator is c0 at every angle
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"delta_sq": 1, "Delta_sq": 16}))
+    out = tmp_path / "rows.csv"
+    assert main(["correlate", "--n", "5", "--config", str(cfg), "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    c0 = Correlator(StateSpec(5), CoarseningParams(1.0, 4.0)).c0
+    assert 2e-12 < c0 < 2.5e-12
+    for kind in ("corr_full", "corr_werner_full"):
+        (row,) = [r for r in rows if r["witness_kind"] == kind]
+        assert float(row["witness_value"]) == pytest.approx(c0, abs=1e-15)
 
 
 def test_descending_grid_exits_2(tmp_path, capsys):
@@ -188,6 +211,29 @@ def test_profile_rerun_is_byte_identical(tmp_path):
         assert main(args) == 0
         runs.append((out.read_bytes(), (tmp_path / "rerun.csv.plot.csv").read_bytes()))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("args", [
+    ["profile", "--witness", "bell", "--m", "5", "--p", "0.9", "--delta-sq-grid", "0:40:8"],
+    ["boundary", "--witness", "bell", "--m", "2", "--Delta-sq-grid", "0,0.01,0.03"],
+])
+def test_csv_rows_reproduce_their_witness_value(tmp_path, args):
+    # every float is written in full, so each row's angles give its value back
+    out = tmp_path / "rows.csv"
+    assert main(args + ["--n", "5", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) >= 3
+    for row in rows:
+        m = int(row["m"])
+        spec = bell_spec(m) if row["witness_kind"] == "bell" else steering_spec(m)
+        corr = Correlator(
+            StateSpec(int(row["n"]), float(row["p"])),
+            CoarseningParams(math.sqrt(float(row["delta_sq"])),
+                             math.sqrt(float(row["Delta_sq"]))),
+        )
+        angles = [float(a) for a in row["angles"].split(";")]
+        value = evaluate(spec, AngleAssignment(angles[:m], angles[m:]), corr)
+        assert value == pytest.approx(float(row["witness_value"]), abs=1e-12)
 
 
 def test_profile_json_format(tmp_path):

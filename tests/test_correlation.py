@@ -4,6 +4,8 @@ Oracles used here are deliberately independent of the implementation:
 
 * direct summation over 10^4 kernel terms for the Q/R building blocks;
 * adaptive / dense-trapezoid quadrature for the Gaussian angle averages;
+* the paper's formulas node by node (``paper_oracle``): Q/R kernel sums,
+  Gauss-Hermite jitter averages and the Werner brackets;
 * an exact operator-level calculation (explicit dichotomized observables in
   a truncated level space, rotated and traced against the density matrix)
   which validates every regime at once.
@@ -13,21 +15,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from fuzzycorr import (
     CoarseningParams,
     Correlator,
     StateSpec,
-    corr_full,
-    corr_reference,
-    corr_resolution,
-    corr_werner_full,
-    corr_werner_resolution,
+    find_critical_delta,
     make_discrete_kernel,
+    steering_spec,
 )
-from fuzzycorr.correlation import corr_reference_quadrature, q_func, r_func
 from operator_oracle import operator_oracle
+from paper_oracle import corr_reference_quadrature, corr_werner_full, q_func, r_func
 
 
 # ------------------------------------------------------------- oracles
@@ -52,7 +53,12 @@ def naive_r(n, phi, delta):
     return math.sin(phi) * math.cos(phi) * float(np.sum(w * (plus - minus)))
 
 
-# ------------------------------------------------------------ q_func / r_func
+def regime(n, p=1.0, delta=0.0, Delta=0.0):
+    """The correlator of one regime: state (n, p) under coarsening (delta, Delta)."""
+    return Correlator(StateSpec(n, p), CoarseningParams(delta, Delta))
+
+
+# ------------------------------------------------ q_func / r_func (paper oracle)
 
 def test_q_sharp_phi_zero():
     kernel = make_discrete_kernel(0.0)
@@ -89,23 +95,20 @@ def test_r_against_direct_summation():
     )
 
 
-# ----------------------------------------------------------- corr_resolution
+# ------------------------------------------------ resolution coarsening only
 
 def test_resolution_sharp_aligned():
-    kernel = make_discrete_kernel(0.0)
-    assert corr_resolution(0.0, 0.0, StateSpec(5), kernel) == pytest.approx(-1.0)
+    assert regime(5)(0.0, 0.0) == pytest.approx(-1.0)
 
 
 def test_resolution_sharp_eighth():
-    kernel = make_discrete_kernel(0.0)
     for n in (1, 5, 12):
-        value = corr_resolution(math.pi / 8, math.pi / 8, StateSpec(n), kernel)
+        value = regime(n)(math.pi / 8, math.pi / 8)
         assert value == pytest.approx(0.0, abs=1e-15)
 
 
 def test_resolution_coarsening_shrinks():
-    kernel = make_discrete_kernel(6.0)
-    value = corr_resolution(0.0, 0.0, StateSpec(2), kernel)
+    value = regime(2, delta=6.0)(0.0, 0.0)
     assert abs(value) < 1.0
     # cross-check against the direct-summation building blocks
     expected = 0.5 * (
@@ -114,34 +117,28 @@ def test_resolution_coarsening_shrinks():
     assert value == pytest.approx(expected, abs=1e-12)
 
 
-def test_resolution_rejects_mixed_state():
-    with pytest.raises(ValueError):
-        corr_resolution(0.0, 0.0, StateSpec(5, p=0.9), make_discrete_kernel(1.0))
-
-
 def test_sharp_limit_equivalence_grid():
-    kernel = make_discrete_kernel(0.0)
     thetas = np.linspace(0.0, math.pi, 20)
     for n in (1, 3, 8):
-        state = StateSpec(n)
+        corr = regime(n)
         for ti in thetas:
             for tj in thetas:
                 expected = -math.cos(2.0 * (ti + tj))
-                assert abs(corr_resolution(ti, tj, state, kernel) - expected) < 1e-12
+                assert abs(corr(ti, tj) - expected) < 1e-12
 
 
-# ------------------------------------------------------------ corr_reference
+# ------------------------------------------------- reference coarsening only
 
 def test_reference_sharp():
-    assert corr_reference(0.1, -0.1, 0.0) == pytest.approx(-1.0)
+    assert regime(5)(0.1, -0.1) == pytest.approx(-1.0)
 
 
 def test_reference_attenuation():
-    assert corr_reference(0.3, -0.3, 0.5) == pytest.approx(-math.exp(-1.0), abs=1e-12)
+    assert regime(5, Delta=0.5)(0.3, -0.3) == pytest.approx(-math.exp(-1.0), abs=1e-12)
 
 
 def test_reference_cosine_zero():
-    assert corr_reference(math.pi / 4, 0.0, 0.3) == pytest.approx(0.0, abs=1e-15)
+    assert regime(5, Delta=0.3)(math.pi / 4, 0.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_reference_against_adaptive_quadrature():
@@ -157,32 +154,31 @@ def test_reference_against_adaptive_quadrature():
             lambda x: tj - 8 * Delta,
             lambda x: tj + 8 * Delta,
         )
-        assert corr_reference(ti, tj, Delta) == pytest.approx(value, abs=1e-8)
+        assert regime(5, Delta=Delta)(ti, tj) == pytest.approx(value, abs=1e-8)
         assert corr_reference_quadrature(ti, tj, Delta) == pytest.approx(value, abs=1e-8)
 
 
-# ----------------------------------------------------------------- corr_full
+# ------------------------------------------------------------ both coarsenings
 
 def test_full_delta_zero_matches_reference_and_ignores_n():
-    params = CoarseningParams(delta=0.0, Delta=0.5)
-    value7 = corr_full(0.3, -0.3, StateSpec(7), params)
+    value7 = regime(7, Delta=0.5)(0.3, -0.3)
     assert value7 == pytest.approx(-math.exp(-1.0), abs=1e-9)
-    value2 = corr_full(0.3, -0.3, StateSpec(2), params)
+    value2 = regime(2, Delta=0.5)(0.3, -0.3)
     assert value7 == pytest.approx(value2, abs=1e-10)
 
 
 def test_full_Delta_zero_matches_resolution():
+    # against the paper's resolution-only formula (Delta = 0, p = 1)
     params = CoarseningParams(delta=3.0, Delta=0.0)
-    kernel = params.discrete_kernel()
     state = StateSpec(5)
     ti = tj = math.pi / 8
-    assert corr_full(ti, tj, state, params) == pytest.approx(
-        corr_resolution(ti, tj, state, kernel), abs=1e-12
+    assert Correlator(state, params)(ti, tj) == pytest.approx(
+        corr_werner_full(ti, tj, state, params), abs=1e-12
     )
 
 
 def test_full_against_dense_trapezoid():
-    # Average the resolution-only correlator over a dense Gaussian grid in
+    # Average the paper's Q/R building blocks over a dense Gaussian grid in
     # each party's angle; independent of the Gauss-Hermite path.
     delta, Delta, n = 2.0, 0.2, 5
     params = CoarseningParams(delta=delta, Delta=Delta)
@@ -195,7 +191,7 @@ def test_full_against_dense_trapezoid():
     r = np.array([r_func(n, phi, kernel) for phi in phis])
     qp_avg, qm_avg, r_avg = gauss @ qp, gauss @ qm, gauss @ r
     expected = 0.5 * (2.0 * qp_avg * qm_avg + 2.0 * r_avg**2)
-    value = corr_full(0.0, 0.0, StateSpec(n), params)
+    value = Correlator(StateSpec(n), params)(0.0, 0.0)
     assert -1.0 < value < 0.0
     assert value == pytest.approx(expected, abs=1e-7)
 
@@ -203,48 +199,36 @@ def test_full_against_dense_trapezoid():
 # --------------------------------------------------------------- Werner forms
 
 def test_werner_pure_limit():
-    kernel = make_discrete_kernel(1.5)
+    # at p = 1 the correlator is the paper's pure-state formula
     state = StateSpec(4, p=1.0)
-    assert corr_werner_resolution(0.2, 0.5, state, kernel) == corr_resolution(
-        0.2, 0.5, state, kernel
-    )
-    params = CoarseningParams(delta=1.5, Delta=0.3)
-    assert corr_werner_full(0.2, 0.5, state, params) == corr_full(0.2, 0.5, state, params)
+    for params in (CoarseningParams(1.5, 0.0), CoarseningParams(delta=1.5, Delta=0.3)):
+        assert Correlator(state, params)(0.2, 0.5) == pytest.approx(
+            corr_werner_full(0.2, 0.5, state, params), abs=1e-12
+        )
 
 
 def test_werner_noise_only_sharp():
     # at delta=0 the white-noise bracket factorizes to zero
-    kernel = make_discrete_kernel(0.0)
+    corr = regime(6, p=0.0)
     for angles in ((0.0, 0.0), (0.3, 1.1), (math.pi / 5, -0.4)):
-        assert corr_werner_resolution(*angles, StateSpec(6, p=0.0), kernel) == pytest.approx(
-            0.0, abs=1e-15
-        )
+        assert corr(*angles) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_werner_visibility_scaling_sharp():
-    kernel = make_discrete_kernel(0.0)
-    assert corr_werner_resolution(0.0, 0.0, StateSpec(5, p=0.85), kernel) == pytest.approx(
-        -0.85, abs=1e-14
-    )
+    assert regime(5, p=0.85)(0.0, 0.0) == pytest.approx(-0.85, abs=1e-14)
 
 
 def test_werner_full_sharp_delta_closed_form():
-    params = CoarseningParams(delta=0.0, Delta=0.2)
-    value = corr_werner_full(0.0, 0.0, StateSpec(5, p=0.85), params)
+    value = regime(5, p=0.85, Delta=0.2)(0.0, 0.0)
     assert value == pytest.approx(-0.85 * math.exp(-0.16), abs=1e-9)
 
 
 def test_werner_linearity_in_p():
-    kernel = make_discrete_kernel(2.0)
-    params = CoarseningParams(delta=2.0, Delta=0.1)
     ti, tj = 0.25, 0.8
-    for fn, extra in (
-        (corr_werner_resolution, kernel),
-        (corr_werner_full, params),
-    ):
-        v0 = fn(ti, tj, StateSpec(5, p=0.0), extra)
-        v1 = fn(ti, tj, StateSpec(5, p=1.0), extra)
-        vh = fn(ti, tj, StateSpec(5, p=0.5), extra)
+    for Delta in (0.0, 0.1):
+        v0 = regime(5, p=0.0, delta=2.0, Delta=Delta)(ti, tj)
+        v1 = regime(5, p=1.0, delta=2.0, Delta=Delta)(ti, tj)
+        vh = regime(5, p=0.5, delta=2.0, Delta=Delta)(ti, tj)
         assert vh == pytest.approx(0.5 * (v0 + v1), abs=1e-12)
 
 
@@ -293,6 +277,25 @@ def test_correlator_invariants_against_operator_oracle():
         )
 
 
+@pytest.mark.parametrize("delta,Delta,name", [
+    (math.nan, 0.0, "delta"),
+    (math.inf, 0.0, "delta"),
+    (-1.0, 0.0, "delta"),
+    (0.0, math.nan, "Delta"),
+    (0.0, math.inf, "Delta"),
+    (0.0, -math.inf, "Delta"),
+])
+def test_coarsening_rejects_non_finite(delta, Delta, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        CoarseningParams(delta, Delta)
+    if name == "delta":
+        with pytest.raises(ValueError, match="^delta must be finite"):
+            make_discrete_kernel(delta)
+    else:
+        with pytest.raises(ValueError, match="^Delta must be finite"):
+            find_critical_delta(steering_spec(2), StateSpec(5), Delta_fixed=Delta)
+
+
 def test_state_rejects_non_integral_n():
     for n in (2.5, 2.0, True, "3", 0):
         with pytest.raises(ValueError):
@@ -314,12 +317,12 @@ def test_boundedness_randomized():
 def test_symmetry_in_angle_slots():
     state = StateSpec(4, p=0.8)
     params = CoarseningParams(delta=1.7, Delta=0.3)
-    kernel = params.discrete_kernel()
+    resolution = CoarseningParams(params.delta)
     corr = Correlator(state, params)
     for ti, tj in ((0.2, 1.1), (0.0, 0.6), (2.5, 0.9)):
         assert corr(ti, tj) == pytest.approx(corr(tj, ti), abs=1e-15)
-        assert corr_werner_resolution(ti, tj, state, kernel) == pytest.approx(
-            corr_werner_resolution(tj, ti, state, kernel), abs=1e-15
+        assert corr_werner_full(ti, tj, state, resolution) == pytest.approx(
+            corr_werner_full(tj, ti, state, resolution), abs=1e-15
         )
 
 
@@ -345,3 +348,21 @@ def test_all_regimes_against_operator_oracle():
         exact = operator_oracle(ti, tj, n, p, delta, Delta)
         assert Correlator(state, params)(ti, tj) == pytest.approx(exact, abs=1e-12)
         assert corr_werner_full(ti, tj, state, params) == pytest.approx(exact, abs=1e-12)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    p=st.floats(0.0, 1.0),
+    delta_frac=st.floats(0.0, 3.0),
+    Delta=st.floats(0.0, 1.0),
+    ti=st.floats(-10.0, 10.0),
+    tj=st.floats(-10.0, 10.0),
+)
+def test_correlator_matches_paper_formula(n, p, delta_frac, Delta, ti, tj):
+    # delta ranges over [0, 3n]; the paper oracle's quadrature holds for Delta <= 1
+    state = StateSpec(n, p)
+    params = CoarseningParams(delta_frac * n, Delta)
+    assert Correlator(state, params)(ti, tj) == pytest.approx(
+        corr_werner_full(ti, tj, state, params), abs=1e-12
+    )

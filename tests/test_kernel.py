@@ -1,4 +1,4 @@
-"""Kernel module tests: sign step, discrete Gaussian, angle-jitter quadrature."""
+"""Kernel module tests: sign step, discrete Gaussian, and the paper's angle-jitter quadrature."""
 
 import math
 
@@ -6,14 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fuzzycorr import (
-    ReferenceKernel,
-    distinguishability,
-    make_discrete_kernel,
-    reference_nodes,
-    zeta,
-)
+from fuzzycorr import CoarseningParams, make_discrete_kernel
 from fuzzycorr.kernel import zeta_mean
+from paper_oracle import reference_nodes
 
 
 def naive_kernel_weights(delta, halfwidth=10_000):
@@ -29,49 +24,54 @@ def naive_zeta_mean(n, delta):
 
 
 # ---------------------------------------------------------------- zeta
+# Under the point-mass kernel zeta_mean(kernel, x) is the sign step zeta(x).
 
 def test_zeta_positive():
-    assert zeta(1) == 1
+    assert zeta_mean(make_discrete_kernel(0.0), 1) == 1
 
 
 def test_zeta_zero_is_minus_one():
-    assert zeta(0) == -1
+    assert zeta_mean(make_discrete_kernel(0.0), 0) == -1
 
 
 def test_zeta_negative():
-    assert zeta(-3) == -1
+    assert zeta_mean(make_discrete_kernel(0.0), -3) == -1
 
 
 # ------------------------------------------------- make_discrete_kernel
 
 def test_point_mass_at_delta_zero():
     kernel = make_discrete_kernel(0.0)
-    assert kernel.weight(0) == 1.0
+    K = kernel.support_halfwidth
+    assert kernel.weights[K] == 1.0
     assert kernel.weights.sum() == 1.0
-    assert all(kernel.weight(k) == 0.0 for k in kernel.offsets if k != 0)
+    assert all(kernel.weights[k + K] == 0.0 for k in kernel.offsets if k != 0)
 
 
 def test_weights_normalized():
-    kernel = make_discrete_kernel(2.0, sigmas=8)
+    kernel = make_discrete_kernel(2.0)
     assert kernel.weights.sum() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_weight_ratio_normalization_free():
     # w[1]/w[0] = exp(-1/(2 delta^2)) regardless of normalization
     kernel = make_discrete_kernel(2.0)
-    assert kernel.weight(1) / kernel.weight(0) == pytest.approx(
+    K = kernel.support_halfwidth
+    assert kernel.weights[K + 1] / kernel.weights[K] == pytest.approx(
         math.exp(-1.0 / 8.0), abs=1e-14
     )
+
+
+def test_tiny_delta_is_point_mass():
+    # delta**2 underflows to 0 below about 1.5e-162, where k^2 / 2 delta^2 is 0/0 at k = 0
+    for delta in (0.02, 1e-150, 1e-160, 2.4e-200, 5e-324):
+        kernel = make_discrete_kernel(delta)
+        np.testing.assert_array_equal(kernel.weights, make_discrete_kernel(0.0).weights)
 
 
 def test_rejects_negative_delta():
     with pytest.raises(ValueError):
         make_discrete_kernel(-0.5)
-
-
-def test_rejects_small_sigmas():
-    with pytest.raises(ValueError):
-        make_discrete_kernel(1.0, sigmas=0.5)
 
 
 def test_weights_are_probability_distribution():
@@ -88,6 +88,12 @@ def test_weights_symmetric():
 
 
 # ---------------------------------------------------- distinguishability
+# The probability of telling the branch states |l_{+n}>, |l_{-n}> apart is
+# zeta_mean(kernel, n) ** 2.
+
+def distinguishability(n, kernel):
+    return zeta_mean(kernel, n) ** 2
+
 
 def test_distinguishability_sharp():
     assert distinguishability(5, make_discrete_kernel(0.0)) == 1.0
@@ -124,28 +130,28 @@ def test_distinguishability_monotone_in_n():
         assert hi >= lo - 1e-12
 
 
-# -------------------------------------------------------- reference_nodes
+# ------------------------------------------- reference_nodes (paper oracle)
 
 def test_delta_zero_is_identity_average():
-    nodes = reference_nodes(ReferenceKernel(0.0), center=0.3)
+    nodes = reference_nodes(0.0, center=0.3)
     assert nodes == [(0.3, 1.0)]
 
 
 def test_node_weights_sum_to_one():
-    nodes = reference_nodes(ReferenceKernel(0.4, 32), center=0.0)
+    nodes = reference_nodes(0.4, center=0.0)
     assert sum(w for _, w in nodes) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cos2_attenuation():
     # E[cos 2(phi)] around 0 with std Delta is exp(-2 Delta^2)
-    nodes = reference_nodes(ReferenceKernel(0.5, 32), center=0.0)
+    nodes = reference_nodes(0.5, center=0.0)
     value = sum(w * math.cos(2.0 * phi) for phi, w in nodes)
     assert value == pytest.approx(math.exp(-0.5), abs=1e-12)
 
 
 def test_attenuation_against_adaptive_quadrature():
     Delta, center = 0.5, 0.2
-    nodes = reference_nodes(ReferenceKernel(Delta, 32), center=center)
+    nodes = reference_nodes(Delta, center=center)
     value = sum(w * math.cos(2.0 * phi) for phi, w in nodes)
     density = lambda phi: math.exp(-((phi - center) ** 2) / (2 * Delta**2)) / (
         Delta * math.sqrt(2 * math.pi)
@@ -160,12 +166,12 @@ def test_gaussian_characteristic_function():
     for a in (1, 2, 4):
         for Delta in (0.2, 0.6, 1.0):
             for center in (0.0, 0.7):
-                nodes = reference_nodes(ReferenceKernel(Delta, 32), center=center)
+                nodes = reference_nodes(Delta, center=center)
                 value = sum(w * math.cos(a * phi) for phi, w in nodes)
                 expected = math.exp(-(a**2) * Delta**2 / 2.0) * math.cos(a * center)
                 assert value == pytest.approx(expected, abs=1e-10)
 
 
 def test_rejects_negative_Delta():
-    with pytest.raises(ValueError):
-        ReferenceKernel(-0.1)
+    with pytest.raises(ValueError, match="Delta"):
+        CoarseningParams(0.0, -0.1)

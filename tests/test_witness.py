@@ -29,9 +29,6 @@ class ZeroCorrelator:
     def matrix(self, alice, bob):
         return np.zeros((len(alice), len(bob)))
 
-    def __call__(self, a, b):
-        return 0.0
-
 
 # ------------------------------------------------------------------ specs
 
@@ -103,18 +100,6 @@ def test_evaluate_dimension_mismatch():
     angles = AngleAssignment(alice=[0.0, 1.0], bob=[0.5, 1.5])
     with pytest.raises(ValueError):
         evaluate(bell_spec(3), angles, SHARP)
-
-
-def test_evaluate_plain_callable_correlator():
-    # works without the fast-path matrix hook
-    plain = lambda a, b: -math.cos(2.0 * (a + b))
-    angles = AngleAssignment(
-        alice=[0.0, math.pi / 4],
-        bob=[3 * math.pi / 8, 5 * math.pi / 8],
-    )
-    assert evaluate(bell_spec(2), angles, plain) == pytest.approx(
-        2.0 * math.sqrt(2.0), abs=1e-12
-    )
 
 
 # -------------------------------------------------------- violation_margin
