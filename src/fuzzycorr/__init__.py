@@ -8,7 +8,6 @@ drops to its classical bound.
 """
 
 from .correlation import CoarseningParams, Correlator, StateSpec
-from .kernel import DiscreteKernel, make_discrete_kernel
 from .transition import (
     BoundaryCurve,
     NoTransitionAtHi,
@@ -26,11 +25,9 @@ from .witness import (
     WitnessSpec,
     bell_spec,
     evaluate,
-    lhv_bound_bruteforce,
     optimal_angles,
     optimum,
     steering_spec,
-    violation_margin,
 )
 
 __version__ = "0.1.0"

@@ -44,19 +44,6 @@ TABLE1_REFERENCE = {
     0.75: (4.81042, 0.0147, 6.137, 0.0147),
 }
 
-RESULT_FIELDS = [
-    "m",
-    "n",
-    "p",
-    "delta_sq",
-    "Delta_sq",
-    "witness_kind",
-    "witness_value",
-    "bound",
-    "violated",
-    "angles",
-]
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; maps to exit status 2."""
@@ -145,6 +132,9 @@ class ResultRow:
     bound: float
     violated: bool
     angles: list
+
+
+RESULT_FIELDS = [f.name for f in dataclasses.fields(ResultRow)]
 
 
 def _grid_number(text, value):

@@ -8,9 +8,9 @@ with a Gaussian of width ``Delta``.
 
 Every regime of the model -- resolution coarsening, reference coarsening,
 both, with or without noise -- has the closed form
-E(a, b) = c0 - V cos 2(a + b).  :class:`Correlator` evaluates the kernel
-sums for c0 and V once at construction, after which a correlator call is
-one cosine.
+E(a, b) = c0 - V cos 2(a + b).  :class:`Correlator` reads c0 and V from
+the two kernel masses once at construction, after which a correlator call
+is one cosine.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import make_discrete_kernel, zeta_mean
+from .kernel import kernel_masses
 
 __all__ = ["StateSpec", "CoarseningParams", "Correlator"]
 
@@ -62,17 +62,13 @@ class CoarseningParams:
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
-    def discrete_kernel(self):
-        return make_discrete_kernel(self.delta)
-
 
 class Correlator:
     """Reusable pairwise-correlation handle closed over (state, coarsening).
 
     Every correlator of the model has the form E(a, b) = c0 - V cos 2(a + b).
-    With s_+ and s_- the kernel sign sums at +n and -n, c0 = ((s_+ + s_-)/2)^2
-    is the square of the kernel mass at label n, and
-    V = p ((s_+ - s_-)/2)^2 exp(-4 Delta^2), where exp(-2 Delta^2) is the
+    With (w_n, a_n) from :func:`~fuzzycorr.kernel.kernel_masses`, c0 = w_n^2
+    and V = p a_n^2 exp(-4 Delta^2), where exp(-2 Delta^2) is the
     angle-jitter attenuation of cos/sin(2 phi) per party.  Both are computed
     once at construction; instances are immutable.
     """
@@ -80,12 +76,9 @@ class Correlator:
     def __init__(self, state, params):
         self.state = state
         self.params = params
-        kernel = params.discrete_kernel()
-        s_plus = zeta_mean(kernel, state.n)
-        s_minus = zeta_mean(kernel, -state.n)
-        self.c0 = (0.5 * (s_plus + s_minus)) ** 2
-        amp = 0.5 * (s_plus - s_minus)
-        self.V = state.p * amp**2 * math.exp(-4.0 * params.Delta**2)
+        w_n, a_n = kernel_masses(state.n, params.delta)
+        self.c0 = w_n**2
+        self.V = state.p * a_n**2 * math.exp(-4.0 * params.Delta**2)
 
     def matrix(self, alice, bob):
         """All pairwise correlations: entry [i, j] = corr(alice[i], bob[j])."""

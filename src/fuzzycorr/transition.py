@@ -3,15 +3,15 @@
 A transition point is the coarsening (or visibility) at which the
 angle-optimized witness value falls to its classical bound.  All searches
 bisect on the squared parameter (variance) or on p.  Each probe builds one
-correlator and reads the witness optimum at the fixed angles of
-:func:`~fuzzycorr.witness.optimal_angles`, which do not depend on the
-probed parameter.
+correlator and reads the witness optimum from its c0 and V; the angles of
+:func:`~fuzzycorr.witness.optimal_angles` that attain it do not depend on
+the probed parameter.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,7 +79,6 @@ class BoundaryCurve:
     n: int
     p: float
     witness: WitnessSpec
-    skipped: tuple = field(default_factory=tuple)
 
     def delta_sq(self):
         return np.array([pt.delta_sq for pt in self.points])
@@ -146,17 +145,24 @@ def _point(spec, n, value, cert_lo, cert_hi, **coords):
 def find_critical_delta(spec, state, Delta_fixed=0.0, bracket=None, tol=DEFAULT_TOL):
     """Critical resolution variance delta^2 at fixed Delta for (witness, state).
 
-    Bisects on delta^2 over ``bracket`` (default [0, 4 n^2]).  Raises
-    NoViolationAtLo if the state is classical already at the lower edge,
-    NoTransitionAtHi if it still violates at the upper edge.
+    Bisects on delta^2 over ``bracket``, by default [0, hi] with hi = 4 n^2
+    doubled until the optimum there is at most the bound (the optimum falls
+    to 0 as delta grows).  Raises NoViolationAtLo if the state is classical
+    already at the lower edge, NoTransitionAtHi if it still violates at the
+    upper edge of an explicit bracket.
     """
+
+    def corr_at(delta_sq):
+        return Correlator(state, CoarseningParams(delta=math.sqrt(delta_sq), Delta=Delta_fixed))
+
     if bracket is None:
-        bracket = (0.0, 4.0 * state.n**2)
+        hi = 4.0 * state.n**2
+        while optimum(spec, corr_at(hi)) > spec.bound:
+            hi *= 2.0
+        bracket = (0.0, hi)
     root, *rest = _search(
         spec,
-        lambda delta_sq: Correlator(
-            state, CoarseningParams(delta=math.sqrt(delta_sq), Delta=Delta_fixed)
-        ),
+        corr_at,
         bracket,
         tol,
         NoViolationAtLo(
@@ -207,33 +213,19 @@ def find_critical_visibility(spec, n, params=CoarseningParams(), tol=DEFAULT_TOL
                   delta_sq=params.delta**2, Delta_sq=params.Delta**2, p=1.0 - root)
 
 
-def trace_boundary(spec, state, Delta_sq_grid, bracket=None, tol=DEFAULT_TOL):
+def trace_boundary(spec, state, Delta_sq_grid, tol=DEFAULT_TOL):
     """Transition curve delta_c^2(Delta^2) over an ascending Delta^2 grid.
 
-    The trace stops where the curve reaches the delta^2 = 0 axis
-    (NoViolationAtLo); other per-point bracket failures are recorded in
-    ``skipped`` and the trace continues.
+    The trace stops where the curve reaches the delta^2 = 0 axis.
     """
     grid = list(Delta_sq_grid)
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("Delta_sq_grid must be sorted ascending")
     points = []
-    skipped = []
     for Delta_sq in grid:
         try:
-            pt = find_critical_delta(
-                spec, state, Delta_fixed=math.sqrt(Delta_sq), bracket=bracket, tol=tol
-            )
+            pt = find_critical_delta(spec, state, Delta_fixed=math.sqrt(Delta_sq), tol=tol)
         except NoViolationAtLo:
             break
-        except NoTransitionAtHi:
-            skipped.append(Delta_sq)
-            continue
         points.append(pt)
-    return BoundaryCurve(
-        points=tuple(points),
-        n=state.n,
-        p=state.p,
-        witness=spec,
-        skipped=tuple(skipped),
-    )
+    return BoundaryCurve(points=tuple(points), n=state.n, p=state.p, witness=spec)

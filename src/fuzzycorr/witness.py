@@ -7,15 +7,15 @@ m = 2 is CHSH with bound 2.  The steering witness is
 
 Every correlator of the model is E(a, b) = c0 - V cos 2(a + b) with
 c0, V >= 0, so both witnesses are maximized at fixed angles that do not
-depend on the state or the coarsening (:func:`optimal_angles`): the Bell
-optimum is m c0 + V m / sin(pi / 2m) and the steering optimum
-sqrt(m) (c0 + V).
+depend on the state or the coarsening (:func:`optimal_angles`), and the
+optimum is read from c0 and V alone (:func:`optimum`):
+m c0 + V m / sin(pi / 2m) for Bell and sqrt(m) (c0 + V) for steering.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +25,9 @@ __all__ = [
     "AngleAssignment",
     "bell_spec",
     "steering_spec",
-    "lhv_bound_bruteforce",
     "evaluate",
     "optimal_angles",
     "optimum",
-    "violation_margin",
 ]
 
 BELL = "bell"
@@ -38,16 +36,21 @@ STEERING = "steering"
 
 @dataclass(frozen=True)
 class WitnessSpec:
-    """A witness identity: kind, settings count, coefficients and classical bound.
-
-    ``coefficients`` is the m x m sign matrix for the Bell family and None
-    for the steering witness (whose evaluation form needs no matrix).
-    """
+    """A witness identity: kind ("bell" or "steering") and settings count m >= 2."""
 
     kind: str
     m: int
-    coefficients: np.ndarray | None
-    bound: float
+
+    def __post_init__(self):
+        if self.kind not in (BELL, STEERING):
+            raise ValueError(f"unknown witness kind: {self.kind!r}")
+        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral) or self.m < 2:
+            raise ValueError(f"{self.kind} witness requires an integer m >= 2, got {self.m!r}")
+
+    @property
+    def bound(self):
+        """Classical bound: floor((m^2 + 1)/2) for Bell, 1 for steering."""
+        return float((self.m * self.m + 1) // 2) if self.kind == BELL else 1.0
 
 
 @dataclass(frozen=True)
@@ -73,36 +76,12 @@ def bell_coefficients(m):
 
 def bell_spec(m):
     """The m-settings symmetric Bell witness with bound floor((m^2 + 1)/2)."""
-    if m < 2:
-        raise ValueError("Bell witness requires m >= 2")
-    return WitnessSpec(
-        kind=BELL,
-        m=m,
-        coefficients=bell_coefficients(m),
-        bound=float((m * m + 1) // 2),
-    )
+    return WitnessSpec(BELL, m)
 
 
 def steering_spec(m):
     """The m-settings linear steering witness (1/sqrt(m)) |sum_i <A_i B_i>| <= 1."""
-    if m < 2:
-        raise ValueError("steering witness requires m >= 2")
-    return WitnessSpec(kind=STEERING, m=m, coefficients=None, bound=1.0)
-
-
-def lhv_bound_bruteforce(m):
-    """Maximum of the Bell form over all 2^(2m) deterministic sign strategies.
-
-    Independent check of the closed-form bound: for each of Alice's 2^m
-    sign vectors the best response of Bob is the sign of each column sum,
-    so the inner maximization reduces to a sum of absolute column sums.
-    """
-    c = bell_coefficients(m)
-    best = -math.inf
-    for signs in itertools.product((1.0, -1.0), repeat=m):
-        a = np.array(signs)
-        best = max(best, float(np.abs(a @ c).sum()))
-    return best
+    return WitnessSpec(STEERING, m)
 
 
 def evaluate(spec, angles, corr):
@@ -117,10 +96,8 @@ def evaluate(spec, angles, corr):
         raise ValueError(f"expected {spec.m} settings per party, got {len(angles.alice)}")
     pairs = corr.matrix(angles.alice, angles.bob)
     if spec.kind == BELL:
-        return float(np.sum(spec.coefficients * pairs))
-    if spec.kind == STEERING:
-        return abs(float(np.trace(pairs))) / math.sqrt(spec.m)
-    raise ValueError(f"unknown witness kind: {spec.kind!r}")
+        return float(np.sum(bell_coefficients(spec.m) * pairs))
+    return abs(float(np.trace(pairs))) / math.sqrt(spec.m)
 
 
 def optimal_angles(spec):
@@ -141,10 +118,12 @@ def optimal_angles(spec):
 
 
 def optimum(spec, corr):
-    """Witness value maximized over all angles: :func:`evaluate` at :func:`optimal_angles`."""
-    return evaluate(spec, optimal_angles(spec), corr)
+    """Witness value maximized over all angles, from the correlator's c0 and V.
 
-
-def violation_margin(spec, angles, corr):
-    """Signed distance to the classical bound; positive means nonclassical."""
-    return evaluate(spec, angles, corr) - spec.bound
+    Bell: m c0 + V B*_m with B*_m = m / sin(pi / 2m); steering:
+    sqrt(m) (c0 + V).  Each is :func:`evaluate` at :func:`optimal_angles`.
+    """
+    m = spec.m
+    if spec.kind == BELL:
+        return m * corr.c0 + corr.V * m / math.sin(math.pi / (2 * m))
+    return math.sqrt(m) * (corr.c0 + corr.V)

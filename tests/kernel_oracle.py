@@ -1,0 +1,71 @@
+"""Two-sided discrete Gaussian kernel: an oracle for ``fuzzycorr.kernel``.
+
+The package reads the two masses it needs, w_n and a_n, from a one-sided
+sum (``kernel_masses``).  This oracle keeps the whole normalized weight
+array over the offsets k = -K..K and the kernel average of the sign step,
+so the operator-level and paper-formula oracles build every correlator
+from their own kernel.  Under it w_n is the weight at offset n and
+a_n = (zeta_mean(kernel, n) - zeta_mean(kernel, -n)) / 2.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+# Kernel support half-width in units of max(delta, 1), as in the package.
+TRUNCATION_SIGMAS = 8.0
+
+
+@dataclass(frozen=True)
+class DiscreteKernel:
+    """Normalized discrete Gaussian: ``weights[k + support_halfwidth]`` is the mass at offset k."""
+
+    delta: float
+    support_halfwidth: int
+    weights: np.ndarray
+
+    @property
+    def offsets(self):
+        """Integer offsets -K..K matching ``weights``."""
+        k = self.support_halfwidth
+        return np.arange(-k, k + 1)
+
+
+def make_discrete_kernel(delta):
+    """The kernel exp(-k^2 / 2 delta^2) on k = -K..K, K = ceil(8 max(delta, 1)), normalized.
+
+    delta = 0, and any delta so small that every off-centre weight
+    underflows, is the point mass at offset zero.
+    """
+    if not 0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and non-negative, got {delta!r}")
+    half = int(math.ceil(TRUNCATION_SIGMAS * max(delta, 1.0)))
+    k = np.arange(-half, half + 1)
+    if delta**2 == 0 or math.exp(-0.5 / delta**2) == 0:
+        weights = np.zeros(2 * half + 1)
+        weights[half] = 1.0
+    else:
+        raw = np.exp(-(k.astype(float) ** 2) / (2.0 * delta**2))
+        raw = 0.5 * (raw + raw[::-1])
+        weights = raw / raw.sum()
+    return DiscreteKernel(delta=float(delta), support_halfwidth=half, weights=weights)
+
+
+def zeta_mean(kernel, n):
+    """Kernel average of the sign step, sum_k weights[k] * zeta(n - k).
+
+    zeta(x) = +1 for x > 0 and -1 for x <= 0: the boundary label belongs to
+    the minus branch.
+    """
+    signs = np.where(n - kernel.offsets > 0, 1.0, -1.0)
+    return float(np.dot(kernel.weights, signs))
+
+
+def correlator_constants(n, p, delta, Delta):
+    """(c0, V) of E(a, b) = c0 - V cos 2(a + b) from the two-sided kernel's sign sums."""
+    kernel = make_discrete_kernel(delta)
+    s_plus, s_minus = zeta_mean(kernel, n), zeta_mean(kernel, -n)
+    c0 = (0.5 * (s_plus + s_minus)) ** 2
+    V = p * (0.5 * (s_plus - s_minus)) ** 2 * math.exp(-4.0 * Delta**2)
+    return c0, V

@@ -1,15 +1,16 @@
 """Exact operator-level oracle for the fuzzy correlator.
 
-Shared by the correlation tests and the acceptance suite.  Only the kernel
-weights come from the package; the correlator itself is built from explicit
-operators, not from the kernel sign sums the implementation uses.
+Shared by the correlation tests and the acceptance suite.  The kernel
+weights come from the two-sided test kernel (``kernel_oracle``), not from
+the package; the correlator itself is built from explicit operators, not
+from the kernel masses the implementation uses.
 """
 
 import math
 
 import numpy as np
 
-from fuzzycorr import make_discrete_kernel
+from kernel_oracle import make_discrete_kernel
 
 
 def operator_oracle(ti, tj, n, p, delta, Delta, order=40):

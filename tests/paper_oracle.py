@@ -19,16 +19,20 @@ level, at Delta = 3 it is 2e-8 and at Delta = 4 it is 2e-3, far above the
 exp(-2 Delta^2) it should give.  ``Correlator`` uses the closed form
 exp(-2 Delta^2) and has no such limit.
 
-Only the kernel weights come from the package (checked against direct
-sums in ``test_kernel.py``); the sums, averages and brackets are written
-out here as the paper states them.
+The kernel weights come from the two-sided test kernel
+(``kernel_oracle``, checked against direct sums in ``test_kernel.py``);
+the sums, averages and brackets are written out here as the paper states
+them.
 """
 
 import math
 
 import numpy as np
 
+from kernel_oracle import make_discrete_kernel
+
 QUADRATURE_ORDER = 32
+_HERMITE_NODES, _HERMITE_WEIGHTS = np.polynomial.hermite.hermgauss(QUADRATURE_ORDER)
 
 
 def reference_nodes(Delta, center):
@@ -39,9 +43,8 @@ def reference_nodes(Delta, center):
     """
     if Delta == 0:
         return [(float(center), 1.0)]
-    t, w = np.polynomial.hermite.hermgauss(QUADRATURE_ORDER)
-    phis = center + math.sqrt(2.0) * Delta * t
-    return list(zip(phis.tolist(), (w / math.sqrt(math.pi)).tolist()))
+    phis = center + math.sqrt(2.0) * Delta * _HERMITE_NODES
+    return list(zip(phis.tolist(), (_HERMITE_WEIGHTS / math.sqrt(math.pi)).tolist()))
 
 
 def _signs(n, kernel):
@@ -78,7 +81,7 @@ def corr_werner_full(theta_i, theta_j, state, params):
     and the white-noise bracket, the four Q-products, both factorize per
     party, so each party's Q(+-n, .) and R(n, .) are jitter-averaged once.
     """
-    kernel = params.discrete_kernel()
+    kernel = make_discrete_kernel(params.delta)
     qp_i, qm_i, r_i = _node_averages(state.n, theta_i, kernel, params.Delta)
     qp_j, qm_j, r_j = _node_averages(state.n, theta_j, kernel, params.Delta)
     pure = 0.5 * (qp_i * qm_j + qm_i * qp_j + 2.0 * r_i * r_j)
@@ -87,12 +90,11 @@ def corr_werner_full(theta_i, theta_j, state, params):
 
 
 def corr_reference_quadrature(theta_i, theta_j, Delta):
-    """Double Gaussian average of the sharp correlator -cos 2(phi_i + phi_j), node by node.
+    """Double Gaussian average of the sharp correlator -cos 2(phi_i + phi_j) over the node pairs.
 
-    The closed form is -exp(-4 Delta^2) cos 2(theta_i + theta_j).
+    One outer product of the two parties' node sets.  The closed form is
+    -exp(-4 Delta^2) cos 2(theta_i + theta_j).
     """
-    total = 0.0
-    for phi_i, w_i in reference_nodes(Delta, theta_i):
-        for phi_j, w_j in reference_nodes(Delta, theta_j):
-            total += w_i * w_j * (-math.cos(2.0 * (phi_i + phi_j)))
-    return total
+    phi_i, w_i = np.array(reference_nodes(Delta, theta_i)).T
+    phi_j, w_j = np.array(reference_nodes(Delta, theta_j)).T
+    return float(w_i @ -np.cos(2.0 * np.add.outer(phi_i, phi_j)) @ w_j)

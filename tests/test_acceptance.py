@@ -16,15 +16,16 @@ from fuzzycorr import (
     bell_spec,
     find_critical_Delta,
     find_critical_delta,
-    lhv_bound_bruteforce,
-    make_discrete_kernel,
     optimal_angles,
     optimum,
     steering_spec,
 )
 from fuzzycorr.cli import TABLE1_REFERENCE
+from fuzzycorr.kernel import kernel_masses
 from fuzzycorr.transition import DEFAULT_TOL
 from grid_oracle import chsh_grid_max, steering_grid_max
+from kernel_oracle import make_discrete_kernel
+from lhv_oracle import lhv_bound_bruteforce
 from operator_oracle import operator_oracle
 from paper_oracle import corr_reference_quadrature, corr_werner_full
 import table1_oracle
@@ -165,11 +166,14 @@ def test_criterion_8_pure_coincidence_mixed_split(table1_points):
 
 def test_criterion_9_property_suite():
     """Representative pass over the standalone property families."""
-    # kernel: probability distribution, symmetric
+    # kernel: probability distribution, symmetric; the package's mass at n is its weight there
     for delta in (0.0, 0.8, 3.0):
         kernel = make_discrete_kernel(delta)
         assert np.all(kernel.weights >= 0) and abs(kernel.weights.sum() - 1) < 1e-14
         np.testing.assert_array_equal(kernel.weights, kernel.weights[::-1])
+        w_n, a_n = kernel_masses(2, delta)
+        assert abs(w_n - kernel.weights[2 + kernel.support_halfwidth]) < 1e-14
+        assert 0.0 <= a_n <= 1.0 - w_n
     # sharp-limit equivalence at 1e-12
     sharp = Correlator(StateSpec(3), CoarseningParams())
     for ti, tj in ((0.0, 0.0), (0.3, 1.2), (2.0, 0.7)):

@@ -21,6 +21,7 @@ from fuzzycorr import (
     steering_spec,
 )
 from fuzzycorr.cli import RESULT_FIELDS, ConfigError, main, parse_grid
+from kernel_oracle import correlator_constants
 
 
 def read_csv(path):
@@ -181,6 +182,24 @@ def test_profile_sharp_optima(tmp_path):
     assert code == 0
     _, rows = read_csv(out)
     assert float(rows[0]["witness_value"]) == pytest.approx(math.sqrt(3), abs=1e-6)
+
+
+@pytest.mark.parametrize("witness", ["bell", "steering"])
+def test_profile_large_m(witness, tmp_path, capsys):
+    # m = 10^5 settings: the optimum comes from (c0, V), with no m x m array
+    m, out = 100_000, tmp_path / "large.csv"
+    code = main(["profile", "--witness", witness, "--m", str(m), "--n", "5",
+                 "--delta-sq-grid", "0,1", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(out)
+    for row, delta_sq in zip(rows, (0.0, 1.0), strict=True):
+        c0, V = correlator_constants(5, 1.0, math.sqrt(delta_sq), 0.0)
+        if witness == "bell":
+            expected = m * c0 + V * m / math.sin(math.pi / (2 * m))
+        else:
+            expected = math.sqrt(m) * (c0 + V)
+        assert float(row["witness_value"]) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_profile_curve_crosses_bound(tmp_path):

@@ -23,10 +23,11 @@ from fuzzycorr import (
     CoarseningParams,
     Correlator,
     StateSpec,
+    find_critical_Delta,
     find_critical_delta,
-    make_discrete_kernel,
     steering_spec,
 )
+from kernel_oracle import make_discrete_kernel
 from operator_oracle import operator_oracle
 from paper_oracle import corr_reference_quadrature, corr_werner_full, q_func, r_func
 
@@ -182,7 +183,7 @@ def test_full_against_dense_trapezoid():
     # each party's angle; independent of the Gauss-Hermite path.
     delta, Delta, n = 2.0, 0.2, 5
     params = CoarseningParams(delta=delta, Delta=Delta)
-    kernel = params.discrete_kernel()
+    kernel = make_discrete_kernel(delta)
     phis = np.linspace(-8 * Delta, 8 * Delta, 1001)
     gauss = np.exp(-(phis**2) / (2 * Delta**2))
     gauss /= gauss.sum()
@@ -290,7 +291,7 @@ def test_coarsening_rejects_non_finite(delta, Delta, name):
         CoarseningParams(delta, Delta)
     if name == "delta":
         with pytest.raises(ValueError, match="^delta must be finite"):
-            make_discrete_kernel(delta)
+            find_critical_Delta(steering_spec(2), StateSpec(5), delta_fixed=delta)
     else:
         with pytest.raises(ValueError, match="^Delta must be finite"):
             find_critical_delta(steering_spec(2), StateSpec(5), Delta_fixed=Delta)

@@ -1,13 +1,21 @@
-"""Kernel module tests: sign step, discrete Gaussian, and the paper's angle-jitter quadrature."""
+"""Kernel tests: the package's kernel masses, the two-sided test kernel and the paper's quadrature.
+
+``kernel_masses`` is checked against direct sums over 10^4 offsets, the
+two-sided oracle kernel (``kernel_oracle``) and constants computed once at
+50-digit precision; the oracle kernel itself against the direct sums.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fuzzycorr import CoarseningParams, make_discrete_kernel
-from fuzzycorr.kernel import zeta_mean
+from fuzzycorr import CoarseningParams, Correlator, StateSpec
+from fuzzycorr.kernel import kernel_masses
+from kernel_oracle import correlator_constants, make_discrete_kernel, zeta_mean
 from paper_oracle import reference_nodes
 
 
@@ -67,6 +75,7 @@ def test_tiny_delta_is_point_mass():
     for delta in (0.02, 1e-150, 1e-160, 2.4e-200, 5e-324):
         kernel = make_discrete_kernel(delta)
         np.testing.assert_array_equal(kernel.weights, make_discrete_kernel(0.0).weights)
+        assert kernel_masses(5, delta) == (0.0, 1.0)
 
 
 def test_rejects_negative_delta():
@@ -88,26 +97,27 @@ def test_weights_symmetric():
 
 
 # ---------------------------------------------------- distinguishability
-# The probability of telling the branch states |l_{+n}>, |l_{-n}> apart is
-# zeta_mean(kernel, n) ** 2.
+# The smeared readout tells the branch labels +n and -n apart with
+# amplitude a_n = (zeta_mean(n) - zeta_mean(-n)) / 2; its square is the
+# pure-state correlator visibility V at Delta = 0.
 
-def distinguishability(n, kernel):
-    return zeta_mean(kernel, n) ** 2
+def distinguishability(n, delta):
+    return kernel_masses(n, delta)[1] ** 2
 
 
 def test_distinguishability_sharp():
-    assert distinguishability(5, make_discrete_kernel(0.0)) == 1.0
+    assert distinguishability(5, 0.0) == 1.0
 
 
 def test_distinguishability_washes_out():
-    assert distinguishability(5, make_discrete_kernel(200.0)) < 0.05
+    assert distinguishability(5, 200.0) < 0.05
 
 
 def test_distinguishability_against_direct_summation():
-    kernel = make_discrete_kernel(2.0)
-    value = distinguishability(5, kernel)
+    value = distinguishability(5, 2.0)
     assert 0.9 < value < 1.0
-    assert value == pytest.approx(naive_zeta_mean(5, 2.0) ** 2, abs=1e-12)
+    naive = 0.5 * (naive_zeta_mean(5, 2.0) - naive_zeta_mean(-5, 2.0))
+    assert value == pytest.approx(naive**2, abs=1e-12)
 
 
 def test_zeta_mean_against_direct_summation():
@@ -118,16 +128,53 @@ def test_zeta_mean_against_direct_summation():
 
 def test_distinguishability_monotone_in_delta():
     deltas = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0]
-    values = [distinguishability(5, make_discrete_kernel(d)) for d in deltas]
+    values = [distinguishability(5, d) for d in deltas]
     for lo, hi in zip(values[1:], values):
         assert lo <= hi + 1e-12
 
 
 def test_distinguishability_monotone_in_n():
-    kernel = make_discrete_kernel(2.5)
-    values = [distinguishability(n, kernel) for n in range(1, 12)]
+    values = [distinguishability(n, 2.5) for n in range(1, 12)]
     for lo, hi in zip(values, values[1:]):
         assert hi >= lo - 1e-12
+
+
+# --------------------------------------------------------- kernel_masses
+
+def test_kernel_masses_against_direct_summation():
+    k, w = naive_kernel_weights(3.0)
+    for n in (1, 2, 7, 30):
+        w_n, a_n = kernel_masses(n, 3.0)
+        assert w_n == pytest.approx(w[k == n][0], abs=1e-15)
+        assert a_n == pytest.approx(0.5 * (naive_zeta_mean(n, 3.0) - naive_zeta_mean(-n, 3.0)),
+                                    abs=1e-12)
+
+
+@st.composite
+def _n_delta(draw):
+    n = draw(st.integers(1, 10_000))
+    return n, draw(st.floats(0.0, 5.0 * n) | st.floats(0.0, 1.0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n_delta=_n_delta(), p=st.floats(0.0, 1.0), Delta=st.floats(0.0, 1.0))
+def test_correlator_constants_against_two_sided_kernel(n_delta, p, Delta):
+    n, delta = n_delta
+    corr = Correlator(StateSpec(n, p), CoarseningParams(delta, Delta))
+    c0, V = correlator_constants(n, p, delta, Delta)
+    assert abs(corr.c0 - c0) <= 1e-12
+    assert abs(corr.V - V) <= 1e-12
+
+
+# w_5^2 at delta = 1 and 0.5 from the kernel's Gaussian sums at 50 digits
+# (mpmath); the sign-sum difference ((s_+ + s_-)/2)^2 loses them to cancellation.
+C0_EXACT = {1.0: 2.2103348918386560e-12, 0.5: 2.3015867409649808e-44}
+
+
+@pytest.mark.parametrize("delta", sorted(C0_EXACT))
+def test_c0_to_full_precision(delta):
+    c0 = Correlator(StateSpec(5), CoarseningParams(delta, 0.0)).c0
+    assert c0 == pytest.approx(C0_EXACT[delta], rel=1e-14, abs=0)
 
 
 # ------------------------------------------- reference_nodes (paper oracle)

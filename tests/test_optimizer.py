@@ -29,11 +29,13 @@ SHARP = Correlator(StateSpec(5, p=1.0), CoarseningParams())
 
 
 class ScaledCorrelator:
-    """A correlator multiplied by a constant factor."""
+    """A correlator multiplied by a constant factor s >= 0: c0 and V scale by s."""
 
     def __init__(self, inner, scale):
         self.inner = inner
         self.scale = scale
+        self.c0 = scale * inner.c0
+        self.V = scale * inner.V
 
     def matrix(self, alice, bob):
         return self.scale * self.inner.matrix(alice, bob)

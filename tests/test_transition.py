@@ -132,6 +132,24 @@ def test_steering_boundary_grows_with_settings():
         assert hi > lo
 
 
+def test_default_bracket_follows_steering_past_four_n_squared():
+    # delta_c^2 grows with m past the old fixed upper edge 4 n^2 = 100 (m >= 46)
+    values = [find_critical_delta(steering_spec(m), PURE5).delta_sq for m in range(2, 65)]
+    assert all(hi > lo for lo, hi in zip(values, values[1:]))
+    assert values[-1] > 4 * PURE5.n**2
+
+
+def test_bell_odd_even_trend_to_m64():
+    # odd m compensate coarsening more with each step, even m less
+    def delta_c_sq(m):
+        return find_critical_delta(bell_spec(m), PURE5, tol=1e-9).delta_sq
+
+    odd = [delta_c_sq(m) for m in range(3, 65, 2)]
+    even = [delta_c_sq(m) for m in range(2, 65, 2)]
+    assert all(hi > lo for lo, hi in zip(odd, odd[1:]))
+    assert all(hi < lo for lo, hi in zip(even, even[1:]))
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
 def test_bisect_rejects_bad_tolerance(tol):
     calls = []

@@ -11,14 +11,15 @@ from fuzzycorr import (
     Correlator,
     StateSpec,
     bell_spec,
+    WitnessSpec,
     evaluate,
-    lhv_bound_bruteforce,
     optimal_angles,
     optimum,
     steering_spec,
-    violation_margin,
 )
+from fuzzycorr.witness import bell_coefficients
 from grid_oracle import chsh_grid_max, steering_grid_max
+from lhv_oracle import lhv_bound_bruteforce
 from nm_oracle import maximize
 from operator_oracle import operator_oracle
 
@@ -34,14 +35,14 @@ class ZeroCorrelator:
 
 def test_chsh_pattern():
     spec = bell_spec(2)
-    np.testing.assert_array_equal(spec.coefficients, [[1, 1], [1, -1]])
+    np.testing.assert_array_equal(bell_coefficients(spec.m), [[1, 1], [1, -1]])
     assert spec.bound == 2.0
 
 
 def test_m3_pattern():
     spec = bell_spec(3)
     np.testing.assert_array_equal(
-        spec.coefficients, [[1, 1, 1], [1, 1, -1], [1, -1, -1]]
+        bell_coefficients(spec.m), [[1, 1, 1], [1, 1, -1], [1, -1, -1]]
     )
     assert spec.bound == 5.0
 
@@ -63,6 +64,13 @@ def test_steering_bound_is_one():
 def test_steering_rejects_small_m():
     with pytest.raises(ValueError):
         steering_spec(1)
+
+
+@pytest.mark.parametrize("kind,m", [("bell", 2.0), ("bell", 2.5), ("steering", True),
+                                    ("steering", "3"), ("chsh", 2)])
+def test_spec_rejects_bad_kind_or_m(kind, m):
+    with pytest.raises(ValueError):
+        WitnessSpec(kind, m)
 
 
 def test_bruteforce_bound_matches_closed_form():
@@ -102,18 +110,19 @@ def test_evaluate_dimension_mismatch():
         evaluate(bell_spec(3), angles, SHARP)
 
 
-# -------------------------------------------------------- violation_margin
+# ------------------------------------------------- margin: value - bound
 
 def test_margin_at_tsirelson():
     angles = AngleAssignment(alice=[0.0, math.pi / 4], bob=[3 * math.pi / 8, 5 * math.pi / 8])
-    margin = violation_margin(bell_spec(2), angles, SHARP)
+    spec = bell_spec(2)
+    margin = evaluate(spec, angles, SHARP) - spec.bound
     assert margin == pytest.approx(2.0 * math.sqrt(2.0) - 2.0, abs=1e-12)
 
 
 def test_margin_zero_correlator():
     angles = AngleAssignment(alice=[0.0, 1.0], bob=[0.5, 1.5])
-    assert violation_margin(bell_spec(2), angles, ZeroCorrelator()) == -2.0
-    assert violation_margin(steering_spec(2), angles, ZeroCorrelator()) == -1.0
+    for spec, margin in ((bell_spec(2), -2.0), (steering_spec(2), -1.0)):
+        assert evaluate(spec, angles, ZeroCorrelator()) - spec.bound == margin
 
 
 # ---------------------------------------------------------------- invariances
@@ -186,6 +195,19 @@ def test_optimum_against_free_search_and_grid(kind, m):
         assert grid == pytest.approx(value, abs=1e-3), (n, p, delta, Delta)
 
 
+@pytest.mark.parametrize("kind", ["bell", "steering"])
+def test_optimum_equals_evaluate_at_optimal_angles(kind):
+    make = bell_spec if kind == "bell" else steering_spec
+    for n, p, delta, Delta in OPTIMUM_POINTS:
+        corr = Correlator(StateSpec(n, p), CoarseningParams(delta=delta, Delta=Delta))
+        for m in range(2, 65):
+            spec = make(m)
+            value = optimum(spec, corr)
+            assert value == pytest.approx(
+                evaluate(spec, optimal_angles(spec), corr), rel=1e-14, abs=0
+            ), (m, n, p, delta, Delta)
+
+
 def test_sharp_bell_optimum_closed_form():
     for m in range(2, 9):
         assert optimum(bell_spec(m), SHARP) == pytest.approx(
@@ -220,7 +242,7 @@ def test_evaluate_against_operator_oracle():
             exact = np.array(
                 [[operator_oracle(a, b, n, p, delta, Delta) for b in bob] for a in alice]
             )
-            bell = float(np.sum(bell_spec(m).coefficients * exact))
+            bell = float(np.sum(bell_coefficients(m) * exact))
             steer = abs(float(np.trace(exact))) / math.sqrt(m)
             assert evaluate(bell_spec(m), angles, corr) == pytest.approx(bell, abs=1e-12)
             assert evaluate(steering_spec(m), angles, corr) == pytest.approx(steer, abs=1e-12)
