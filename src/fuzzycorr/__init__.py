@@ -9,7 +9,6 @@ drops to its classical bound.
 
 from .correlation import CoarseningParams, Correlator, StateSpec
 from .transition import (
-    BoundaryCurve,
     NoTransitionAtHi,
     NoViolationAtLo,
     NoViolationAtPureState,

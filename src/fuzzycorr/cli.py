@@ -247,14 +247,14 @@ def _flat(angles):
     return list(angles.alice) + list(angles.bob)
 
 
-def _transition_row(config, kind, m, p, pt):
+def _transition_row(pt):
     return ResultRow(
-        m=m,
-        n=config.n,
-        p=p,
+        m=pt.witness.m,
+        n=pt.n,
+        p=pt.p,
         delta_sq=pt.delta_sq,
         Delta_sq=pt.Delta_sq,
-        witness_kind=kind,
+        witness_kind=pt.witness.kind,
         witness_value=pt.achieved_value,
         bound=pt.bound,
         violated=False,
@@ -347,18 +347,14 @@ def cmd_boundary(config):
         raise ConfigError("Delta_sq_grid: boundary requires a Delta^2 grid")
     spec = config.witness_spec()
     state = StateSpec(n=config.n, p=config.p)
-    curve = trace_boundary(spec, state, config.Delta_sq_grid, tol=config.transition_tol)
-    if not curve.points:
+    points = trace_boundary(spec, state, config.Delta_sq_grid, tol=config.transition_tol)
+    if not points:
         raise TransitionError("no boundary point found on the supplied grid")
-    rows = [
-        _transition_row(config, config.witness, config.m, config.p, pt)
-        for pt in curve.points
-    ]
-    emit(config, rows)
+    emit(config, [_transition_row(pt) for pt in points])
     if config.out:
         write_plot_data(
             config.out + ".plot.csv",
-            [curve.Delta_sq(), curve.delta_sq()],
+            [[pt.Delta_sq for pt in points], [pt.delta_sq for pt in points]],
             "Delta_sq,delta_sq",
         )
     return 0
@@ -395,7 +391,7 @@ def cmd_table1(config):
                     f"{p:>6.2f} {kind:>9} {d2.delta_sq:>10.4f} {'-':>10}"
                     f" {'-':>9} {D2.Delta_sq:>10.5f} {'-':>10} {'-':>9}"
                 )
-            rows += [_transition_row(config, kind, 2, p, pt) for pt in (d2, D2)]
+            rows += [_transition_row(pt) for pt in (d2, D2)]
     print("\n".join(lines))
     if config.out:
         emit(config, rows)

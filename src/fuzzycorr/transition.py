@@ -2,8 +2,10 @@
 
 A transition point is the coarsening (or visibility) at which the
 angle-optimized witness value falls to its classical bound.  All searches
-bisect on the squared parameter (variance) or on p.  Each probe builds one
-correlator and reads the witness optimum from its c0 and V; the angles of
+bisect on the squared parameter (variance) or on q = 1 - p over [0, hi]:
+hi starts at 4 n^2 (delta^2) or 1 (Delta^2, q) and doubles while the
+witness still violates there and V > 0.  Each probe builds one correlator
+and reads the witness optimum from its c0 and V; the angles of
 :func:`~fuzzycorr.witness.optimal_angles` that attain it do not depend on
 the probed parameter.
 """
@@ -13,14 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .correlation import CoarseningParams, Correlator, StateSpec
 from .witness import WitnessSpec, optimal_angles, optimum
 
 __all__ = [
     "TransitionPoint",
-    "BoundaryCurve",
     "TransitionError",
     "NoViolationAtLo",
     "NoTransitionAtHi",
@@ -39,11 +38,11 @@ class TransitionError(RuntimeError):
 
 
 class NoViolationAtLo(TransitionError):
-    """The optimized witness does not exceed its bound at the lower bracket edge."""
+    """The optimized witness does not exceed its bound at zero coarsening."""
 
 
 class NoTransitionAtHi(TransitionError):
-    """The optimized witness still exceeds its bound at the upper bracket edge."""
+    """The optimized witness still exceeds its bound where V has fallen to 0."""
 
 
 class NoViolationAtPureState(TransitionError):
@@ -65,26 +64,17 @@ class TransitionPoint:
     witness: WitnessSpec
     n: int
     achieved_value: float
-    bound: float
     margin_lo: float
     margin_hi: float
-    angles: object = None
 
+    @property
+    def bound(self):
+        return self.witness.bound
 
-@dataclass(frozen=True)
-class BoundaryCurve:
-    """Transition points along a Delta^2 grid, with per-curve metadata."""
-
-    points: tuple
-    n: int
-    p: float
-    witness: WitnessSpec
-
-    def delta_sq(self):
-        return np.array([pt.delta_sq for pt in self.points])
-
-    def Delta_sq(self):
-        return np.array([pt.Delta_sq for pt in self.points])
+    @property
+    def angles(self):
+        """The angles that attain ``achieved_value``: :func:`optimal_angles` of the witness."""
+        return optimal_angles(self.witness)
 
 
 def _bisect_margin(margin, lo, hi, tol, lo_error, hi_error):
@@ -119,76 +109,69 @@ def _bisect_margin(margin, lo, hi, tol, lo_error, hi_error):
     return root, cert_lo, cert_hi
 
 
-def _search(spec, corr_at, bracket, tol, lo_error, hi_error):
-    """Root of optimum(spec, corr_at(x)) - bound over ``bracket``, with its value and certificates."""
+def _search(spec, corr_at, hi, tol, lo_error, hi_error):
+    """Root of optimum(spec, corr_at(x)) - bound over [0, hi], with its value and certificates.
+
+    V falls to 0 as x grows, and the optimum with it to its c0 term, so the
+    doubling of hi ends; a witness that still violates at V = 0 raises
+    ``hi_error``.
+    """
 
     def margin(x):
         return optimum(spec, corr_at(x)) - spec.bound
 
-    root, cert_lo, cert_hi = _bisect_margin(margin, *bracket, tol, lo_error, hi_error)
+    corr = corr_at(hi)
+    while optimum(spec, corr) > spec.bound and corr.V > 0:
+        hi *= 2.0
+        corr = corr_at(hi)
+    root, cert_lo, cert_hi = _bisect_margin(margin, 0.0, hi, tol, lo_error, hi_error)
     return root, optimum(spec, corr_at(root)), cert_lo, cert_hi
 
 
 def _point(spec, n, value, cert_lo, cert_hi, **coords):
-    return TransitionPoint(
-        **coords,
-        witness=spec,
-        n=n,
-        achieved_value=value,
-        bound=spec.bound,
-        margin_lo=cert_lo,
-        margin_hi=cert_hi,
-        angles=optimal_angles(spec),
-    )
+    return TransitionPoint(**coords, witness=spec, n=n, achieved_value=value,
+                           margin_lo=cert_lo, margin_hi=cert_hi)
 
 
-def find_critical_delta(spec, state, Delta_fixed=0.0, bracket=None, tol=DEFAULT_TOL):
+def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
     """Critical resolution variance delta^2 at fixed Delta for (witness, state).
 
-    Bisects on delta^2 over ``bracket``, by default [0, hi] with hi = 4 n^2
-    doubled until the optimum there is at most the bound (the optimum falls
-    to 0 as delta grows).  Raises NoViolationAtLo if the state is classical
-    already at the lower edge, NoTransitionAtHi if it still violates at the
-    upper edge of an explicit bracket.
+    Raises NoViolationAtLo if the state is classical already at delta = 0.
     """
-
-    def corr_at(delta_sq):
-        return Correlator(state, CoarseningParams(delta=math.sqrt(delta_sq), Delta=Delta_fixed))
-
-    if bracket is None:
-        hi = 4.0 * state.n**2
-        while optimum(spec, corr_at(hi)) > spec.bound:
-            hi *= 2.0
-        bracket = (0.0, hi)
     root, *rest = _search(
         spec,
-        corr_at,
-        bracket,
+        lambda delta_sq: Correlator(
+            state, CoarseningParams(delta=math.sqrt(delta_sq), Delta=Delta_fixed)
+        ),
+        4.0 * state.n**2,
         tol,
         NoViolationAtLo(
-            f"no violation at delta^2 = {bracket[0]} for {spec.kind} m={spec.m}, "
+            f"no violation at delta^2 = 0.0 for {spec.kind} m={spec.m}, "
             f"n={state.n}, p={state.p}"
         ),
-        NoTransitionAtHi(f"still violating at delta^2 = {bracket[1]}"),
+        NoTransitionAtHi(f"still violating at V = 0 for {spec.kind} m={spec.m}, n={state.n}"),
     )
     return _point(spec, state.n, *rest,
                   delta_sq=root, Delta_sq=Delta_fixed**2, p=state.p)
 
 
-def find_critical_Delta(spec, state, delta_fixed=0.0, bracket=(0.0, 1.0), tol=DEFAULT_TOL):
-    """Critical reference variance Delta^2 at fixed delta; mirror of find_critical_delta."""
+def find_critical_Delta(spec, state, delta_fixed=0.0, tol=DEFAULT_TOL):
+    """Critical reference variance Delta^2 at fixed delta; mirror of find_critical_delta.
+
+    Raises NoTransitionAtHi when the c0 term alone exceeds the bound.
+    """
     root, *rest = _search(
         spec,
         lambda Delta_sq: Correlator(
             state, CoarseningParams(delta=delta_fixed, Delta=math.sqrt(Delta_sq))
         ),
-        bracket,
+        1.0,
         tol,
         NoViolationAtLo(
-            f"no violation at Delta^2 = {bracket[0]} for {spec.kind} m={spec.m}, "
+            f"no violation at Delta^2 = 0.0 for {spec.kind} m={spec.m}, "
             f"n={state.n}, p={state.p}"
         ),
-        NoTransitionAtHi(f"still violating at Delta^2 = {bracket[1]}"),
+        NoTransitionAtHi(f"still violating at V = 0 for {spec.kind} m={spec.m}, n={state.n}"),
     )
     return _point(spec, state.n, *rest,
                   delta_sq=delta_fixed**2, Delta_sq=root, p=state.p)
@@ -200,11 +183,12 @@ def find_critical_visibility(spec, n, params=CoarseningParams(), tol=DEFAULT_TOL
     Raises NoViolationAtPureState when even the pure state fails to violate.
     """
     # The margin is increasing in p, so bisect on q = 1 - p, which puts the
-    # violating edge (p = 1) at the lower end of the bracket.
+    # violating edge (p = 1) at the lower end of the bracket.  V = 0 at
+    # q = 1, so the upper edge never grows.
     root, *rest = _search(
         spec,
         lambda q: Correlator(StateSpec(n=n, p=1.0 - q), params),
-        (0.0, 1.0),
+        1.0,
         tol,
         NoViolationAtPureState(f"no violation at p = 1 for {spec.kind} m={spec.m}, n={n}"),
         NoTransitionAtHi("still violating at p = 0"),
@@ -214,7 +198,7 @@ def find_critical_visibility(spec, n, params=CoarseningParams(), tol=DEFAULT_TOL
 
 
 def trace_boundary(spec, state, Delta_sq_grid, tol=DEFAULT_TOL):
-    """Transition curve delta_c^2(Delta^2) over an ascending Delta^2 grid.
+    """Transition points delta_c^2(Delta^2), a tuple, over an ascending Delta^2 grid.
 
     The trace stops where the curve reaches the delta^2 = 0 axis.
     """
@@ -228,4 +212,4 @@ def trace_boundary(spec, state, Delta_sq_grid, tol=DEFAULT_TOL):
         except NoViolationAtLo:
             break
         points.append(pt)
-    return BoundaryCurve(points=tuple(points), n=state.n, p=state.p, witness=spec)
+    return tuple(points)

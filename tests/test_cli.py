@@ -202,6 +202,19 @@ def test_profile_large_m(witness, tmp_path, capsys):
         assert float(row["witness_value"]) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
+def test_profile_kernel_wider_than_memory(tmp_path, capsys):
+    # delta = 1e150 labels: the kernel masses come from its central terms and
+    # the Poisson-summed norm, w_n = u and a_n = 10 u with u = 1/(sqrt(2 pi) delta)
+    out = tmp_path / "wide.csv"
+    assert main(["profile", "--delta-sq-grid", "1e300,1e301", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(out)
+    for row, delta_sq in zip(rows, (1e300, 1e301), strict=True):
+        u = 1.0 / (math.sqrt(2.0 * math.pi * delta_sq))
+        expected = 2.0 * u**2 + 2.0 * math.sqrt(2.0) * (10.0 * u) ** 2
+        assert float(row["witness_value"]) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 def test_profile_curve_crosses_bound(tmp_path):
     out = tmp_path / "curve.csv"
     code = main([

@@ -150,6 +150,14 @@ def test_kernel_masses_against_direct_summation():
                                     abs=1e-12)
 
 
+def test_kernel_masses_of_a_very_wide_kernel():
+    # 1e150 labels wide: the central terms are all 1, so w_5 = 1/Z and a_5 = 10/Z
+    u = 1.0 / (math.sqrt(2.0 * math.pi) * 1e150)
+    w_n, a_n = kernel_masses(5, 1e150)
+    assert w_n == pytest.approx(u, rel=1e-14, abs=0)
+    assert a_n == pytest.approx(10.0 * u, rel=1e-14, abs=0)
+
+
 @st.composite
 def _n_delta(draw):
     n = draw(st.integers(1, 10_000))

@@ -1,4 +1,4 @@
-"""Witness optimum tests: sharp-limit optima, determinism, monotone degradation.
+"""Tests of ``witness.optimum``: sharp-limit optima, determinism, monotone degradation.
 
 ``optimum`` evaluates the witness at the fixed angles of ``optimal_angles``;
 these tests check it against dense grid searches and against a plain

@@ -49,13 +49,52 @@ def test_no_violation_at_pure_state():
 
 
 def test_no_violation_at_lower_edge():
+    # CHSH at p = 0.6 peaks at 2 sqrt(2) 0.6 < 2 even without coarsening
     with pytest.raises(NoViolationAtLo):
-        find_critical_delta(bell_spec(2), PURE5, bracket=(20.0, 100.0))
+        find_critical_delta(bell_spec(2), StateSpec(n=5, p=0.6))
 
 
-def test_no_transition_at_upper_edge():
+@pytest.mark.parametrize("search", ["Delta_sq", "p"])
+def test_no_transition_where_c0_alone_violates(search):
+    # at n = 1, delta = 0.8 the c0 term alone gives sqrt(400) c0 = 1.04 > 1,
+    # so neither reference coarsening nor noise reaches the steering bound
+    spec, params = steering_spec(400), CoarseningParams(delta=0.8)
     with pytest.raises(NoTransitionAtHi):
-        find_critical_delta(bell_spec(2), PURE5, bracket=(0.0, 1.0))
+        if search == "Delta_sq":
+            find_critical_Delta(spec, StateSpec(n=1), delta_fixed=params.delta)
+        else:
+            find_critical_visibility(spec, n=1, params=params)
+
+
+@pytest.mark.parametrize("m", [2000, 3000, 10**5])
+def test_steering_Delta_bracket_grows_past_one(m):
+    # at the pure sharp state sqrt(m) exp(-4 Delta^2) = 1, so Delta_c^2 =
+    # ln(m) / 8, which passes the starting edge Delta^2 = 1 from m = 2981 on
+    pt = find_critical_Delta(steering_spec(m), PURE5, tol=1e-9)
+    assert pt.Delta_sq == pytest.approx(math.log(m) / 8.0, abs=1e-8)
+
+
+# Regimes where V vanishes (p = 0, or exp(-4 Delta^2) underflows at Delta = 30)
+# or where the kernel is 1e150 labels wide: each search ends in its named
+# failure, never in a ValueError or a hang.
+@pytest.mark.parametrize(
+    "search, error",
+    [
+        (lambda: find_critical_delta(bell_spec(2), StateSpec(n=5, p=0.0)), NoViolationAtLo),
+        (lambda: find_critical_Delta(bell_spec(2), StateSpec(n=5, p=0.0)), NoViolationAtLo),
+        (lambda: find_critical_delta(bell_spec(2), PURE5, Delta_fixed=30.0), NoViolationAtLo),
+        (lambda: find_critical_visibility(bell_spec(2), n=5, params=CoarseningParams(Delta=30.0)),
+         NoViolationAtPureState),
+        (lambda: find_critical_Delta(bell_spec(2), PURE5, delta_fixed=1e150), NoViolationAtLo),
+        (lambda: find_critical_visibility(bell_spec(2), n=5, params=CoarseningParams(delta=1e150)),
+         NoViolationAtPureState),
+    ],
+    ids=["delta_sq-p0", "Delta_sq-p0", "delta_sq-Delta30", "p-Delta30",
+         "Delta_sq-delta1e150", "p-delta1e150"],
+)
+def test_extreme_regimes_fail_cleanly(search, error):
+    with pytest.raises(error):
+        search()
 
 
 def test_bracket_certificate():
@@ -93,21 +132,21 @@ def test_macroscopicity_monotonicity():
 
 
 def test_trace_boundary_single_point():
-    curve = trace_boundary(bell_spec(2), PURE5, [0.0])
-    assert len(curve.points) == 1
+    points = trace_boundary(bell_spec(2), PURE5, [0.0])
+    assert len(points) == 1
     direct = find_critical_delta(bell_spec(2), PURE5)
-    assert curve.points[0].delta_sq == pytest.approx(direct.delta_sq, abs=2e-3)
+    assert points[0].delta_sq == pytest.approx(direct.delta_sq, abs=2e-3)
 
 
 def test_trace_boundary_shape_and_truncation():
     # Delta^2-axis intercept for p=1 sits at ln(sqrt 2)/4 ~ 0.0866; a grid
     # crossing it must truncate there, and delta_c^2 shrinks as Delta^2 grows
     grid = [0.0, 0.03, 0.06, 0.12]
-    curve = trace_boundary(bell_spec(2), PURE5, grid)
-    assert len(curve.points) == 3
-    d2 = curve.delta_sq()
+    points = trace_boundary(bell_spec(2), PURE5, grid)
+    assert len(points) == 3
+    d2 = [pt.delta_sq for pt in points]
     assert np.all(np.diff(d2) < 0.0)
-    np.testing.assert_allclose(curve.Delta_sq(), grid[:3])
+    np.testing.assert_allclose([pt.Delta_sq for pt in points], grid[:3])
 
 
 def test_trace_boundary_rejects_unsorted_grid():
@@ -122,13 +161,14 @@ def test_steering_boundary_grows_with_settings():
         m: trace_boundary(steering_spec(m), PURE5, grid, tol=5e-3)
         for m in (2, 3, 4, 5)
     }
+    d2 = {m: [pt.delta_sq for pt in points] for m, points in curves.items()}
     areas = {}
-    for m, curve in curves.items():
-        assert len(curve.points) == len(grid)
-        areas[m] = np.trapezoid(curve.delta_sq(), curve.Delta_sq())
+    for m, points in curves.items():
+        assert len(points) == len(grid)
+        areas[m] = np.trapezoid(d2[m], [pt.Delta_sq for pt in points])
     assert areas[2] < areas[3] < areas[4] < areas[5]
     # and enclosure is pointwise, not just in area
-    for lo, hi in zip(curves[2].delta_sq(), curves[5].delta_sq()):
+    for lo, hi in zip(d2[2], d2[5]):
         assert hi > lo
 
 
