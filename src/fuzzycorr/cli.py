@@ -27,12 +27,13 @@ from dataclasses import dataclass, field
 
 from .correlation import CoarseningParams, Correlator, StateSpec
 from .transition import (
+    DEFAULT_TOL,
     TransitionError,
     find_critical_Delta,
     find_critical_delta,
     trace_boundary,
 )
-from .witness import bell_spec, optimal_angles, optimum, steering_spec
+from .witness import WitnessSpec, bell_spec, optimal_angles, optimum, steering_spec
 
 __all__ = ["ExperimentConfig", "ResultRow", "main"]
 
@@ -80,7 +81,7 @@ class ExperimentConfig:
     Delta_sq_grid: list = field(default_factory=list)
     angle_pairs: list = field(default_factory=lambda: [[0.0, 0.0]])
     p_list: list = field(default_factory=lambda: [0.85, 0.80, 0.75])
-    transition_tol: float = 1e-3
+    transition_tol: float = DEFAULT_TOL
     format: str = "csv"
     out: str = ""
 
@@ -115,7 +116,7 @@ class ExperimentConfig:
         return self
 
     def witness_spec(self):
-        return bell_spec(self.m) if self.witness == "bell" else steering_spec(self.m)
+        return WitnessSpec(self.witness, self.m)
 
 
 @dataclass
@@ -162,27 +163,22 @@ def parse_grid(text):
 
 
 def load_config(args):
-    """Merge defaults, the optional JSON config file, and flag overrides."""
+    """Merge defaults, the optional JSON config file, and every flag named after a field."""
     values = {}
+    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     if args.config:
         try:
             with open(args.config) as fh:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config: cannot read {args.config}: {exc}") from exc
-        known = {f.name for f in dataclasses.fields(ExperimentConfig)}
         for key, value in data.items():
             if key not in known:
                 raise ConfigError(f"config: unknown key {key!r}")
             values[key] = value
-    for key in ("witness", "m", "n", "p", "format", "out", "transition_tol"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    if getattr(args, "delta_sq_grid", None) is not None:
-        values["delta_sq_grid"] = parse_grid(args.delta_sq_grid)
-    if getattr(args, "Delta_sq_grid", None) is not None:
-        values["Delta_sq_grid"] = parse_grid(args.Delta_sq_grid)
+    for key, flag in vars(args).items():
+        if key in known and flag is not None:
+            values[key] = parse_grid(flag) if key.endswith("_grid") else flag
     try:
         config = ExperimentConfig(**values)
     except TypeError as exc:
@@ -191,7 +187,11 @@ def load_config(args):
 
 
 def format_number(value):
-    """Shortest text that reads back as the same float; integral floats drop ".0"."""
+    """CSV cell: shortest round-trip float (1.0 as "1"), true/false or ";"-joined angles."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ";".join(format_number(float(a)) for a in value)
     if isinstance(value, float):
         return repr(float(value)).removesuffix(".0")
     return str(value)
@@ -203,25 +203,17 @@ def write_rows(config, rows, stream):
     if config.format == "json":
         payload = {
             "config": resolved,
-            "rows": [dataclasses.asdict(row) for row in rows],
+            # JSON has no nan: a non-finite cell (the correlate bound) is null
+            "rows": [{k: None if isinstance(v, float) and not math.isfinite(v) else v
+                      for k, v in dataclasses.asdict(row).items()} for row in rows],
         }
-        json.dump(payload, stream, indent=2)
+        json.dump(payload, stream, indent=2, allow_nan=False)
         stream.write("\n")
         return
     stream.write("# config " + json.dumps(resolved, sort_keys=True) + "\n")
     stream.write(",".join(RESULT_FIELDS) + "\n")
     for row in rows:
-        record = dataclasses.asdict(row)
-        cells = []
-        for name in RESULT_FIELDS:
-            value = record[name]
-            if name == "angles":
-                cells.append(";".join(format_number(float(a)) for a in value))
-            elif name == "violated":
-                cells.append("true" if value else "false")
-            else:
-                cells.append(format_number(value))
-        stream.write(",".join(cells) + "\n")
+        stream.write(",".join(format_number(getattr(row, name)) for name in RESULT_FIELDS) + "\n")
 
 
 def emit(config, rows):
@@ -374,23 +366,16 @@ def cmd_table1(config):
     ]
     for p in config.p_list:
         state = StateSpec(n=config.n, p=p)
-        for kind, spec in (("bell", bell_spec(2)), ("steering", steering_spec(2))):
+        refs = TABLE1_REFERENCE.get(round(p, 2), (None,) * 4)
+        for spec, ref_d2, ref_D2 in ((bell_spec(2), *refs[:2]), (steering_spec(2), *refs[2:])):
             d2 = find_critical_delta(spec, state, Delta_fixed=0.0, tol=config.transition_tol)
             D2 = find_critical_Delta(spec, state, delta_fixed=0.0, tol=config.transition_tol)
-            ref = TABLE1_REFERENCE.get(round(p, 2))
-            if ref is not None:
-                ref_d2, ref_D2 = (ref[0], ref[1]) if kind == "bell" else (ref[2], ref[3])
-                rel_d2 = (d2.delta_sq - ref_d2) / ref_d2
-                rel_D2 = (D2.Delta_sq - ref_D2) / ref_D2
-                lines.append(
-                    f"{p:>6.2f} {kind:>9} {d2.delta_sq:>10.4f} {ref_d2:>10.4f}"
-                    f" {rel_d2:>9.2%} {D2.Delta_sq:>10.5f} {ref_D2:>10.5f} {rel_D2:>9.2%}"
-                )
-            else:
-                lines.append(
-                    f"{p:>6.2f} {kind:>9} {d2.delta_sq:>10.4f} {'-':>10}"
-                    f" {'-':>9} {D2.Delta_sq:>10.5f} {'-':>10} {'-':>9}"
-                )
+            line = f"{p:>6.2f} {spec.kind:>9}"
+            for value, ref, digits in ((d2.delta_sq, ref_d2, 4), (D2.Delta_sq, ref_D2, 5)):
+                ref_text, rel_text = ("-", "-") if ref is None else (
+                    f"{ref:.{digits}f}", f"{(value - ref) / ref:.2%}")
+                line += f" {value:>10.{digits}f} {ref_text:>10} {rel_text:>9}"
+            lines.append(line)
             rows += [_transition_row(pt) for pt in (d2, D2)]
     print("\n".join(lines))
     if config.out:
@@ -416,11 +401,11 @@ def build_parser():
         cmd.add_argument("--m", type=int)
         cmd.add_argument("--n", type=int)
         cmd.add_argument("--p", type=float)
-        cmd.add_argument("--witness", choices=["bell", "steering"])
+        cmd.add_argument("--witness")
         cmd.add_argument("--delta-sq-grid", dest="delta_sq_grid", metavar="a:b:step")
         cmd.add_argument("--Delta-sq-grid", dest="Delta_sq_grid", metavar="a:b:step")
         cmd.add_argument("--transition-tol", dest="transition_tol", type=float)
-        cmd.add_argument("--format", choices=["csv", "json"])
+        cmd.add_argument("--format")
         cmd.add_argument("--out")
     return parser
 

@@ -78,7 +78,7 @@ class Correlator:
         self.params = params
         w_n, a_n = kernel_masses(state.n, params.delta)
         self.c0 = w_n**2
-        self.V = state.p * a_n**2 * math.exp(-4.0 * params.Delta**2)
+        self.V = state.p * a_n**2 * math.exp(-4.0 * (params.Delta * params.Delta))
 
     def matrix(self, alice, bob):
         """All pairwise correlations: entry [i, j] = corr(alice[i], bob[j])."""

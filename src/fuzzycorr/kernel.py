@@ -33,15 +33,15 @@ def kernel_masses(n, delta):
     delta = 0 is the point mass at offset zero (sharp readout): (0, 1).
     """
     # Below delta ~ 0.026 every weight but the centre one underflows to 0, and
-    # below ~1.5e-162 delta**2 itself does: either way the point mass, exactly.
-    if delta**2 == 0 or math.exp(-0.5 / delta**2) == 0:
+    # below ~1.5e-162 delta * delta itself does: either way the point mass, exactly.
+    if delta * delta == 0 or math.exp(-0.5 / (delta * delta)) == 0:
         return 0.0, 1.0
     half = math.ceil(TRUNCATION_SIGMAS * max(delta, 1.0))
     k = np.arange((half if delta < 1.0 else min(n, half)) + 1.0)
-    g = np.exp(-k**2 / (2.0 * delta**2))
+    g = np.exp(-k**2 / (2.0 * (delta * delta)))
     if delta < 1.0:
         Z = g[0] + 2.0 * g[1:].sum()
     else:
-        Z = math.sqrt(2 * math.pi) * delta * (1 + 2 * math.exp(-2 * math.pi**2 * delta**2))
+        Z = math.sqrt(2 * math.pi) * delta * (1 + 2 * math.exp(-2 * math.pi**2 * (delta * delta)))
     w_n = g[n] / Z if n <= half else 0.0
     return float(w_n), float((g[0] + 2.0 * g[1:n].sum()) / Z + w_n)

@@ -12,6 +12,7 @@ the probed parameter.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,27 +110,25 @@ def _bisect_margin(margin, lo, hi, tol, lo_error, hi_error):
     return root, cert_lo, cert_hi
 
 
-def _search(spec, corr_at, hi, tol, lo_error, hi_error):
-    """Root of optimum(spec, corr_at(x)) - bound over [0, hi], with its value and certificates.
+def _search(spec, n, corr_at, hi, tol, lo_error, coords):
+    """The TransitionPoint at the root of optimum(spec, corr_at(x)) - bound over [0, hi].
 
     V falls to 0 as x grows, and the optimum with it to its c0 term, so the
     doubling of hi ends; a witness that still violates at V = 0 raises
-    ``hi_error``.
+    NoTransitionAtHi.  Each x is probed once; ``coords(root)`` gives the
+    point's (delta^2, Delta^2, p).
     """
+    corr_at = functools.cache(corr_at)
 
     def margin(x):
         return optimum(spec, corr_at(x)) - spec.bound
 
-    corr = corr_at(hi)
-    while optimum(spec, corr) > spec.bound and corr.V > 0:
+    while margin(hi) > 0 and corr_at(hi).V > 0:
         hi *= 2.0
-        corr = corr_at(hi)
+    hi_error = NoTransitionAtHi(f"still violating at V = 0 for {spec.kind} m={spec.m}, n={n}")
     root, cert_lo, cert_hi = _bisect_margin(margin, 0.0, hi, tol, lo_error, hi_error)
-    return root, optimum(spec, corr_at(root)), cert_lo, cert_hi
-
-
-def _point(spec, n, value, cert_lo, cert_hi, **coords):
-    return TransitionPoint(**coords, witness=spec, n=n, achieved_value=value,
+    return TransitionPoint(*coords(root), witness=spec, n=n,
+                           achieved_value=optimum(spec, corr_at(root)),
                            margin_lo=cert_lo, margin_hi=cert_hi)
 
 
@@ -138,21 +137,14 @@ def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
 
     Raises NoViolationAtLo if the state is classical already at delta = 0.
     """
-    root, *rest = _search(
-        spec,
-        lambda delta_sq: Correlator(
-            state, CoarseningParams(delta=math.sqrt(delta_sq), Delta=Delta_fixed)
-        ),
-        4.0 * state.n**2,
-        tol,
-        NoViolationAtLo(
-            f"no violation at delta^2 = 0.0 for {spec.kind} m={spec.m}, "
-            f"n={state.n}, p={state.p}"
-        ),
-        NoTransitionAtHi(f"still violating at V = 0 for {spec.kind} m={spec.m}, n={state.n}"),
+    return _search(
+        spec, state.n,
+        lambda delta_sq: Correlator(state, CoarseningParams(math.sqrt(delta_sq), Delta_fixed)),
+        4.0 * state.n**2, tol,
+        NoViolationAtLo(f"no violation at delta^2 = 0.0 for {spec.kind} m={spec.m}, "
+                        f"n={state.n}, p={state.p}"),
+        lambda root: (root, Delta_fixed * Delta_fixed, state.p),
     )
-    return _point(spec, state.n, *rest,
-                  delta_sq=root, Delta_sq=Delta_fixed**2, p=state.p)
 
 
 def find_critical_Delta(spec, state, delta_fixed=0.0, tol=DEFAULT_TOL):
@@ -160,21 +152,14 @@ def find_critical_Delta(spec, state, delta_fixed=0.0, tol=DEFAULT_TOL):
 
     Raises NoTransitionAtHi when the c0 term alone exceeds the bound.
     """
-    root, *rest = _search(
-        spec,
-        lambda Delta_sq: Correlator(
-            state, CoarseningParams(delta=delta_fixed, Delta=math.sqrt(Delta_sq))
-        ),
-        1.0,
-        tol,
-        NoViolationAtLo(
-            f"no violation at Delta^2 = 0.0 for {spec.kind} m={spec.m}, "
-            f"n={state.n}, p={state.p}"
-        ),
-        NoTransitionAtHi(f"still violating at V = 0 for {spec.kind} m={spec.m}, n={state.n}"),
+    return _search(
+        spec, state.n,
+        lambda Delta_sq: Correlator(state, CoarseningParams(delta_fixed, math.sqrt(Delta_sq))),
+        1.0, tol,
+        NoViolationAtLo(f"no violation at Delta^2 = 0.0 for {spec.kind} m={spec.m}, "
+                        f"n={state.n}, p={state.p}"),
+        lambda root: (delta_fixed * delta_fixed, root, state.p),
     )
-    return _point(spec, state.n, *rest,
-                  delta_sq=delta_fixed**2, Delta_sq=root, p=state.p)
 
 
 def find_critical_visibility(spec, n, params=CoarseningParams(), tol=DEFAULT_TOL):
@@ -185,16 +170,13 @@ def find_critical_visibility(spec, n, params=CoarseningParams(), tol=DEFAULT_TOL
     # The margin is increasing in p, so bisect on q = 1 - p, which puts the
     # violating edge (p = 1) at the lower end of the bracket.  V = 0 at
     # q = 1, so the upper edge never grows.
-    root, *rest = _search(
-        spec,
+    return _search(
+        spec, n,
         lambda q: Correlator(StateSpec(n=n, p=1.0 - q), params),
-        1.0,
-        tol,
+        1.0, tol,
         NoViolationAtPureState(f"no violation at p = 1 for {spec.kind} m={spec.m}, n={n}"),
-        NoTransitionAtHi("still violating at p = 0"),
+        lambda root: (params.delta * params.delta, params.Delta * params.Delta, 1.0 - root),
     )
-    return _point(spec, n, *rest,
-                  delta_sq=params.delta**2, Delta_sq=params.Delta**2, p=1.0 - root)
 
 
 def trace_boundary(spec, state, Delta_sq_grid, tol=DEFAULT_TOL):

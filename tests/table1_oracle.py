@@ -13,7 +13,7 @@ expectation vanishes, so at Delta = 0
 The c0 term is angle-independent, so the m = 2 optima are the sharp-limit
 ones: CHSH 2 c0 + 2 sqrt(2) V (bound 2) and steering sqrt(2) (c0 + V)
 (bound 1).  w_n and a_n come from a direct sum over 10^4 kernel terms on
-each side.
+each side by :func:`gaussian_weights`, the suite's one naive kernel.
 """
 
 import math
@@ -31,14 +31,20 @@ OPTIMA = {
 }
 
 
-def kernel_masses(n, delta_sq):
-    """(w_n, a_n) of exp(-k^2 / 2 delta^2), normalized over |k| <= HALFWIDTH."""
+def gaussian_weights(delta_sq):
+    """(k, w): exp(-k^2 / 2 delta^2) normalized over |k| <= HALFWIDTH; a point mass at 0."""
     k = np.arange(-HALFWIDTH, HALFWIDTH + 1)
     if delta_sq == 0:
         w = np.where(k == 0, 1.0, 0.0)
     else:
         w = np.exp(-(k.astype(float) ** 2) / (2.0 * delta_sq))
         w /= w.sum()
+    return k, w
+
+
+def kernel_masses(n, delta_sq):
+    """(w_n, a_n) of exp(-k^2 / 2 delta^2), normalized over |k| <= HALFWIDTH."""
+    k, w = gaussian_weights(delta_sq)
     return float(w[k == n][0]), float(w[k < n].sum() - w[k > n].sum())
 
 

@@ -147,6 +147,14 @@ def test_bad_config_value_exits_2(tmp_path, capsys, command, values, field):
     assert err.startswith(f"error: {field}:"), err
 
 
+@pytest.mark.parametrize("flag,value", [("--witness", "chsh"), ("--format", "xml")])
+def test_bad_flag_value_exits_2(capsys, flag, value):
+    # the config check, not the argument parser, names the allowed values
+    assert main(["correlate", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag[2:]}:"), err
+
+
 def test_zero_transition_tol_flag_exits_2(capsys):
     assert main(["boundary", "--Delta-sq-grid", "0", "--transition-tol", "0"]) == 2
     assert "transition_tol" in capsys.readouterr().err
@@ -280,6 +288,17 @@ def test_profile_json_format(tmp_path):
     assert set(payload) == {"config", "rows"}
     assert payload["config"]["witness"] == "bell"
     assert set(payload["rows"][0]) == set(RESULT_FIELDS)
+
+
+def test_correlate_json_is_valid_json(tmp_path):
+    # correlator rows have no bound: JSON writes null where the CSV writes nan
+    def no_constants(name):
+        raise ValueError(f"{name} is not JSON")
+
+    out = tmp_path / "rows.json"
+    assert main(["correlate", "--format", "json", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(), parse_constant=no_constants)
+    assert payload["rows"] and all(row["bound"] is None for row in payload["rows"])
 
 
 # --------------------------------------------------------------- boundary

@@ -30,25 +30,20 @@ from fuzzycorr import (
 from kernel_oracle import make_discrete_kernel
 from operator_oracle import operator_oracle
 from paper_oracle import corr_reference_quadrature, corr_werner_full, q_func, r_func
+from table1_oracle import gaussian_weights
 
 
 # ------------------------------------------------------------- oracles
 
-def naive_weights(delta, halfwidth=10_000):
-    k = np.arange(-halfwidth, halfwidth + 1)
-    w = np.exp(-(k.astype(float) ** 2) / (2.0 * delta**2))
-    return k, w / w.sum()
-
-
 def naive_q(n, phi, delta):
-    k, w = naive_weights(delta)
+    k, w = gaussian_weights(delta**2)
     plus = np.where(n - k > 0, 1.0, -1.0)
     minus = np.where(-n - k > 0, 1.0, -1.0)
     return float(np.sum(w * (math.cos(phi) ** 2 * plus + math.sin(phi) ** 2 * minus)))
 
 
 def naive_r(n, phi, delta):
-    k, w = naive_weights(delta)
+    k, w = gaussian_weights(delta**2)
     plus = np.where(n - k > 0, 1.0, -1.0)
     minus = np.where(-n - k > 0, 1.0, -1.0)
     return math.sin(phi) * math.cos(phi) * float(np.sum(w * (plus - minus)))

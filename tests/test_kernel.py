@@ -17,17 +17,11 @@ from fuzzycorr import CoarseningParams, Correlator, StateSpec
 from fuzzycorr.kernel import kernel_masses
 from kernel_oracle import correlator_constants, make_discrete_kernel, zeta_mean
 from paper_oracle import reference_nodes
-
-
-def naive_kernel_weights(delta, halfwidth=10_000):
-    """Independent oracle: unnormalized Gaussian over a huge support."""
-    k = np.arange(-halfwidth, halfwidth + 1)
-    w = np.exp(-(k.astype(float) ** 2) / (2.0 * delta**2))
-    return k, w / w.sum()
+from table1_oracle import gaussian_weights
 
 
 def naive_zeta_mean(n, delta):
-    k, w = naive_kernel_weights(delta)
+    k, w = gaussian_weights(delta**2)
     return float(np.sum(w * np.where(n - k > 0, 1.0, -1.0)))
 
 
@@ -142,7 +136,7 @@ def test_distinguishability_monotone_in_n():
 # --------------------------------------------------------- kernel_masses
 
 def test_kernel_masses_against_direct_summation():
-    k, w = naive_kernel_weights(3.0)
+    k, w = gaussian_weights(3.0**2)
     for n in (1, 2, 7, 30):
         w_n, a_n = kernel_masses(n, 3.0)
         assert w_n == pytest.approx(w[k == n][0], abs=1e-15)

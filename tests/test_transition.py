@@ -1,12 +1,17 @@
 """Transition-search tests: critical coarsenings, critical visibility, boundary curves."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import fuzzycorr.transition
 from fuzzycorr import (
     CoarseningParams,
+    Correlator,
     NoTransitionAtHi,
     NoViolationAtLo,
     NoViolationAtPureState,
@@ -16,10 +21,11 @@ from fuzzycorr import (
     find_critical_Delta,
     find_critical_delta,
     find_critical_visibility,
+    optimum,
     steering_spec,
     trace_boundary,
 )
-from fuzzycorr.transition import _bisect_margin
+from fuzzycorr.transition import DEFAULT_TOL, _bisect_margin
 
 PURE5 = StateSpec(n=5, p=1.0)
 
@@ -74,9 +80,10 @@ def test_steering_Delta_bracket_grows_past_one(m):
     assert pt.Delta_sq == pytest.approx(math.log(m) / 8.0, abs=1e-8)
 
 
-# Regimes where V vanishes (p = 0, or exp(-4 Delta^2) underflows at Delta = 30)
-# or where the kernel is 1e150 labels wide: each search ends in its named
-# failure, never in a ValueError or a hang.
+# Regimes where V vanishes (p = 0, or exp(-4 Delta^2) underflows at Delta = 30),
+# where the kernel is 1e150 labels wide, or where delta^2 or Delta^2 overflows
+# to inf (delta or Delta = 1e155): each search ends in its named failure, never
+# in a ValueError, an OverflowError or a hang.
 @pytest.mark.parametrize(
     "search, error",
     [
@@ -88,13 +95,47 @@ def test_steering_Delta_bracket_grows_past_one(m):
         (lambda: find_critical_Delta(bell_spec(2), PURE5, delta_fixed=1e150), NoViolationAtLo),
         (lambda: find_critical_visibility(bell_spec(2), n=5, params=CoarseningParams(delta=1e150)),
          NoViolationAtPureState),
+        (lambda: find_critical_Delta(bell_spec(2), PURE5, delta_fixed=1e155), NoViolationAtLo),
+        (lambda: find_critical_visibility(bell_spec(2), n=5, params=CoarseningParams(delta=1e155)),
+         NoViolationAtPureState),
+        (lambda: find_critical_delta(bell_spec(2), PURE5, Delta_fixed=1e155), NoViolationAtLo),
+        (lambda: find_critical_visibility(bell_spec(2), n=5, params=CoarseningParams(Delta=1e155)),
+         NoViolationAtPureState),
     ],
     ids=["delta_sq-p0", "Delta_sq-p0", "delta_sq-Delta30", "p-Delta30",
-         "Delta_sq-delta1e150", "p-delta1e150"],
+         "Delta_sq-delta1e150", "p-delta1e150", "Delta_sq-delta1e155", "p-delta1e155",
+         "delta_sq-Delta1e155", "p-Delta1e155"],
 )
 def test_extreme_regimes_fail_cleanly(search, error):
     with pytest.raises(error):
         search()
+
+
+def test_correlator_where_the_squares_overflow():
+    # delta^2 and Delta^2 are inf: the kernel is flat over its central terms
+    # and exp(-4 Delta^2) is 0, without an OverflowError or a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        corr = Correlator(StateSpec(5), CoarseningParams(1e300, 1e300))
+    assert corr.c0 == 0.0 and corr.V == 0.0
+
+
+@pytest.mark.parametrize("search", [
+    lambda: find_critical_delta(bell_spec(2), StateSpec(5, 0.85)),
+    lambda: find_critical_Delta(bell_spec(2), StateSpec(5, 0.85)),
+    lambda: find_critical_visibility(steering_spec(3), 5),
+], ids=["delta_sq", "Delta_sq", "p"])
+def test_each_point_is_probed_once(monkeypatch, search):
+    # the growth check, the bracket edges and the certificates share probes
+    probes = []
+
+    def counted(state, params):
+        probes.append((state, params))
+        return Correlator(state, params)
+
+    monkeypatch.setattr(fuzzycorr.transition, "Correlator", counted)
+    search()
+    assert len(probes) == len(set(probes))
 
 
 def test_bracket_certificate():
@@ -242,3 +283,84 @@ def test_no_violation_at_pure_state_names_n():
     params = CoarseningParams(delta=math.sqrt(30.0))
     with pytest.raises(NoViolationAtPureState, match="n=7"):
         find_critical_visibility(bell_spec(2), n=7, params=params)
+
+
+# ------------------------------------------------------- property tests
+# The optimized witness k c0 + K V falls as Delta^2 grows and rises with p,
+# since V = p a_n^2 exp(-4 Delta^2) and c0 = w_n^2 does not depend on them.
+# In delta^2 the two terms pull apart: a_n falls, but w_n rises up to
+# delta ~ n, so the optimum falls only where V carries enough weight,
+# p exp(-4 Delta^2) >= 0.174 over n <= 50, m <= 64 (a scan; the worst case
+# is n = 1).  Each search still brackets one root.  Rounding wiggles are
+# about 1e-15 relative.
+
+MONOTONE_RTOL = 1e-12
+V_WEIGHT_MIN = 0.2
+_spec = st.builds(lambda make, m: make(m), st.sampled_from([bell_spec, steering_spec]),
+                  st.integers(2, 64))
+_unit_pair = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted)
+
+
+def _optimum(spec, n, p, delta, Delta):
+    return optimum(spec, Correlator(StateSpec(n, p), CoarseningParams(delta, Delta)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spec=_spec, n=st.integers(1, 50), p=st.floats(0.0, 1.0), Delta=st.floats(0.0, 1.0),
+       u=_unit_pair)
+def test_optimum_non_increasing_in_delta_sq(spec, n, p, Delta, u):
+    assume(p * math.exp(-4.0 * Delta * Delta) >= V_WEIGHT_MIN)
+    near, far = (_optimum(spec, n, p, 5.0 * n * t, Delta) for t in u)
+    assert far <= near * (1.0 + MONOTONE_RTOL)
+
+
+def test_optimum_rises_in_delta_sq_without_V():
+    # at p = 0 the optimum is the c0 term alone: 0 at delta = 0, then m w_n^2
+    values = [_optimum(bell_spec(2), 5, 0.0, delta, 0.0) for delta in (0.0, 2.5, 5.0)]
+    assert values[0] == 0.0 < values[1] < values[2]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spec=_spec, n=st.integers(1, 50), p=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0),
+       Delta=_unit_pair)
+def test_optimum_non_increasing_in_Delta_sq(spec, n, p, t, Delta):
+    near, far = (_optimum(spec, n, p, 5.0 * n * t, D) for D in Delta)
+    assert far <= near * (1.0 + MONOTONE_RTOL)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spec=_spec, n=st.integers(1, 50), t=st.floats(0.0, 1.0), Delta=st.floats(0.0, 1.0),
+       p=_unit_pair)
+def test_optimum_non_decreasing_in_p(spec, n, t, Delta, p):
+    low, high = (_optimum(spec, n, q, 5.0 * n * t, Delta) for q in p)
+    assert low <= high * (1.0 + MONOTONE_RTOL)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(spec=_spec, n=st.integers(1, 50), p=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0),
+       Delta=st.floats(0.0, 1.0), axis=st.sampled_from(["delta_sq", "Delta_sq", "p"]),
+       samples=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8))
+def test_bracket_holds_one_root(spec, n, p, t, Delta, axis, samples):
+    # the margin is positive below root - tol and not positive above
+    # root + tol, at points from tol to the starting edge away from the
+    # root, log-spaced; about one draw in five has a transition to check
+    delta = 5.0 * n * t
+    if axis == "delta_sq":
+        edge, search = 4.0 * n * n, lambda: find_critical_delta(spec, StateSpec(n, p), Delta)
+        margin = lambda x: _optimum(spec, n, p, math.sqrt(x), Delta) - spec.bound
+    elif axis == "Delta_sq":
+        edge, search = 1.0, lambda: find_critical_Delta(spec, StateSpec(n, p), delta)
+        margin = lambda x: _optimum(spec, n, p, delta, math.sqrt(x)) - spec.bound
+    else:
+        edge = 1.0
+        search = lambda: find_critical_visibility(spec, n, CoarseningParams(delta, Delta))
+        margin = lambda q: _optimum(spec, n, 1.0 - q, delta, Delta) - spec.bound
+    try:
+        pt = search()
+    except TransitionError:
+        return
+    root = {"delta_sq": pt.delta_sq, "Delta_sq": pt.Delta_sq, "p": 1.0 - pt.p}[axis]
+    for u in samples:
+        x = root + math.copysign(DEFAULT_TOL * (edge / DEFAULT_TOL) ** abs(u), u)
+        if 0.0 <= x <= edge:
+            assert margin(x) > 0.0 if x < root else margin(x) <= 0.0, (x, root)
