@@ -114,18 +114,21 @@ def _search(spec, n, corr_at, hi, tol, lo_error, coords):
     """The TransitionPoint at the root of optimum(spec, corr_at(x)) - bound over [0, hi].
 
     V falls to 0 as x grows, and the optimum with it to its c0 term, so the
-    doubling of hi ends; a witness that still violates at V = 0 raises
-    NoTransitionAtHi.  Each x is probed once; ``coords(root)`` gives the
-    point's (delta^2, Delta^2, p).
+    doubling of hi ends; a witness that still violates at V = 0, or at an
+    hi that has left float range, raises NoTransitionAtHi.  Each x is probed
+    once; ``coords(root)`` gives the point's (delta^2, Delta^2, p).
     """
     corr_at = functools.cache(corr_at)
 
     def margin(x):
         return optimum(spec, corr_at(x)) - spec.bound
 
-    while margin(hi) > 0 and corr_at(hi).V > 0:
+    while hi < math.inf and margin(hi) > 0 and corr_at(hi).V > 0:
         hi *= 2.0
-    hi_error = NoTransitionAtHi(f"still violating at V = 0 for {spec.kind} m={spec.m}, n={n}")
+    where = "V = 0" if hi < math.inf else "the largest float edge"
+    hi_error = NoTransitionAtHi(f"still violating at {where} for {spec.kind} m={spec.m}, n={n}")
+    if hi == math.inf:
+        raise hi_error
     root, cert_lo, cert_hi = _bisect_margin(margin, 0.0, hi, tol, lo_error, hi_error)
     return TransitionPoint(*coords(root), witness=spec, n=n,
                            achieved_value=optimum(spec, corr_at(root)),
@@ -137,10 +140,14 @@ def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
 
     Raises NoViolationAtLo if the state is classical already at delta = 0.
     """
+    try:
+        hi = 4.0 * state.n**2
+    except OverflowError:  # 4 n^2 lies beyond float range
+        hi = math.inf
     return _search(
         spec, state.n,
         lambda delta_sq: Correlator(state, CoarseningParams(math.sqrt(delta_sq), Delta_fixed)),
-        4.0 * state.n**2, tol,
+        hi, tol,
         NoViolationAtLo(f"no violation at delta^2 = 0.0 for {spec.kind} m={spec.m}, "
                         f"n={state.n}, p={state.p}"),
         lambda root: (root, Delta_fixed * Delta_fixed, state.p),

@@ -223,6 +223,28 @@ def test_profile_kernel_wider_than_memory(tmp_path, capsys):
         assert float(row["witness_value"]) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
+def test_profile_of_a_wide_kernel_at_large_n(tmp_path, capsys):
+    # n = delta = 10^9: the masses take O(1) memory; c0 ~ 1e-20 and
+    # a_n = erf(1 / sqrt 2) to O(1 / delta^2)
+    out = tmp_path / "macro.csv"
+    assert main(["profile", "--n", "1000000000", "--delta-sq-grid", "1e18", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(out)
+    expected = 2.0 * math.sqrt(2.0) * math.erf(math.sqrt(0.5)) ** 2
+    assert float(rows[0]["witness_value"]) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_profile_at_an_n_beyond_float_range(tmp_path, capsys):
+    # every kernel is narrower than n = 10^400: w_n = 0 and a_n = 1, the sharp value
+    out = tmp_path / "huge.csv"
+    assert main(["profile", "--n", str(10**400), "--delta-sq-grid", "0,1,400,1e300",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(out)
+    values = [float(row["witness_value"]) for row in rows]
+    assert values == pytest.approx([2.0 * math.sqrt(2.0)] * 4, rel=1e-13)
+
+
 def test_profile_curve_crosses_bound(tmp_path):
     out = tmp_path / "curve.csv"
     code = main([
@@ -326,6 +348,14 @@ def test_boundary_no_transition_exits_3(capsys):
     ])
     assert code == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_boundary_at_an_n_beyond_float_range_exits_3(capsys):
+    # 4 n^2 overflows a float: the delta^2 search has no edge, a named failure
+    code = main(["boundary", "--n", str(10**400), "--Delta-sq-grid", "0,0.1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: still violating") and err.count("\n") == 1, err
 
 
 # ----------------------------------------------------------------- table1

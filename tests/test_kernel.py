@@ -6,6 +6,7 @@ two-sided oracle kernel (``kernel_oracle``) and constants computed once at
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fuzzycorr import CoarseningParams, Correlator, StateSpec
-from fuzzycorr.kernel import kernel_masses
+from fuzzycorr.kernel import EULER_MACLAURIN_DELTA, TRUNCATION_SIGMAS, kernel_masses
 from kernel_oracle import correlator_constants, make_discrete_kernel, zeta_mean
 from paper_oracle import reference_nodes
 from table1_oracle import gaussian_weights
@@ -150,6 +151,57 @@ def test_kernel_masses_of_a_very_wide_kernel():
     w_n, a_n = kernel_masses(5, 1e150)
     assert w_n == pytest.approx(u, rel=1e-14, abs=0)
     assert a_n == pytest.approx(10.0 * u, rel=1e-14, abs=0)
+
+
+# Both sides of the switch from the explicit sum to the Euler-Maclaurin
+# form, and a grid of widths around each n.
+_EDGE_DELTAS = (math.nextafter(EULER_MACLAURIN_DELTA, 0.0), EULER_MACLAURIN_DELTA)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 50, 500, 5000])
+def test_kernel_masses_across_the_sum_edge(n):
+    for delta in (*_EDGE_DELTAS, *(n * np.geomspace(0.05, 5.0, 41))):
+        w_n, a_n = kernel_masses(n, delta)
+        c0, V = correlator_constants(n, 1.0, delta, 0.0)
+        assert abs(w_n * w_n - c0) <= 1e-12
+        assert abs(a_n * a_n - V) <= 1e-12
+
+
+@pytest.mark.parametrize("delta", _EDGE_DELTAS)
+def test_kernel_masses_past_the_support(delta):
+    # K = 96 on both sides of the edge: past it w_n = 0 and a_n is 1 to the tail mass
+    half = math.ceil(TRUNCATION_SIGMAS * delta)
+    for n in (half, half + 1, 10 * half):
+        w_n, a_n = kernel_masses(n, delta)
+        c0, V = correlator_constants(n, 1.0, delta, 0.0)
+        assert (w_n == 0.0) == (n > half)
+        assert abs(w_n * w_n - c0) <= 1e-12
+        assert abs(a_n * a_n - V) <= 1e-12
+
+
+@pytest.mark.parametrize("delta", [0.5, 3.0, 20.0, 1e300])
+def test_kernel_masses_of_an_integer_beyond_float_range(delta):
+    # n = 10^400 lies past K at any finite delta, and is never made a float
+    assert kernel_masses(10**400, delta) == (0.0, pytest.approx(1.0, abs=1e-14))
+
+
+def test_kernel_masses_where_eight_delta_overflows():
+    # K = ceil(8 delta) has no float above delta ~ 2.2e307, and Z = sqrt(2 pi) delta
+    # none above ~7.2e307: w_n is 0 and a_n = 2n / (sqrt(2 pi) delta), no OverflowError
+    delta = 1e308
+    w_n, a_n = kernel_masses(5, delta)
+    assert w_n == 0.0
+    assert a_n == pytest.approx(10.0 / math.sqrt(2.0 * math.pi) / delta, rel=1e-13)
+
+
+def test_kernel_masses_memory_does_not_grow_with_n():
+    tracemalloc.start()
+    try:
+        kernel_masses(10**7, 1e7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @st.composite

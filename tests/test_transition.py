@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import erfinv
 
 import fuzzycorr.transition
 from fuzzycorr import (
@@ -109,6 +110,16 @@ def test_steering_Delta_bracket_grows_past_one(m):
 def test_extreme_regimes_fail_cleanly(search, error):
     with pytest.raises(error):
         search()
+
+
+@pytest.mark.parametrize("spec, n", [(bell_spec(2), 10**400), (steering_spec(10**5), 5 * 10**153)],
+                         ids=["start", "doubling"])
+def test_delta_search_where_the_edge_overflows(spec, n):
+    # 4 n^2 = 4e800 has no float, so there is no delta^2 edge to search from;
+    # at n = 5e153, 4 n^2 = 1e308 and steering m = 10^5 still violates there
+    # (delta_c^2 ~ 200 n^2), so the doubling leaves float range
+    with pytest.raises(NoTransitionAtHi, match="largest float edge"):
+        find_critical_delta(spec, StateSpec(n))
 
 
 def test_correlator_where_the_squares_overflow():
@@ -229,6 +240,26 @@ def test_bell_odd_even_trend_to_m64():
     even = [delta_c_sq(m) for m in range(2, 65, 2)]
     assert all(hi > lo for lo, hi in zip(odd, odd[1:]))
     assert all(hi < lo for lo, hi in zip(even, even[1:]))
+
+
+@pytest.mark.parametrize("spec", [steering_spec(2), bell_spec(2), bell_spec(3)],
+                         ids=["steering2", "bell2", "bell3"])
+def test_macroscopic_limit_at_the_inverse_square_rate(spec):
+    # c0 -> 0 and a_n -> erf(n / sqrt(2) delta), so delta_c^2 / n^2 -> x*^2
+    # with erf(1 / sqrt(2) x*)^2 = bound / B*_m; the offset delta_c^2 - x*^2 n^2
+    # settles by n = 50, i.e. delta_c^2 / n^2 reaches x*^2 at the 1/n^2 rate
+    m = spec.m
+    b_star = m / math.sin(math.pi / (2 * m)) if spec.kind == "bell" else math.sqrt(m)
+    x_sq = 1.0 / (2.0 * erfinv(math.sqrt(spec.bound / b_star)) ** 2)
+    if m == 2:
+        assert x_sq == pytest.approx(0.5043562740, abs=1e-10)
+
+    def offset(n):
+        return find_critical_delta(spec, StateSpec(n)).delta_sq - x_sq * n * n
+
+    settled = offset(50)
+    for n in (500, 5000, 10**5, 10**6):
+        assert offset(n) == pytest.approx(settled, abs=5e-3)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
