@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .correlation import CoarseningParams, Correlator, StateSpec
 from .witness import WitnessSpec, optimal_angles, optimum
@@ -104,9 +104,10 @@ def _bisect_margin(margin, lo, hi, tol, lo_error, hi_error):
     cert_lo = margin(max(root - tol, lo))
     cert_hi = margin(min(root + tol, hi))
     if not cert_lo > 0 >= cert_hi:
-        raise TransitionError(
-            f"uncertified bracket at {root}: margin {cert_lo} at -tol, {cert_hi} at +tol"
-        )
+        message = f"uncertified bracket at {root}: margin {cert_lo} at -tol, {cert_hi} at +tol"
+        if b - a > tol:  # the bisection stopped on adjacent floats
+            message += f"; the float spacing {b - a} there exceeds tol = {tol}"
+        raise TransitionError(message)
     return root, cert_lo, cert_hi
 
 
@@ -200,5 +201,5 @@ def trace_boundary(spec, state, Delta_sq_grid, tol=DEFAULT_TOL):
             pt = find_critical_delta(spec, state, Delta_fixed=math.sqrt(Delta_sq), tol=tol)
         except NoViolationAtLo:
             break
-        points.append(pt)
+        points.append(replace(pt, Delta_sq=Delta_sq))  # the grid value, not sqrt(Delta_sq)^2
     return tuple(points)

@@ -55,18 +55,18 @@ def _sharp_chsh_max():
 
 
 def _chsh_max(corr):
+    """Each unordered Alice pair once: with S = M[a1] + M[a2] and D = M[a1] - M[a2],
+    (a1, a2) scores max S + max D and (a2, a1) scores max S - min D, since IEEE
+    addition commutes and a2 - a1 = -(a1 - a2) exactly."""
     _, M = _grid_matrix(corr)  # M[a, b]
     size = len(M)
     buf = np.empty((CHUNK, size, size))
-    plus = np.empty((CHUNK, size))
-    minus = np.empty((CHUNK, size))
     best = -np.inf
     for start in range(0, size, CHUNK):
-        block = M[start : start + CHUNK, None, :]  # a1 rows
-        rows = len(block)
-        np.add(block, M[None, :, :], out=buf[:rows])
-        buf[:rows].max(axis=2, out=plus[:rows])
-        np.subtract(block, M[None, :, :], out=buf[:rows])
-        buf[:rows].max(axis=2, out=minus[:rows])
-        best = max(best, float((plus[:rows] + minus[:rows]).max()))
+        block = M[start : start + CHUNK, None, :]  # a1 rows, paired with a2 >= start
+        pairs = buf[: len(block), : size - start]
+        plus = np.add(block, M[None, start:, :], out=pairs).max(axis=2)
+        np.subtract(block, M[None, start:, :], out=pairs)
+        best = max(best, float((plus + pairs.max(axis=2)).max()),
+                   float((plus - pairs.min(axis=2)).max()))
     return best

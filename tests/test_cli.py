@@ -20,7 +20,7 @@ from fuzzycorr import (
     find_critical_delta,
     steering_spec,
 )
-from fuzzycorr.cli import RESULT_FIELDS, ConfigError, main, parse_grid
+from fuzzycorr.cli import COMMANDS, RESULT_FIELDS, ConfigError, format_number, main, parse_grid
 from kernel_oracle import correlator_constants
 
 
@@ -158,6 +158,44 @@ def test_bad_flag_value_exits_2(capsys, flag, value):
 def test_zero_transition_tol_flag_exits_2(capsys):
     assert main(["boundary", "--Delta-sq-grid", "0", "--transition-tol", "0"]) == 2
     assert "transition_tol" in capsys.readouterr().err
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name, func in COMMANDS.items():
+        assert f"{name:<10} {func.__doc__.splitlines()[0]}" in out
+    assert list(COMMANDS) == ["correlate", "profile", "boundary", "table1"]
+
+
+@pytest.mark.parametrize("argv", [["no_such_command"], []])
+def test_unknown_or_missing_command_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "command" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["profile", "--m", str(10**24), "--delta-sq-grid", "0"], "m"),
+    (["boundary", "--m", str(10**24), "--Delta-sq-grid", "0"], "m"),
+    (["profile", "--m", str(10**6 + 1), "--delta-sq-grid", "0"], "m"),
+    (["profile", "--delta-sq-grid", "0:1e300:1e-300"], "grid"),
+    (["profile", "--delta-sq-grid", "0:1e8:1"], "grid"),
+])
+def test_oversized_input_exits_2(capsys, argv, key):
+    # each is refused before anything is allocated: no traceback, no MemoryError
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}:") and err.count("\n") == 1, err
+
+
+def test_grid_at_the_point_limit():
+    assert len(parse_grid("0:999999:1")) == 10**6
+    with pytest.raises(ConfigError, match="more than 1000000 points"):
+        parse_grid("0:1000000:1")
 
 
 def test_cli_import_loads_no_scipy():
@@ -338,6 +376,17 @@ def test_boundary_single_point(tmp_path):
     assert float(rows[0]["delta_sq"]) == pytest.approx(direct.delta_sq, abs=1e-2)
     plot = (tmp_path / "boundary.csv.plot.csv").read_text().splitlines()
     assert plot[0] == "Delta_sq,delta_sq"
+
+
+def test_boundary_rows_carry_the_grid_values(tmp_path):
+    out = tmp_path / "boundary.csv"
+    text = "0:0.2:0.02"
+    assert main(["boundary", "--Delta-sq-grid", text, "--out", str(out)]) == 0
+    config, rows = read_csv(out)
+    cells = [row["Delta_sq"] for row in rows]
+    assert len(cells) >= 3
+    assert cells == [format_number(v) for v in parse_grid(text)[: len(cells)]]
+    assert cells == [format_number(v) for v in config["Delta_sq_grid"][: len(cells)]]
 
 
 def test_boundary_no_transition_exits_3(capsys):

@@ -201,6 +201,13 @@ def test_trace_boundary_shape_and_truncation():
     np.testing.assert_allclose([pt.Delta_sq for pt in points], grid[:3])
 
 
+def test_trace_boundary_points_carry_their_grid_values():
+    # sqrt(0.04)^2 is 0.04000000000000001: each point reports the grid value itself
+    grid = [0.0, 0.02, 0.04, 0.06, 0.08]
+    points = trace_boundary(bell_spec(2), PURE5, grid)
+    assert [pt.Delta_sq for pt in points] == grid
+
+
 def test_trace_boundary_rejects_unsorted_grid():
     with pytest.raises(ValueError):
         trace_boundary(bell_spec(2), PURE5, [0.02, 0.0])
@@ -281,6 +288,15 @@ def test_bisect_tolerance_below_float_spacing_ends():
     with pytest.raises(TransitionError, match="uncertified"):
         _bisect_margin(lambda x: 8.0 - x, 0.0, 100.0, 1e-20,
                        NoViolationAtLo(), NoTransitionAtHi())
+
+
+def test_delta_search_past_float_resolution_names_the_spacing():
+    # delta_c^2 ~ 5e13 at n = 10^7: adjacent floats there are 0.0078 apart,
+    # wider than the default tol, and the message says so
+    with pytest.raises(TransitionError, match="uncertified.*float spacing"):
+        find_critical_delta(steering_spec(2), StateSpec(10**7))
+    pt = find_critical_delta(steering_spec(2), StateSpec(10**7), tol=1.0)
+    assert pt.margin_lo > 0 >= pt.margin_hi
 
 
 def test_bisect_checks_certificates():
