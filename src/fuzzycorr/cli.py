@@ -45,7 +45,7 @@ TABLE1_REFERENCE = {
     0.75: (4.81042, 0.0147, 6.137, 0.0147),
 }
 
-# Largest settings count m and largest a:b:step grid: at m = 10^6 a profile
+# Largest settings count m and largest grid: at m = 10^6 a profile
 # row takes about 1.7 s and writes 38 MB, and a 10^5-point grid about 1.4 s.
 MAX_COUNT = 10**6
 
@@ -109,6 +109,8 @@ class ExperimentConfig:
             raise ConfigError("transition_tol: must be positive")
         for name in ("delta_sq_grid", "Delta_sq_grid"):
             grid = _reals(name, getattr(self, name))
+            if len(grid) > MAX_COUNT:
+                raise ConfigError(f"{name}: has more than {MAX_COUNT} points")
             if any(b < a for a, b in zip(grid, grid[1:])):
                 raise ConfigError(f"{name}: values must be sorted ascending")
         _reals("p_list", self.p_list, hi=1.0)

@@ -19,8 +19,6 @@ import math
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
 from .kernel import kernel_masses
 
 __all__ = ["StateSpec", "CoarseningParams", "Correlator"]
@@ -80,11 +78,5 @@ class Correlator:
         self.c0 = w_n**2
         self.V = state.p * a_n**2 * math.exp(-4.0 * (params.Delta * params.Delta))
 
-    def matrix(self, alice, bob):
-        """All pairwise correlations: entry [i, j] = corr(alice[i], bob[j])."""
-        alice = np.asarray(alice, dtype=float)
-        bob = np.asarray(bob, dtype=float)
-        return self.c0 - self.V * np.cos(2.0 * (alice[:, None] + bob[None, :]))
-
     def __call__(self, theta_i, theta_j):
-        return float(self.matrix([theta_i], [theta_j])[0, 0])
+        return self.c0 - self.V * math.cos(2.0 * (theta_i + theta_j))

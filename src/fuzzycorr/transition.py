@@ -33,6 +33,10 @@ __all__ = [
 
 DEFAULT_TOL = 1e-3
 
+# Relative floor of the bracket width: at least 16 float spacings, so a
+# bracket near x always holds a float strictly inside it, however large x is.
+RELATIVE_RESOLUTION = 2.0**-48
+
 
 class TransitionError(RuntimeError):
     """Base class for transition-search failures."""
@@ -55,8 +59,8 @@ class TransitionPoint:
     """A (delta^2, Delta^2, p) triple on the quantum-to-classical boundary.
 
     ``margin_lo`` / ``margin_hi`` certify the final bracket: the optimized
-    margin is positive at (parameter - tol) and not positive at
-    (parameter + tol), both clamped to the search bracket.
+    margin is positive at (parameter - w) and not positive at (parameter + w),
+    both clamped to the search bracket, where w = max(tol, ~2^-48 parameter).
     """
 
     delta_sq: float
@@ -81,9 +85,11 @@ class TransitionPoint:
 def _bisect_margin(margin, lo, hi, tol, lo_error, hi_error):
     """Bisection on a scalar parameter given margin(lo) > 0 >= margin(hi).
 
-    Returns (root, margin at root - tol, margin at root + tol), the two
-    certificate probes clamped to [lo, hi].  Raises TransitionError when the
-    certificates do not bracket a sign change (a non-monotone margin).
+    Halves [a, b] while b - a > w = max(tol, RELATIVE_RESOLUTION * b), so a
+    tol below the float spacing is raised to that floor.  Returns (root,
+    margin at root - w, margin at root + w), the two certificate probes
+    clamped to [lo, hi].  Raises TransitionError when the certificates do
+    not bracket a sign change (a non-monotone margin).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
@@ -92,22 +98,18 @@ def _bisect_margin(margin, lo, hi, tol, lo_error, hi_error):
     if margin(hi) > 0:
         raise hi_error
     a, b = lo, hi
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if not a < mid < b:  # a and b are adjacent floats: tol is below their spacing
-            break
+    while b - a > (width := max(tol, RELATIVE_RESOLUTION * b)):
+        mid = 0.5 * a + 0.5 * b  # equals 0.5 * (a + b) in floats, but cannot overflow
         if margin(mid) > 0:
             a = mid
         else:
             b = mid
-    root = 0.5 * (a + b)
-    cert_lo = margin(max(root - tol, lo))
-    cert_hi = margin(min(root + tol, hi))
+    root = 0.5 * a + 0.5 * b
+    cert_lo = margin(max(root - width, lo))
+    cert_hi = margin(min(root + width, hi))
     if not cert_lo > 0 >= cert_hi:
-        message = f"uncertified bracket at {root}: margin {cert_lo} at -tol, {cert_hi} at +tol"
-        if b - a > tol:  # the bisection stopped on adjacent floats
-            message += f"; the float spacing {b - a} there exceeds tol = {tol}"
-        raise TransitionError(message)
+        raise TransitionError(f"uncertified bracket at {root}: margin {cert_lo} at "
+                              f"-{width}, {cert_hi} at +{width}")
     return root, cert_lo, cert_hi
 
 

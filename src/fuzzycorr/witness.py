@@ -14,11 +14,11 @@ m c0 + V m / sin(pi / 2m) for Bell and sqrt(m) (c0 + V) for steering.
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "WitnessSpec",
@@ -55,23 +55,16 @@ class WitnessSpec:
 
 @dataclass(frozen=True)
 class AngleAssignment:
-    """One measurement angle per setting per party, reduced to [0, pi)."""
+    """One angle per setting per party, from any real sequence, as floats reduced to [0, pi)."""
 
-    alice: np.ndarray
-    bob: np.ndarray
+    alice: tuple
+    bob: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "alice", np.asarray(self.alice, dtype=float) % math.pi)
-        object.__setattr__(self, "bob", np.asarray(self.bob, dtype=float) % math.pi)
+        object.__setattr__(self, "alice", tuple(float(a) % math.pi for a in self.alice))
+        object.__setattr__(self, "bob", tuple(float(b) % math.pi for b in self.bob))
         if len(self.alice) != len(self.bob):
             raise ValueError("alice and bob must have the same number of settings")
-
-
-def bell_coefficients(m):
-    """Sign matrix of the symmetric Bell family: +1 iff i + j <= m + 1 (1-based)."""
-    i = np.arange(1, m + 1)[:, None]
-    j = np.arange(1, m + 1)[None, :]
-    return np.where(i + j <= m + 1, 1.0, -1.0)
 
 
 def bell_spec(m):
@@ -85,19 +78,26 @@ def steering_spec(m):
 
 
 def evaluate(spec, angles, corr):
-    """Witness value for the given angles under the given correlator.
+    """Witness value for the given angles under the correlator c0 - V cos 2(a + b).
 
-    ``corr.matrix(alice, bob)`` supplies every pairwise correlation.
-    Bell: sum_ij c[i,j] corr(alice[i], bob[j]).
-    Steering: (1/sqrt(m)) |sum_i corr(alice[i], bob[i])| (non-negative), the
-    trace of the same pair matrix.
+    Reads ``corr.c0`` and ``corr.V`` only, in O(m).  Bell:
+    sum_ij c[i,j] E(a_i, b_j).  The signs c[i,j] sum to m and are +1
+    exactly where i + j <= m + 1, so with x_i = e^{2i a_i}, y_j = e^{2i b_j}
+    and P_k = y_1 + ... + y_k the sum is
+    m c0 - V Re[2 sum_i x_i P_{m+1-i} - (sum x)(sum y)].
+    Steering: (1/sqrt(m)) |sum_i E(a_i, b_i)| (non-negative).
     """
-    if len(angles.alice) != spec.m:
-        raise ValueError(f"expected {spec.m} settings per party, got {len(angles.alice)}")
-    pairs = corr.matrix(angles.alice, angles.bob)
+    m = spec.m
+    if len(angles.alice) != m:
+        raise ValueError(f"expected {m} settings per party, got {len(angles.alice)}")
+    c0, V = corr.c0, corr.V
     if spec.kind == BELL:
-        return float(np.sum(bell_coefficients(spec.m) * pairs))
-    return abs(float(np.trace(pairs))) / math.sqrt(spec.m)
+        x = [cmath.rect(1.0, 2.0 * a) for a in angles.alice]
+        prefix = list(itertools.accumulate(cmath.rect(1.0, 2.0 * b) for b in angles.bob))
+        paired = sum(x_i * p for x_i, p in zip(x, reversed(prefix)))  # sum_i x_i P_{m+1-i}
+        return m * c0 - V * (2.0 * paired - sum(x) * prefix[-1]).real
+    trace = sum(c0 - V * math.cos(2.0 * (a + b)) for a, b in zip(angles.alice, angles.bob))
+    return abs(trace) / math.sqrt(m)
 
 
 def optimal_angles(spec):
@@ -109,11 +109,11 @@ def optimal_angles(spec):
     pair has cos 2(a_i + b_i) = -1.
     """
     m = spec.m
-    alice = np.arange(m) * math.pi / (2 * m)
+    alice = [i * math.pi / (2 * m) for i in range(m)]
     if spec.kind == STEERING:
-        bob = math.pi / 2 - alice
+        bob = [math.pi / 2 - a for a in alice]
     else:
-        bob = math.pi / 2 + (np.arange(1, m + 1) - (m + 1) / 2) * math.pi / (2 * m)
+        bob = [math.pi / 2 + (j - (m + 1) / 2) * math.pi / (2 * m) for j in range(1, m + 1)]
     return AngleAssignment(alice=alice, bob=bob)
 
 

@@ -15,6 +15,8 @@ import functools
 
 import numpy as np
 
+from matrix_oracle import pair_matrix
+
 RESOLUTION = np.pi / 720
 # Alice rows per CHSH block: one 4 x 720 x 720 buffer (16 MB) serves both brackets.
 CHUNK = 4
@@ -29,7 +31,7 @@ def _grid_matrix(corr):
     grid = np.arange(0.0, np.pi, RESOLUTION)
     if corr is None:
         return grid, sharp_corr(grid[:, None], grid[None, :])
-    return grid, np.asarray(corr.matrix(grid, grid))
+    return grid, pair_matrix(corr, grid, grid)
 
 
 def steering_grid_max(m, corr=None):

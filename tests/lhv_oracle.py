@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from fuzzycorr.witness import bell_coefficients
+from matrix_oracle import bell_coefficients
 
 
 def lhv_bound_bruteforce(m):

@@ -138,6 +138,9 @@ def test_profile_without_grid_exits_2(capsys):
     ("boundary", {"Delta_sq_grid": [0.0], "transition_tol": float("nan")}, "transition_tol"),
     ("table1", {"p_list": [1.5]}, "p_list"),
     ("table1", {"p_list": 0.85}, "p_list"),
+    # a grid list has the point limit of the a:b:step form
+    ("profile", {"delta_sq_grid": [0.0] * (10**6 + 1)}, "delta_sq_grid"),
+    ("boundary", {"Delta_sq_grid": [0.0] * (10**6 + 1)}, "Delta_sq_grid"),
 ])
 def test_bad_config_value_exits_2(tmp_path, capsys, command, values, field):
     cfg = tmp_path / "config.json"
@@ -198,10 +201,12 @@ def test_grid_at_the_point_limit():
         parse_grid("0:1000000:1")
 
 
-def test_cli_import_loads_no_scipy():
+@pytest.mark.parametrize("package", ["numpy", "scipy"])
+def test_cli_import_loads_no(package):
     src = str(Path(fuzzycorr.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, fuzzycorr.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = ("import sys, fuzzycorr.cli; "
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -28,6 +28,7 @@ from fuzzycorr import (
     steering_spec,
 )
 from kernel_oracle import make_discrete_kernel
+from matrix_oracle import pair_matrix
 from operator_oracle import operator_oracle
 from paper_oracle import corr_reference_quadrature, corr_werner_full, q_func, r_func
 from table1_oracle import gaussian_weights
@@ -245,7 +246,7 @@ def test_correlator_matrix_and_diagonal_consistent():
     corr = Correlator(StateSpec(5, p=0.9), CoarseningParams(delta=1.0, Delta=0.2))
     alice = np.array([0.1, 0.7, 1.3])
     bob = np.array([0.4, 1.0, 2.0])
-    matrix = corr.matrix(alice, bob)
+    matrix = pair_matrix(corr, alice, bob)
     assert matrix.shape == (3, 3)
     for i in range(3):
         assert matrix[i, i] == pytest.approx(

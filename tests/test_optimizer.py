@@ -37,9 +37,6 @@ class ScaledCorrelator:
         self.c0 = scale * inner.c0
         self.V = scale * inner.V
 
-    def matrix(self, alice, bob):
-        return self.scale * self.inner.matrix(alice, bob)
-
     def __call__(self, a, b):
         return self.scale * self.inner(a, b)
 

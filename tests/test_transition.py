@@ -26,7 +26,7 @@ from fuzzycorr import (
     steering_spec,
     trace_boundary,
 )
-from fuzzycorr.transition import DEFAULT_TOL, _bisect_margin
+from fuzzycorr.transition import DEFAULT_TOL, RELATIVE_RESOLUTION, _bisect_margin
 
 PURE5 = StateSpec(n=5, p=1.0)
 
@@ -284,19 +284,31 @@ def test_bisect_rejects_bad_tolerance(tol):
 
 def test_bisect_tolerance_below_float_spacing_ends():
     # near x = 8 adjacent floats are 1.8e-15 apart, so the bracket can never
-    # shrink to 1e-20; the search stops and the certificates cannot both hold
-    with pytest.raises(TransitionError, match="uncertified"):
-        _bisect_margin(lambda x: 8.0 - x, 0.0, 100.0, 1e-20,
-                       NoViolationAtLo(), NoTransitionAtHi())
+    # shrink to 1e-20; the width is raised to the floor 2^-48 x and certified there
+    width = RELATIVE_RESOLUTION * 8.0
+    root, cert_lo, cert_hi = _bisect_margin(lambda x: 8.0 - x, 0.0, 100.0, 1e-20,
+                                            NoViolationAtLo(), NoTransitionAtHi())
+    assert abs(root - 8.0) <= width
+    assert 0 < cert_lo <= 2.5 * width
+    assert -2.5 * width <= cert_hi <= 0
 
 
-def test_delta_search_past_float_resolution_names_the_spacing():
+def test_delta_search_past_float_resolution_certifies():
     # delta_c^2 ~ 5e13 at n = 10^7: adjacent floats there are 0.0078 apart,
-    # wider than the default tol, and the message says so
-    with pytest.raises(TransitionError, match="uncertified.*float spacing"):
-        find_critical_delta(steering_spec(2), StateSpec(10**7))
-    pt = find_critical_delta(steering_spec(2), StateSpec(10**7), tol=1.0)
+    # wider than the default tol, so the certificates sit at the floor
+    # 2^-48 delta_c^2 ~ 0.18 instead of at +-tol
+    pt = find_critical_delta(steering_spec(2), StateSpec(10**7))
     assert pt.margin_lo > 0 >= pt.margin_hi
+    x_sq = 1.0 / (2.0 * erfinv(math.sqrt(1.0 / math.sqrt(2.0))) ** 2)
+    assert pt.delta_sq / 1e14 == pytest.approx(x_sq, rel=1e-14)
+
+
+def test_delta_search_at_the_float_range_edge():
+    # steering m = 16 has delta_c^2 ~ 2.2 n^2 and 4 n^2 ~ 1.4e308 here, so the
+    # bracket's two ends sum past the largest float
+    pt = find_critical_delta(steering_spec(16), StateSpec(6 * 10**153))
+    assert pt.margin_lo > 0 >= pt.margin_hi
+    assert 2.0 * 36e306 < pt.delta_sq < 4.0 * 36e306
 
 
 def test_bisect_checks_certificates():

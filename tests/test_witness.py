@@ -17,9 +17,9 @@ from fuzzycorr import (
     optimum,
     steering_spec,
 )
-from fuzzycorr.witness import bell_coefficients
 from grid_oracle import chsh_grid_max, steering_grid_max
 from lhv_oracle import lhv_bound_bruteforce
+from matrix_oracle import array_optimal_angles, bell_coefficients, matrix_witness, pair_matrix
 from nm_oracle import maximize
 from operator_oracle import operator_oracle
 
@@ -27,8 +27,8 @@ SHARP = Correlator(StateSpec(5, p=1.0), CoarseningParams())
 
 
 class ZeroCorrelator:
-    def matrix(self, alice, bob):
-        return np.zeros((len(alice), len(bob)))
+    c0 = 0.0
+    V = 0.0
 
 
 # ------------------------------------------------------------------ specs
@@ -104,6 +104,42 @@ def test_evaluate_zero_correlator():
     assert evaluate(steering_spec(2), angles, ZeroCorrelator()) == 0.0
 
 
+# Random angles span [-2 pi, 3 pi), so the reduction mod pi is exercised too.
+@pytest.mark.parametrize("kind", ["bell", "steering"])
+def test_evaluate_matches_pair_matrix_oracle(kind):
+    rng = np.random.default_rng(11)
+    make = bell_spec if kind == "bell" else steering_spec
+    for m in range(2, 65):
+        for _ in range(3):
+            corr = Correlator(
+                StateSpec(int(rng.integers(1, 30)), p=float(rng.uniform(0, 1))),
+                CoarseningParams(delta=float(rng.uniform(0, 20)), Delta=float(rng.uniform(0, 1))),
+            )
+            alice = rng.uniform(-2 * math.pi, 3 * math.pi, m)
+            bob = rng.uniform(-2 * math.pi, 3 * math.pi, m)
+            spec = make(m)
+            value = evaluate(spec, AngleAssignment(alice=alice, bob=bob), corr)
+            assert abs(value - matrix_witness(spec, alice, bob, corr)) <= 1e-12, (m, alice, bob)
+
+
+def test_evaluate_at_m_1000_against_exact_sum():
+    # Every pair term is at most c0 + V in size, so m^2 (c0 + V) bounds the
+    # Bell form; the O(m) sum must agree with the exactly rounded sum of all
+    # m^2 terms to 1e-14 of that scale.
+    m = 1000
+    rng = np.random.default_rng(12)
+    corr = Correlator(StateSpec(7, p=0.9), CoarseningParams(delta=2.0, Delta=0.3))
+    scale = m * m * (corr.c0 + corr.V)
+    random_angles = AngleAssignment(alice=rng.uniform(-2 * math.pi, 3 * math.pi, m),
+                                    bob=rng.uniform(-2 * math.pi, 3 * math.pi, m))
+    for angles in (random_angles, optimal_angles(bell_spec(m))):
+        pairs = pair_matrix(corr, angles.alice, angles.bob)
+        exact = math.fsum((bell_coefficients(m) * pairs).ravel())
+        assert abs(evaluate(bell_spec(m), angles, corr) - exact) <= 1e-14 * scale
+        trace = abs(math.fsum(np.diag(pairs))) / math.sqrt(m)
+        assert abs(evaluate(steering_spec(m), angles, corr) - trace) <= 1e-14 * scale / m
+
+
 def test_evaluate_dimension_mismatch():
     angles = AngleAssignment(alice=[0.0, 1.0], bob=[0.5, 1.5])
     with pytest.raises(ValueError):
@@ -130,10 +166,8 @@ def test_margin_zero_correlator():
 def test_steering_sign_flip_invariance():
     class Negated:
         def __init__(self, inner):
-            self.inner = inner
-
-        def matrix(self, alice, bob):
-            return -self.inner.matrix(alice, bob)
+            self.c0 = -inner.c0
+            self.V = -inner.V
 
     angles = AngleAssignment(alice=[0.1, 0.9], bob=[1.2, 0.3])
     spec = steering_spec(2)
@@ -154,8 +188,9 @@ def test_steering_joint_permutation_invariance():
 
 def test_angles_reduced_to_pi_interval():
     angles = AngleAssignment(alice=[math.pi + 0.2, -0.3], bob=[2 * math.pi, 0.1])
-    assert np.all(angles.alice >= 0.0) and np.all(angles.alice < math.pi)
-    assert np.all(angles.bob >= 0.0) and np.all(angles.bob < math.pi)
+    alice, bob = np.asarray(angles.alice), np.asarray(angles.bob)
+    assert np.all(alice >= 0.0) and np.all(alice < math.pi)
+    assert np.all(bob >= 0.0) and np.all(bob < math.pi)
 
 
 def test_angle_length_mismatch_rejected():
@@ -224,7 +259,17 @@ def test_optimal_angles_layout():
         atol=1e-15,
     )
     steer = optimal_angles(steering_spec(4))
-    np.testing.assert_allclose(steer.alice + steer.bob, math.pi / 2, atol=1e-15)
+    np.testing.assert_allclose(
+        np.asarray(steer.alice) + np.asarray(steer.bob), math.pi / 2, atol=1e-15
+    )
+
+
+def test_optimal_angles_bit_identical_to_array_construction():
+    for m in [*range(2, 300), 1000, 10**5]:
+        for spec in (bell_spec(m), steering_spec(m)):
+            alice, bob = array_optimal_angles(spec)
+            got = optimal_angles(spec)
+            assert got.alice == tuple(alice) and got.bob == tuple(bob), spec
 
 
 def test_evaluate_against_operator_oracle():
