@@ -56,7 +56,9 @@ class ConfigError(ValueError):
 
 def _real(name, value):
     """``value`` as a float, or ConfigError naming ``name`` unless it is a finite number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    # an exact comparison: it rejects nan, inf and integers past float range alike
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+            abs(value) <= sys.float_info.max):
         raise ConfigError(f"{name}: must be a finite number, got {value!r}")
     return float(value)
 
@@ -120,7 +122,9 @@ class ExperimentConfig:
         ):
             raise ConfigError("angle_pairs: must be a list of [theta_i, theta_j] pairs")
         for pair in pairs:
-            _reals("angle_pairs", pair, lo=-math.inf)
+            a, b = _reals("angle_pairs", pair, lo=-math.inf)
+            if not math.isfinite(2.0 * (a + b)):  # the correlator's cos 2(theta_i + theta_j)
+                raise ConfigError(f"angle_pairs: 2(theta_i + theta_j) overflows for {pair!r}")
         return self
 
     def witness_spec(self):
@@ -178,10 +182,12 @@ def load_config(args):
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     if args.config:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
             raise ConfigError(f"config: cannot read {args.config}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"config: top level must be an object, got {data!r:.40}")
         for key, value in data.items():
             if key not in known:
                 raise ConfigError(f"config: unknown key {key!r}")
@@ -189,11 +195,7 @@ def load_config(args):
     for key, flag in vars(args).items():
         if key in known and flag is not None:
             values[key] = parse_grid(flag) if key.endswith("_grid") else flag
-    try:
-        config = ExperimentConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return config.validate()
+    return ExperimentConfig(**values).validate()
 
 
 def format_number(value):
@@ -226,19 +228,27 @@ def write_rows(config, rows, stream):
         stream.write(",".join(format_number(getattr(row, name)) for name in RESULT_FIELDS) + "\n")
 
 
-def emit(config, rows):
-    if config.out:
+def emit(config, rows, plot=()):
+    """Write the rows to ``config.out``, or to stdout without one.
+
+    With ``plot = (header, fields)`` and an output path, also write
+    ``<out>.plot.csv``: the header, then those cells of each row as floats.
+    """
+    if not config.out:
+        write_rows(config, rows, sys.stdout)
+        return
+    try:
         with open(config.out, "w") as fh:
             write_rows(config, rows, fh)
-    else:
-        write_rows(config, rows, sys.stdout)
-
-
-def write_plot_data(path, columns, header):
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for values in zip(*columns):
-            fh.write(",".join(format_number(float(v)) for v in values) + "\n")
+        if plot:
+            header, fields = plot
+            with open(config.out + ".plot.csv", "w") as fh:
+                fh.write(header + "\n")
+                for row in rows:
+                    cells = (format_number(float(getattr(row, name))) for name in fields)
+                    fh.write(",".join(cells) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write {exc.filename}: {exc.strerror}") from exc
 
 
 def _params(delta_sq, Delta_sq):
@@ -249,19 +259,18 @@ def _flat(angles):
     return list(angles.alice) + list(angles.bob)
 
 
-def _transition_row(pt):
-    return ResultRow(
-        m=pt.witness.m,
-        n=pt.n,
-        p=pt.p,
-        delta_sq=pt.delta_sq,
-        Delta_sq=pt.Delta_sq,
-        witness_kind=pt.witness.kind,
-        witness_value=pt.achieved_value,
-        bound=pt.bound,
-        violated=False,
-        angles=_flat(pt.angles),
-    )
+def _row(config, **cells):
+    """A ResultRow at the configured point; ``cells`` replace the columns that differ."""
+    point = {"m": config.m, "n": config.n, "p": config.p, "delta_sq": config.delta_sq,
+             "Delta_sq": config.Delta_sq, "witness_kind": config.witness,
+             "bound": math.nan, "violated": False}
+    return ResultRow(**{**point, **cells})
+
+
+def _transition_row(config, pt):
+    return _row(config, m=pt.witness.m, p=pt.p, delta_sq=pt.delta_sq, Delta_sq=pt.Delta_sq,
+                witness_kind=pt.witness.kind, witness_value=pt.achieved_value,
+                bound=pt.bound, angles=_flat(pt.angles))
 
 
 def cmd_correlate(config):
@@ -283,20 +292,8 @@ def cmd_correlate(config):
     rows = []
     for ti, tj in config.angle_pairs:
         for name, corr in regimes:
-            rows.append(
-                ResultRow(
-                    m=config.m,
-                    n=config.n,
-                    p=config.p,
-                    delta_sq=config.delta_sq,
-                    Delta_sq=config.Delta_sq,
-                    witness_kind="corr_" + name,
-                    witness_value=corr(ti, tj),
-                    bound=float("nan"),
-                    violated=False,
-                    angles=[ti, tj],
-                )
-            )
+            rows.append(_row(config, witness_kind="corr_" + name,
+                             witness_value=corr(ti, tj), angles=[ti, tj]))
     emit(config, rows)
     return 0
 
@@ -306,9 +303,9 @@ def cmd_profile(config):
     if config.delta_sq_grid and config.Delta_sq_grid:
         raise ConfigError("delta_sq_grid/Delta_sq_grid: profile sweeps one grid at a time")
     if config.delta_sq_grid:
-        axis, grid = "delta_sq", list(config.delta_sq_grid)
+        axis, grid = "delta_sq", config.delta_sq_grid
     elif config.Delta_sq_grid:
-        axis, grid = "Delta_sq", list(config.Delta_sq_grid)
+        axis, grid = "Delta_sq", config.Delta_sq_grid
     else:
         raise ConfigError("delta_sq_grid: profile requires a variance grid")
     spec = config.witness_spec()
@@ -316,30 +313,11 @@ def cmd_profile(config):
     angles = _flat(optimal_angles(spec))
     rows = []
     for variance in grid:
-        delta_sq = variance if axis == "delta_sq" else config.delta_sq
-        Delta_sq = variance if axis == "Delta_sq" else config.Delta_sq
-        value = optimum(spec, Correlator(state, _params(delta_sq, Delta_sq)))
-        rows.append(
-            ResultRow(
-                m=config.m,
-                n=config.n,
-                p=config.p,
-                delta_sq=delta_sq,
-                Delta_sq=Delta_sq,
-                witness_kind=config.witness,
-                witness_value=value,
-                bound=spec.bound,
-                violated=value > spec.bound,
-                angles=angles,
-            )
-        )
-    emit(config, rows)
-    if config.out:
-        write_plot_data(
-            config.out + ".plot.csv",
-            [grid, [r.witness_value for r in rows], [spec.bound] * len(rows)],
-            "variance,witness_value,bound",
-        )
+        point = {"delta_sq": config.delta_sq, "Delta_sq": config.Delta_sq, axis: variance}
+        value = optimum(spec, Correlator(state, _params(point["delta_sq"], point["Delta_sq"])))
+        rows.append(_row(config, **point, witness_value=value, bound=spec.bound,
+                         violated=value > spec.bound, angles=angles))
+    emit(config, rows, plot=("variance,witness_value,bound", (axis, "witness_value", "bound")))
     return 0
 
 
@@ -352,13 +330,8 @@ def cmd_boundary(config):
     points = trace_boundary(spec, state, config.Delta_sq_grid, tol=config.transition_tol)
     if not points:
         raise TransitionError("no boundary point found on the supplied grid")
-    emit(config, [_transition_row(pt) for pt in points])
-    if config.out:
-        write_plot_data(
-            config.out + ".plot.csv",
-            [[pt.Delta_sq for pt in points], [pt.delta_sq for pt in points]],
-            "Delta_sq,delta_sq",
-        )
+    emit(config, [_transition_row(config, pt) for pt in points],
+         plot=("Delta_sq,delta_sq", ("Delta_sq", "delta_sq")))
     return 0
 
 
@@ -386,7 +359,7 @@ def cmd_table1(config):
                     f"{ref:.{digits}f}", f"{(value - ref) / ref:.2%}")
                 line += f" {value:>10.{digits}f} {ref_text:>10} {rel_text:>9}"
             lines.append(line)
-            rows += [_transition_row(pt) for pt in (d2, D2)]
+            rows += [_transition_row(config, pt) for pt in (d2, D2)]
     print("\n".join(lines))
     if config.out:
         emit(config, rows)

@@ -61,8 +61,9 @@ class AngleAssignment:
     bob: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "alice", tuple(float(a) % math.pi for a in self.alice))
-        object.__setattr__(self, "bob", tuple(float(b) % math.pi for b in self.bob))
+        # a second % sends the pi that a tiny negative angle rounds to back to 0.0
+        object.__setattr__(self, "alice", tuple(float(a) % math.pi % math.pi for a in self.alice))
+        object.__setattr__(self, "bob", tuple(float(b) % math.pi % math.pi for b in self.bob))
         if len(self.alice) != len(self.bob):
             raise ValueError("alice and bob must have the same number of settings")
 

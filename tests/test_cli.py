@@ -117,6 +117,45 @@ def test_profile_without_grid_exits_2(capsys):
     assert "grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,field", [
+    (["profile", "--delta-sq-grid", "0", "--Delta-sq-grid", "0"], "delta_sq_grid/Delta_sq_grid"),
+    (["boundary"], "Delta_sq_grid"),
+])
+def test_missing_or_doubled_grid_exits_2(capsys, argv, field):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("content,field", [
+    (b"3", "config"),
+    (b"null", "config"),
+    (b'"x"', "config"),
+    (b"[]", "config"),
+    (b"\xff\xfe{", "config"),  # not UTF-8
+    # integers past float range in a real field
+    (b'{"delta_sq": 1' + b"0" * 400 + b"}", "delta_sq"),
+    (b'{"transition_tol": 1' + b"0" * 400 + b"}", "transition_tol"),
+    # finite angles whose 2(theta_i + theta_j) is not
+    (b'{"angle_pairs": [[1e308, 1e308]]}', "angle_pairs"),
+], ids=["int", "null", "string", "list", "not-utf8", "delta_sq-1e400", "tol-1e400", "angles"])
+def test_unusable_config_file_exits_2(tmp_path, capsys, content, field):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(content)
+    assert main(["correlate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "."])
+def test_unwritable_out_exits_2(tmp_path, capsys, target):
+    # a missing directory or a path that is a directory: one line, no traceback
+    out = tmp_path / target
+    assert main(["profile", "--delta-sq-grid", "0,1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: out: cannot write {out}") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("command,values,field", [
     ("correlate", {"m": "2"}, "m"),
     ("correlate", {"m": True}, "m"),
@@ -364,6 +403,24 @@ def test_correlate_json_is_valid_json(tmp_path):
     assert main(["correlate", "--format", "json", "--out", str(out)]) == 0
     payload = json.loads(out.read_text(), parse_constant=no_constants)
     assert payload["rows"] and all(row["bound"] is None for row in payload["rows"])
+
+
+@pytest.mark.parametrize("args,header,fields", [
+    (["profile", "--delta-sq-grid", "0:20:4"], "variance,witness_value,bound",
+     ["delta_sq", "witness_value", "bound"]),
+    (["profile", "--Delta-sq-grid", "0:0.5:0.1"], "variance,witness_value,bound",
+     ["Delta_sq", "witness_value", "bound"]),
+    (["boundary", "--Delta-sq-grid", "0:0.06:0.02"], "Delta_sq,delta_sq",
+     ["Delta_sq", "delta_sq"]),
+])
+def test_plot_file_is_columns_of_the_rows(tmp_path, args, header, fields):
+    out = tmp_path / "rows.csv"
+    assert main(args + ["--p", "0.95", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    plot = (tmp_path / "rows.csv.plot.csv").read_text().splitlines()
+    assert plot[0] == header
+    assert plot[1:] == [",".join(row[name] for name in fields) for row in rows]
+    assert len(rows) >= 3
 
 
 # --------------------------------------------------------------- boundary

@@ -299,6 +299,12 @@ def test_state_rejects_non_integral_n():
             StateSpec(n)
 
 
+@pytest.mark.parametrize("p", [1.5, -0.1, math.nan])
+def test_state_rejects_visibility_outside_unit_interval(p):
+    with pytest.raises(ValueError, match="p must lie in"):
+        StateSpec(5, p)
+
+
 def test_boundedness_randomized():
     rng = np.random.default_rng(7)
     for _ in range(40):

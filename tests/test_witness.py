@@ -193,6 +193,19 @@ def test_angles_reduced_to_pi_interval():
     assert np.all(bob >= 0.0) and np.all(bob < math.pi)
 
 
+@pytest.mark.parametrize("angle", [-1e-17, -5e-17, -0.0, math.pi, 3 * math.pi, 1e300, -1e300])
+def test_angles_stay_below_pi(angle):
+    # one % pi sends a tiny negative angle to pi itself; the stored angle lies in [0, pi)
+    alice, bob = [angle, 2.0], [0.0, angle]
+    angles = AngleAssignment(alice=alice, bob=bob)
+    assert all(0.0 <= a < math.pi for a in angles.alice + angles.bob), angles
+    if abs(angle) < 10.0:  # past that, 2(a + b) in the oracle has lost the period
+        corr = Correlator(StateSpec(5, 0.9), CoarseningParams(1.0, 0.2))
+        for spec in (bell_spec(2), steering_spec(2)):
+            assert evaluate(spec, angles, corr) == pytest.approx(
+                matrix_witness(spec, alice, bob, corr), abs=1e-12)
+
+
 def test_angle_length_mismatch_rejected():
     with pytest.raises(ValueError):
         AngleAssignment(alice=[0.0], bob=[0.0, 1.0])
@@ -248,6 +261,24 @@ def test_sharp_bell_optimum_closed_form():
         assert optimum(bell_spec(m), SHARP) == pytest.approx(
             m / math.sin(math.pi / (2 * m)), abs=1e-12
         )
+
+
+class UnitCorrelator:
+    c0 = 0.0
+    V = 1.0
+
+
+def test_critical_visibility_parity_split():
+    # V_c(m) = bound / B*_m: with delta = Delta = 0 the Bell witness holds for p > V_c(m).
+    # Odd m fall toward pi/4 from above, even m rise toward it from below (m <= 10^5).
+    values = {m: bell_spec(m).bound / optimum(bell_spec(m), UnitCorrelator)
+              for m in range(2, 10**5 + 1)}
+    assert [round(values[m], 4) for m in range(2, 8)] == [
+        0.7071, 0.8333, 0.7654, 0.8034, 0.7765, 0.7947]
+    odd = [values[m] for m in range(3, 10**5 + 1, 2)]
+    even = [values[m] for m in range(2, 10**5 + 1, 2)]
+    assert all(a > b for a, b in zip(odd, odd[1:])) and odd[-1] > math.pi / 4
+    assert all(a < b for a, b in zip(even, even[1:])) and even[-1] < math.pi / 4
 
 
 def test_optimal_angles_layout():
