@@ -105,9 +105,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: must be an integer >= {minimum}, got {value!r}")
         if self.m > MAX_COUNT:
             raise ConfigError(f"m: must be at most {MAX_COUNT}, got {self.m!r}")
+        # a JSON integer is stored as the float a flag gives, so outputs agree
         for name, hi in (("p", 1.0), ("delta_sq", math.inf), ("Delta_sq", math.inf)):
-            _reals(name, [getattr(self, name)], hi=hi)
-        if not _real("transition_tol", self.transition_tol) > 0:
+            setattr(self, name, _reals(name, [getattr(self, name)], hi=hi)[0])
+        self.transition_tol = _real("transition_tol", self.transition_tol)
+        if not self.transition_tol > 0:
             raise ConfigError("transition_tol: must be positive")
         for name in ("delta_sq_grid", "Delta_sq_grid"):
             grid = _reals(name, getattr(self, name))
@@ -115,14 +117,15 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: has more than {MAX_COUNT} points")
             if any(b < a for a, b in zip(grid, grid[1:])):
                 raise ConfigError(f"{name}: values must be sorted ascending")
-        _reals("p_list", self.p_list, hi=1.0)
+            setattr(self, name, grid)
+        self.p_list = _reals("p_list", self.p_list, hi=1.0)
         pairs = self.angle_pairs
         if not isinstance(pairs, list) or any(
             not isinstance(pair, list) or len(pair) != 2 for pair in pairs
         ):
             raise ConfigError("angle_pairs: must be a list of [theta_i, theta_j] pairs")
-        for pair in pairs:
-            a, b = _reals("angle_pairs", pair, lo=-math.inf)
+        for i, pair in enumerate(pairs):
+            a, b = pairs[i] = _reals("angle_pairs", pair, lo=-math.inf)
             if not math.isfinite(2.0 * (a + b)):  # the correlator's cos 2(theta_i + theta_j)
                 raise ConfigError(f"angle_pairs: 2(theta_i + theta_j) overflows for {pair!r}")
         return self

@@ -8,9 +8,9 @@ with a Gaussian of width ``Delta``.
 
 Every regime of the model -- resolution coarsening, reference coarsening,
 both, with or without noise -- has the closed form
-E(a, b) = c0 - V cos 2(a + b).  :class:`Correlator` reads c0 and V from
-the two kernel masses once at construction, after which a correlator call
-is one cosine.
+E(a, b) = c0 - V cos 2(a + b).  :func:`invariants` states c0 and V once,
+from the two kernel masses; :class:`Correlator` reads them at
+construction, after which a correlator call is one cosine.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .kernel import kernel_masses
 
-__all__ = ["StateSpec", "CoarseningParams", "Correlator"]
+__all__ = ["StateSpec", "CoarseningParams", "Correlator", "invariants"]
 
 
 @dataclass(frozen=True)
@@ -61,22 +61,25 @@ class CoarseningParams:
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
+def invariants(masses, p, Delta):
+    """(c0, V) = (w_n^2, p a_n^2 exp(-4 Delta^2)), (w_n, a_n) = :func:`~.kernel.kernel_masses`."""
+    w_n, a_n = masses
+    # exp(-2 Delta^2) is the angle-jitter attenuation of cos/sin(2 phi) per party
+    return w_n**2, p * a_n**2 * math.exp(-4.0 * (Delta * Delta))
+
+
 class Correlator:
     """Reusable pairwise-correlation handle closed over (state, coarsening).
 
-    Every correlator of the model has the form E(a, b) = c0 - V cos 2(a + b).
-    With (w_n, a_n) from :func:`~fuzzycorr.kernel.kernel_masses`, c0 = w_n^2
-    and V = p a_n^2 exp(-4 Delta^2), where exp(-2 Delta^2) is the
-    angle-jitter attenuation of cos/sin(2 phi) per party.  Both are computed
-    once at construction; instances are immutable.
+    Every correlator of the model has the form E(a, b) = c0 - V cos 2(a + b),
+    with c0 and V from :func:`invariants`, computed once at construction;
+    instances are immutable.
     """
 
     def __init__(self, state, params):
         self.state = state
         self.params = params
-        w_n, a_n = kernel_masses(state.n, params.delta)
-        self.c0 = w_n**2
-        self.V = state.p * a_n**2 * math.exp(-4.0 * (params.Delta * params.Delta))
+        self.c0, self.V = invariants(kernel_masses(state.n, params.delta), state.p, params.Delta)
 
     def __call__(self, theta_i, theta_j):
         return self.c0 - self.V * math.cos(2.0 * (theta_i + theta_j))

@@ -4,10 +4,10 @@ A transition point is the coarsening (or visibility) at which the
 angle-optimized witness value falls to its classical bound.  All searches
 bisect on the squared parameter (variance) or on q = 1 - p over [0, hi]:
 hi starts at 4 n^2 (delta^2) or 1 (Delta^2, q) and doubles while the
-witness still violates there and V > 0.  Each probe builds one correlator
-and reads the witness optimum from its c0 and V; the angles of
-:func:`~fuzzycorr.witness.optimal_angles` that attain it do not depend on
-the probed parameter.
+witness still violates there and V > 0.  Each probe reads the witness
+optimum from the pair (c0, V) of :func:`~fuzzycorr.correlation.invariants`,
+with the kernel masses computed once where delta is fixed; the optimal
+angles do not depend on the probed parameter.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ import functools
 import math
 from dataclasses import dataclass, replace
 
-from .correlation import CoarseningParams, Correlator, StateSpec
-from .witness import WitnessSpec, optimal_angles, optimum
+from .correlation import CoarseningParams, StateSpec, invariants
+from .kernel import kernel_masses
+from .witness import WitnessSpec, optimal_angles, optimum_of
 
 __all__ = [
     "TransitionPoint",
@@ -113,20 +114,20 @@ def _bisect_margin(margin, lo, hi, tol, lo_error, hi_error):
     return root, cert_lo, cert_hi
 
 
-def _search(spec, n, corr_at, hi, tol, lo_error, coords):
-    """The TransitionPoint at the root of optimum(spec, corr_at(x)) - bound over [0, hi].
+def _search(spec, n, invariants_at, hi, tol, lo_error, coords):
+    """The TransitionPoint at the root of optimum_of(spec, *invariants_at(x)) - bound in [0, hi].
 
     V falls to 0 as x grows, and the optimum with it to its c0 term, so the
     doubling of hi ends; a witness that still violates at V = 0, or at an
     hi that has left float range, raises NoTransitionAtHi.  Each x is probed
     once; ``coords(root)`` gives the point's (delta^2, Delta^2, p).
     """
-    corr_at = functools.cache(corr_at)
+    invariants_at = functools.cache(invariants_at)
 
     def margin(x):
-        return optimum(spec, corr_at(x)) - spec.bound
+        return optimum_of(spec, *invariants_at(x)) - spec.bound
 
-    while hi < math.inf and margin(hi) > 0 and corr_at(hi).V > 0:
+    while hi < math.inf and margin(hi) > 0 and invariants_at(hi)[1] > 0:  # V > 0
         hi *= 2.0
     where = "V = 0" if hi < math.inf else "the largest float edge"
     hi_error = NoTransitionAtHi(f"still violating at {where} for {spec.kind} m={spec.m}, n={n}")
@@ -134,7 +135,7 @@ def _search(spec, n, corr_at, hi, tol, lo_error, coords):
         raise hi_error
     root, cert_lo, cert_hi = _bisect_margin(margin, 0.0, hi, tol, lo_error, hi_error)
     return TransitionPoint(*coords(root), witness=spec, n=n,
-                           achieved_value=optimum(spec, corr_at(root)),
+                           achieved_value=optimum_of(spec, *invariants_at(root)),
                            margin_lo=cert_lo, margin_hi=cert_hi)
 
 
@@ -143,13 +144,14 @@ def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
 
     Raises NoViolationAtLo if the state is classical already at delta = 0.
     """
+    CoarseningParams(Delta=Delta_fixed)  # validated once, at entry
     try:
         hi = 4.0 * state.n**2
     except OverflowError:  # 4 n^2 lies beyond float range
         hi = math.inf
     return _search(
         spec, state.n,
-        lambda delta_sq: Correlator(state, CoarseningParams(math.sqrt(delta_sq), Delta_fixed)),
+        lambda x: invariants(kernel_masses(state.n, math.sqrt(x)), state.p, Delta_fixed),
         hi, tol,
         NoViolationAtLo(f"no violation at delta^2 = 0.0 for {spec.kind} m={spec.m}, "
                         f"n={state.n}, p={state.p}"),
@@ -162,9 +164,10 @@ def find_critical_Delta(spec, state, delta_fixed=0.0, tol=DEFAULT_TOL):
 
     Raises NoTransitionAtHi when the c0 term alone exceeds the bound.
     """
+    masses = kernel_masses(state.n, CoarseningParams(delta=delta_fixed).delta)  # validated once
     return _search(
         spec, state.n,
-        lambda Delta_sq: Correlator(state, CoarseningParams(delta_fixed, math.sqrt(Delta_sq))),
+        lambda Delta_sq: invariants(masses, state.p, math.sqrt(Delta_sq)),
         1.0, tol,
         NoViolationAtLo(f"no violation at Delta^2 = 0.0 for {spec.kind} m={spec.m}, "
                         f"n={state.n}, p={state.p}"),
@@ -180,9 +183,10 @@ def find_critical_visibility(spec, n, params=CoarseningParams(), tol=DEFAULT_TOL
     # The margin is increasing in p, so bisect on q = 1 - p, which puts the
     # violating edge (p = 1) at the lower end of the bracket.  V = 0 at
     # q = 1, so the upper edge never grows.
+    masses = kernel_masses(StateSpec(n).n, params.delta)  # n validated once, at entry
     return _search(
         spec, n,
-        lambda q: Correlator(StateSpec(n=n, p=1.0 - q), params),
+        lambda q: invariants(masses, 1.0 - q, params.Delta),
         1.0, tol,
         NoViolationAtPureState(f"no violation at p = 1 for {spec.kind} m={spec.m}, n={n}"),
         lambda root: (params.delta * params.delta, params.Delta * params.Delta, 1.0 - root),

@@ -8,7 +8,7 @@ m = 2 is CHSH with bound 2.  The steering witness is
 Every correlator of the model is E(a, b) = c0 - V cos 2(a + b) with
 c0, V >= 0, so both witnesses are maximized at fixed angles that do not
 depend on the state or the coarsening (:func:`optimal_angles`), and the
-optimum is read from c0 and V alone (:func:`optimum`):
+optimum is read from c0 and V alone (:func:`optimum_of`):
 m c0 + V m / sin(pi / 2m) for Bell and sqrt(m) (c0 + V) for steering.
 """
 
@@ -28,6 +28,7 @@ __all__ = [
     "evaluate",
     "optimal_angles",
     "optimum",
+    "optimum_of",
 ]
 
 BELL = "bell"
@@ -119,12 +120,17 @@ def optimal_angles(spec):
 
 
 def optimum(spec, corr):
-    """Witness value maximized over all angles, from the correlator's c0 and V.
+    """Witness value maximized over all angles for a correlator: :func:`optimum_of` its c0, V."""
+    return optimum_of(spec, corr.c0, corr.V)
+
+
+def optimum_of(spec, c0, V):
+    """Witness value maximized over all angles under the correlator c0 - V cos 2(a + b).
 
     Bell: m c0 + V B*_m with B*_m = m / sin(pi / 2m); steering:
     sqrt(m) (c0 + V).  Each is :func:`evaluate` at :func:`optimal_angles`.
     """
     m = spec.m
     if spec.kind == BELL:
-        return m * corr.c0 + corr.V * m / math.sin(math.pi / (2 * m))
-    return math.sqrt(m) * (corr.c0 + corr.V)
+        return m * c0 + V * m / math.sin(math.pi / (2 * m))
+    return math.sqrt(m) * (c0 + V)

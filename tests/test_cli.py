@@ -423,6 +423,35 @@ def test_plot_file_is_columns_of_the_rows(tmp_path, args, header, fields):
     assert len(rows) >= 3
 
 
+def _floats(value):
+    if isinstance(value, dict):
+        return {key: _floats(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_floats(v) for v in value]
+    return float(value) if isinstance(value, int) else value
+
+
+@pytest.mark.parametrize("command, config", [
+    ("correlate", {"p": 1, "delta_sq": 2, "Delta_sq": 0, "angle_pairs": [[0, 1], [1, 0]]}),
+    ("profile", {"witness": "steering", "p": 1, "Delta_sq": 0, "delta_sq_grid": [0, 4, 10**16]}),
+    ("profile", {"p": 1, "delta_sq": 2, "Delta_sq_grid": [0, 1]}),
+    ("boundary", {"p": 1, "delta_sq": 0, "Delta_sq_grid": [0], "transition_tol": 1}),
+    ("table1", {"p_list": [1], "transition_tol": 1}),
+], ids=["correlate", "profile-delta_sq", "profile-Delta_sq", "boundary", "table1"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_json_integers_write_the_bytes_of_floats(tmp_path, capsys, command, config, fmt):
+    # m and n stay integers; every real key is stored as the float a flag gives
+    cfg, out, outputs = tmp_path / "config.json", tmp_path / "rows.out", []
+    for values in (config, _floats(config)):
+        cfg.write_text(json.dumps(values))
+        assert main([command, "--config", str(cfg), "--format", fmt, "--out", str(out)]) == 0
+        plot = Path(str(out) + ".plot.csv")
+        outputs.append((out.read_bytes(), plot.read_bytes() if plot.exists() else None,
+                        capsys.readouterr().out))
+    assert json.dumps(config) != json.dumps(_floats(config))
+    assert outputs[0] == outputs[1]
+
+
 # --------------------------------------------------------------- boundary
 
 def test_boundary_single_point(tmp_path):

@@ -26,6 +26,7 @@ from fuzzycorr import (
     steering_spec,
     trace_boundary,
 )
+from fuzzycorr.correlation import invariants
 from fuzzycorr.transition import DEFAULT_TOL, RELATIVE_RESOLUTION, _bisect_margin
 
 PURE5 = StateSpec(n=5, p=1.0)
@@ -131,22 +132,23 @@ def test_correlator_where_the_squares_overflow():
     assert corr.c0 == 0.0 and corr.V == 0.0
 
 
-@pytest.mark.parametrize("search", [
-    lambda: find_critical_delta(bell_spec(2), StateSpec(5, 0.85)),
-    lambda: find_critical_Delta(bell_spec(2), StateSpec(5, 0.85)),
-    lambda: find_critical_visibility(steering_spec(3), 5),
+@pytest.mark.parametrize("search, count", [
+    (lambda: find_critical_delta(bell_spec(2), StateSpec(5, 0.85)), 22),
+    (lambda: find_critical_Delta(bell_spec(2), StateSpec(5, 0.85)), 15),
+    (lambda: find_critical_visibility(steering_spec(3), 5), 15),
 ], ids=["delta_sq", "Delta_sq", "p"])
-def test_each_point_is_probed_once(monkeypatch, search):
-    # the growth check, the bracket edges and the certificates share probes
+def test_each_point_is_probed_once(monkeypatch, search, count):
+    # the growth check, the bracket edges and the certificates share probes;
+    # a probe is one (c0, V) pair, and the README states these counts
     probes = []
 
-    def counted(state, params):
-        probes.append((state, params))
-        return Correlator(state, params)
+    def counted(masses, p, Delta):
+        probes.append((masses, p, Delta))
+        return invariants(masses, p, Delta)
 
-    monkeypatch.setattr(fuzzycorr.transition, "Correlator", counted)
+    monkeypatch.setattr(fuzzycorr.transition, "invariants", counted)
     search()
-    assert len(probes) == len(set(probes))
+    assert len(probes) == len(set(probes)) == count
 
 
 def test_bracket_certificate():
