@@ -130,9 +130,6 @@ class ExperimentConfig:
                 raise ConfigError(f"angle_pairs: 2(theta_i + theta_j) overflows for {pair!r}")
         return self
 
-    def witness_spec(self):
-        return WitnessSpec(self.witness, self.m)
-
 
 @dataclass
 class ResultRow:
@@ -172,10 +169,12 @@ def parse_grid(text):
         a, b, step = (_grid_number(text, v) for v in parts)
         if step <= 0:
             raise ConfigError("grid: step must be positive")
+        if b < a:
+            raise ConfigError(f"grid: {text!r} ends below its start")
         span = (b - a) / step + 1e-9  # inf when the count leaves float range
         if not span < MAX_COUNT:
             raise ConfigError(f"grid: {text!r} has more than {MAX_COUNT} points")
-        return [a + i * step for i in range(max(math.floor(span) + 1, 1))]
+        return [a + i * step for i in range(math.floor(span) + 1)]
     return [_grid_number(text, v) for v in text.split(",") if v.strip()]
 
 
@@ -206,9 +205,9 @@ def format_number(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, list):
-        return ";".join(format_number(float(a)) for a in value)
+        return ";".join(format_number(a) for a in value)
     if isinstance(value, float):
-        return repr(float(value)).removesuffix(".0")
+        return repr(value).removesuffix(".0")
     return str(value)
 
 
@@ -248,7 +247,7 @@ def emit(config, rows, plot=()):
             with open(config.out + ".plot.csv", "w") as fh:
                 fh.write(header + "\n")
                 for row in rows:
-                    cells = (format_number(float(getattr(row, name))) for name in fields)
+                    cells = (format_number(getattr(row, name)) for name in fields)
                     fh.write(",".join(cells) + "\n")
     except OSError as exc:
         raise ConfigError(f"out: cannot write {exc.filename}: {exc.strerror}") from exc
@@ -273,7 +272,7 @@ def _row(config, **cells):
 def _transition_row(config, pt):
     return _row(config, m=pt.witness.m, p=pt.p, delta_sq=pt.delta_sq, Delta_sq=pt.Delta_sq,
                 witness_kind=pt.witness.kind, witness_value=pt.achieved_value,
-                bound=pt.bound, angles=_flat(pt.angles))
+                bound=pt.witness.bound, angles=_flat(optimal_angles(pt.witness)))
 
 
 def cmd_correlate(config):
@@ -311,13 +310,14 @@ def cmd_profile(config):
         axis, grid = "Delta_sq", config.Delta_sq_grid
     else:
         raise ConfigError("delta_sq_grid: profile requires a variance grid")
-    spec = config.witness_spec()
+    spec = WitnessSpec(config.witness, config.m)
     state = StateSpec(n=config.n, p=config.p)
     angles = _flat(optimal_angles(spec))
     rows = []
     for variance in grid:
         point = {"delta_sq": config.delta_sq, "Delta_sq": config.Delta_sq, axis: variance}
-        value = optimum(spec, Correlator(state, _params(point["delta_sq"], point["Delta_sq"])))
+        corr = Correlator(state, _params(point["delta_sq"], point["Delta_sq"]))
+        value = optimum(spec, corr.c0, corr.V)
         rows.append(_row(config, **point, witness_value=value, bound=spec.bound,
                          violated=value > spec.bound, angles=angles))
     emit(config, rows, plot=("variance,witness_value,bound", (axis, "witness_value", "bound")))
@@ -328,7 +328,7 @@ def cmd_boundary(config):
     """Trace the transition curve delta_c^2(Delta^2) over the Delta^2 grid."""
     if not config.Delta_sq_grid:
         raise ConfigError("Delta_sq_grid: boundary requires a Delta^2 grid")
-    spec = config.witness_spec()
+    spec = WitnessSpec(config.witness, config.m)
     state = StateSpec(n=config.n, p=config.p)
     points = trace_boundary(spec, state, config.Delta_sq_grid, tol=config.transition_tol)
     if not points:

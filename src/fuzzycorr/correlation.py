@@ -69,16 +69,13 @@ def invariants(masses, p, Delta):
 
 
 class Correlator:
-    """Reusable pairwise-correlation handle closed over (state, coarsening).
+    """The correlator E(a, b) = c0 - V cos 2(a + b) of a (state, coarsening) pair.
 
-    Every correlator of the model has the form E(a, b) = c0 - V cos 2(a + b),
-    with c0 and V from :func:`invariants`, computed once at construction;
-    instances are immutable.
+    c0 and V come from :func:`invariants`, once, at construction; they are
+    all an instance stores.
     """
 
     def __init__(self, state, params):
-        self.state = state
-        self.params = params
         self.c0, self.V = invariants(kernel_masses(state.n, params.delta), state.p, params.Delta)
 
     def __call__(self, theta_i, theta_j):

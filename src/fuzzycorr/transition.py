@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from .correlation import CoarseningParams, StateSpec, invariants
 from .kernel import kernel_masses
-from .witness import WitnessSpec, optimal_angles, optimum_of
+from .witness import WitnessSpec, optimum
 
 __all__ = [
     "TransitionPoint",
@@ -73,15 +73,6 @@ class TransitionPoint:
     margin_lo: float
     margin_hi: float
 
-    @property
-    def bound(self):
-        return self.witness.bound
-
-    @property
-    def angles(self):
-        """The angles that attain ``achieved_value``: :func:`optimal_angles` of the witness."""
-        return optimal_angles(self.witness)
-
 
 def _bisect_margin(margin, lo, hi, tol, lo_error, hi_error):
     """Bisection on a scalar parameter given margin(lo) > 0 >= margin(hi).
@@ -115,7 +106,7 @@ def _bisect_margin(margin, lo, hi, tol, lo_error, hi_error):
 
 
 def _search(spec, n, invariants_at, hi, tol, lo_error, coords):
-    """The TransitionPoint at the root of optimum_of(spec, *invariants_at(x)) - bound in [0, hi].
+    """The TransitionPoint at the root of optimum(spec, *invariants_at(x)) - bound in [0, hi].
 
     V falls to 0 as x grows, and the optimum with it to its c0 term, so the
     doubling of hi ends; a witness that still violates at V = 0, or at an
@@ -125,7 +116,7 @@ def _search(spec, n, invariants_at, hi, tol, lo_error, coords):
     invariants_at = functools.cache(invariants_at)
 
     def margin(x):
-        return optimum_of(spec, *invariants_at(x)) - spec.bound
+        return optimum(spec, *invariants_at(x)) - spec.bound
 
     while hi < math.inf and margin(hi) > 0 and invariants_at(hi)[1] > 0:  # V > 0
         hi *= 2.0
@@ -135,7 +126,7 @@ def _search(spec, n, invariants_at, hi, tol, lo_error, coords):
         raise hi_error
     root, cert_lo, cert_hi = _bisect_margin(margin, 0.0, hi, tol, lo_error, hi_error)
     return TransitionPoint(*coords(root), witness=spec, n=n,
-                           achieved_value=optimum_of(spec, *invariants_at(root)),
+                           achieved_value=optimum(spec, *invariants_at(root)),
                            margin_lo=cert_lo, margin_hi=cert_hi)
 
 

@@ -8,7 +8,7 @@ m = 2 is CHSH with bound 2.  The steering witness is
 Every correlator of the model is E(a, b) = c0 - V cos 2(a + b) with
 c0, V >= 0, so both witnesses are maximized at fixed angles that do not
 depend on the state or the coarsening (:func:`optimal_angles`), and the
-optimum is read from c0 and V alone (:func:`optimum_of`):
+optimum is read from c0 and V alone (:func:`optimum`):
 m c0 + V m / sin(pi / 2m) for Bell and sqrt(m) (c0 + V) for steering.
 """
 
@@ -28,7 +28,6 @@ __all__ = [
     "evaluate",
     "optimal_angles",
     "optimum",
-    "optimum_of",
 ]
 
 BELL = "bell"
@@ -67,6 +66,10 @@ class AngleAssignment:
         object.__setattr__(self, "bob", tuple(float(b) % math.pi % math.pi for b in self.bob))
         if len(self.alice) != len(self.bob):
             raise ValueError("alice and bob must have the same number of settings")
+        # a non-finite angle reduces to nan, and so does every sum that holds it
+        if not math.isfinite(sum(self.alice) + sum(self.bob)):
+            party = "bob" if math.isfinite(sum(self.alice)) else "alice"
+            raise ValueError(f"{party}: every angle must be finite")
 
 
 def bell_spec(m):
@@ -119,12 +122,7 @@ def optimal_angles(spec):
     return AngleAssignment(alice=alice, bob=bob)
 
 
-def optimum(spec, corr):
-    """Witness value maximized over all angles for a correlator: :func:`optimum_of` its c0, V."""
-    return optimum_of(spec, corr.c0, corr.V)
-
-
-def optimum_of(spec, c0, V):
+def optimum(spec, c0, V):
     """Witness value maximized over all angles under the correlator c0 - V cos 2(a + b).
 
     Bell: m c0 + V B*_m with B*_m = m / sin(pi / 2m); steering:

@@ -56,7 +56,8 @@ def _search(spec, n, corr_at, hi, tol, lo_error, coords):
     corr_at = functools.cache(corr_at)
 
     def margin(x):
-        return optimum(spec, corr_at(x)) - spec.bound
+        corr = corr_at(x)
+        return optimum(spec, corr.c0, corr.V) - spec.bound
 
     while hi < math.inf and margin(hi) > 0 and corr_at(hi).V > 0:
         hi *= 2.0
@@ -66,7 +67,7 @@ def _search(spec, n, corr_at, hi, tol, lo_error, coords):
         raise hi_error
     root, cert_lo, cert_hi = _bisect_margin(margin, 0.0, hi, tol, lo_error, hi_error)
     return TransitionPoint(*coords(root), witness=spec, n=n,
-                           achieved_value=optimum(spec, corr_at(root)),
+                           achieved_value=optimum(spec, corr_at(root).c0, corr_at(root).V),
                            margin_lo=cert_lo, margin_hi=cert_hi)
 
 

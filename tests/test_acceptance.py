@@ -94,13 +94,13 @@ def test_criterion_2_resolution_coarsening_columns(table1_points):
 def test_criterion_3_sharp_limit_optima():
     """Optimized sharp-limit witnesses hit 2*sqrt(2) and sqrt(m)."""
     sharp = Correlator(StateSpec(5, p=1.0), CoarseningParams())
-    bell = optimum(bell_spec(2), sharp)
+    bell = optimum(bell_spec(2), sharp.c0, sharp.V)
     grid = chsh_grid_max()
     print(f"criterion 3: B_2={bell:.10f} grid-oracle={grid:.6f}")
     assert bell == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-6)
     assert grid <= bell + 1e-6 and grid == pytest.approx(bell, abs=1e-3)
     for m in (2, 3, 4, 5):
-        steer = optimum(steering_spec(m), sharp)
+        steer = optimum(steering_spec(m), sharp.c0, sharp.V)
         oracle = steering_grid_max(m)
         print(f"criterion 3: S_{m}={steer:.10f} grid-oracle={oracle:.6f}")
         assert steer == pytest.approx(math.sqrt(m), abs=1e-6)
@@ -212,7 +212,7 @@ def test_criterion_9_property_suite():
         assert corr(ti, tj) == pytest.approx(corr(tj, ti), abs=1e-15)
     # optimum determinism, bit-exact
     corr = Correlator(StateSpec(5, p=0.9), CoarseningParams(delta=1.0))
-    assert optimum(bell_spec(2), corr) == optimum(bell_spec(2), corr)
+    assert optimum(bell_spec(2), corr.c0, corr.V) == optimum(bell_spec(2), corr.c0, corr.V)
     np.testing.assert_array_equal(
         optimal_angles(bell_spec(2)).alice, optimal_angles(bell_spec(2)).alice
     )
@@ -221,6 +221,6 @@ def test_criterion_9_property_suite():
         Correlator(StateSpec(5, p=1.0), CoarseningParams(delta=math.sqrt(v)))
         for v in (0.0, 4.0, 8.0, 12.0)
     ]
-    values = [optimum(bell_spec(2), corr) for corr in grids]
+    values = [optimum(bell_spec(2), corr.c0, corr.V) for corr in grids]
     assert all(cur <= prev + 1e-4 for prev, cur in zip(values, values[1:]))
     print("criterion 9: all property families hold")

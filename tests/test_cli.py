@@ -38,6 +38,7 @@ def read_csv(path):
 
 def test_parse_grid_range():
     assert parse_grid("0:1:0.5") == [0.0, 0.5, 1.0]
+    assert parse_grid("0:0:1") == [0.0]
 
 
 def test_parse_grid_list():
@@ -47,6 +48,14 @@ def test_parse_grid_list():
 def test_parse_grid_bad_step():
     with pytest.raises(ConfigError):
         parse_grid("0:1:-0.5")
+
+
+@pytest.mark.parametrize("text", ["16:0:2", "1:0:0.5"])
+def test_descending_range_grid_exits_2(capsys, text):
+    # a range that ends below its start is refused, as a descending list is
+    assert main(["profile", "--delta-sq-grid", text]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid:") and err.count("\n") == 1, err
 
 
 def test_parse_grid_bad_shape():

@@ -243,14 +243,15 @@ def test_correlator_matches_functions():
 
 def test_correlator_matrix_and_diagonal_consistent():
     # the steering witness reads the matched settings off the matrix diagonal
-    corr = Correlator(StateSpec(5, p=0.9), CoarseningParams(delta=1.0, Delta=0.2))
+    state, params = StateSpec(5, p=0.9), CoarseningParams(delta=1.0, Delta=0.2)
+    corr = Correlator(state, params)
     alice = np.array([0.1, 0.7, 1.3])
     bob = np.array([0.4, 1.0, 2.0])
     matrix = pair_matrix(corr, alice, bob)
     assert matrix.shape == (3, 3)
     for i in range(3):
         assert matrix[i, i] == pytest.approx(
-            corr_werner_full(alice[i], bob[i], corr.state, corr.params), abs=1e-12
+            corr_werner_full(alice[i], bob[i], state, params), abs=1e-12
         )
         for j in range(3):
             assert matrix[i, j] == pytest.approx(corr(alice[i], bob[j]), abs=1e-15)

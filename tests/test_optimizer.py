@@ -42,7 +42,7 @@ class ScaledCorrelator:
 
 
 def test_chsh_sharp_optimum_vs_grid_oracle():
-    value = optimum(bell_spec(2), SHARP)
+    value = optimum(bell_spec(2), SHARP.c0, SHARP.V)
     assert value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-6)
     # the pi/720 grid search cannot beat the continuous optimum, and must
     # get within its own resolution of it
@@ -53,7 +53,7 @@ def test_chsh_sharp_optimum_vs_grid_oracle():
 
 def test_steering_sharp_optima_vs_grid_oracle():
     for m in (2, 3, 4, 5):
-        value = optimum(steering_spec(m), SHARP)
+        value = optimum(steering_spec(m), SHARP.c0, SHARP.V)
         assert value == pytest.approx(math.sqrt(m), abs=1e-6)
         assert steering_grid_max(m) <= value + 1e-6
 
@@ -61,7 +61,7 @@ def test_steering_sharp_optima_vs_grid_oracle():
 def test_scaled_correlator_halves_value():
     # Werner p = 0.5 at zero coarsening is exactly the halved correlator
     corr = Correlator(StateSpec(5, p=0.5), CoarseningParams())
-    assert optimum(bell_spec(2), corr) == pytest.approx(math.sqrt(2.0), abs=1e-6)
+    assert optimum(bell_spec(2), corr.c0, corr.V) == pytest.approx(math.sqrt(2.0), abs=1e-6)
 
 
 def test_result_value_consistent_with_angles():
@@ -70,14 +70,16 @@ def test_result_value_consistent_with_angles():
         value, angles = maximize(spec, corr)
         assert evaluate(spec, angles, corr) == pytest.approx(value, abs=1e-8)
         assert evaluate(spec, optimal_angles(spec), corr) == pytest.approx(
-            optimum(spec, corr), abs=1e-8
+            optimum(spec, corr.c0, corr.V), abs=1e-8
         )
 
 
 def test_determinism_bit_exact():
     spec = bell_spec(3)
-    a = optimum(spec, Correlator(StateSpec(5, p=0.9), CoarseningParams(delta=1.5, Delta=0.1)))
-    b = optimum(spec, Correlator(StateSpec(5, p=0.9), CoarseningParams(delta=1.5, Delta=0.1)))
+    first, second = (Correlator(StateSpec(5, p=0.9), CoarseningParams(delta=1.5, Delta=0.1))
+                     for _ in range(2))
+    a = optimum(spec, first.c0, first.V)
+    b = optimum(spec, second.c0, second.V)
     assert a == b
     first, second = optimal_angles(spec), optimal_angles(spec)
     np.testing.assert_array_equal(first.alice, second.alice)
@@ -87,7 +89,7 @@ def test_determinism_bit_exact():
 def test_local_maximum_certificate():
     corr = Correlator(StateSpec(5, p=1.0), CoarseningParams(delta=2.0))
     for spec in (bell_spec(2), bell_spec(3), steering_spec(3)):
-        value = optimum(spec, corr)
+        value = optimum(spec, corr.c0, corr.V)
         angles = optimal_angles(spec)
         x = np.concatenate([angles.alice, angles.bob])
         m = spec.m
@@ -101,10 +103,10 @@ def test_local_maximum_certificate():
 
 def test_scaling_covariance():
     spec = bell_spec(2)
-    base = optimum(spec, SHARP)
+    base = optimum(spec, SHARP.c0, SHARP.V)
     for s in (0.25, 0.6, 1.0):
         scaled = ScaledCorrelator(SHARP, s)
-        assert optimum(spec, scaled) == pytest.approx(s * base, abs=1e-6)
+        assert optimum(spec, scaled.c0, scaled.V) == pytest.approx(s * base, abs=1e-6)
         # the scaled argmax found by a free search is optimal for the
         # unscaled problem too
         _, angles = maximize(spec, scaled)
@@ -130,7 +132,7 @@ def test_profile_constant_family():
     # with no coarsening the correlator is -p cos 2(a + b) whatever n is
     spec = steering_spec(2)
     family = [Correlator(StateSpec(n, p=1.0), CoarseningParams()) for n in (1, 5, 50)]
-    values = [optimum(spec, corr) for corr in family]
+    values = [optimum(spec, corr.c0, corr.V) for corr in family]
     assert max(values) - min(values) < 1e-9
 
 
@@ -141,7 +143,7 @@ def test_profile_monotone_degradation_in_delta():
     correlators = [
         Correlator(state, CoarseningParams(delta=math.sqrt(v))) for v in grid
     ]
-    values = [optimum(spec, corr) for corr in correlators]
+    values = [optimum(spec, corr.c0, corr.V) for corr in correlators]
     for prev, cur in zip(values, values[1:]):
         assert cur <= prev + 1e-4
     # spot-check the closed-form angles against a free search
@@ -157,6 +159,6 @@ def test_profile_monotone_degradation_in_Delta():
     correlators = [
         Correlator(state, CoarseningParams(Delta=math.sqrt(v))) for v in grid
     ]
-    values = [optimum(spec, corr) for corr in correlators]
+    values = [optimum(spec, corr.c0, corr.V) for corr in correlators]
     for prev, cur in zip(values, values[1:]):
         assert cur <= prev + 1e-4

@@ -22,6 +22,7 @@ from fuzzycorr import (
     find_critical_Delta,
     find_critical_delta,
     find_critical_visibility,
+    optimal_angles,
     optimum,
     steering_spec,
     trace_boundary,
@@ -154,7 +155,7 @@ def test_each_point_is_probed_once(monkeypatch, search, count):
 def test_bracket_certificate():
     pt = find_critical_delta(bell_spec(2), PURE5)
     assert pt.margin_lo > 0.0 > pt.margin_hi
-    assert abs(pt.achieved_value - pt.bound) < 0.05  # tol times the local slope
+    assert abs(pt.achieved_value - pt.witness.bound) < 0.05  # tol times the local slope
     pt = find_critical_Delta(steering_spec(2), PURE5)
     assert pt.margin_lo > 0.0 > pt.margin_hi
 
@@ -164,7 +165,8 @@ def test_transition_point_metadata():
     assert pt.n == 5 and pt.p == 0.9
     assert pt.witness.kind == "steering"
     assert pt.Delta_sq == 0.0
-    assert len(pt.angles.alice) == 2 and len(pt.angles.bob) == 2
+    angles = optimal_angles(pt.witness)
+    assert len(angles.alice) == 2 and len(angles.bob) == 2
 
 
 def test_mixed_state_split(table1_points):
@@ -363,7 +365,8 @@ _unit_pair = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted)
 
 
 def _optimum(spec, n, p, delta, Delta):
-    return optimum(spec, Correlator(StateSpec(n, p), CoarseningParams(delta, Delta)))
+    corr = Correlator(StateSpec(n, p), CoarseningParams(delta, Delta))
+    return optimum(spec, corr.c0, corr.V)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

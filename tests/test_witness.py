@@ -211,6 +211,15 @@ def test_angle_length_mismatch_rejected():
         AngleAssignment(alice=[0.0], bob=[0.0, 1.0])
 
 
+@pytest.mark.parametrize("party", ["alice", "bob"])
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+def test_non_finite_angle_rejected(party, angle):
+    angles = {"alice": [0.0, 0.0], "bob": [0.0, 0.0]}
+    angles[party][0] = angle
+    with pytest.raises(ValueError, match=f"^{party}: "):
+        AngleAssignment(**angles)
+
+
 # ------------------------------------------------------------------ optimum
 
 # (n, p, delta, Delta): sharp, resolution only, reference only, both, noisy
@@ -229,7 +238,7 @@ def test_optimum_against_free_search_and_grid(kind, m):
     spec = bell_spec(m) if kind == "bell" else steering_spec(m)
     for n, p, delta, Delta in OPTIMUM_POINTS:
         corr = Correlator(StateSpec(n, p), CoarseningParams(delta=delta, Delta=Delta))
-        value = optimum(spec, corr)
+        value = optimum(spec, corr.c0, corr.V)
         free, _ = maximize(spec, corr)
         assert free <= value + 1e-12, (n, p, delta, Delta)
         assert free == pytest.approx(value, abs=1e-9), (n, p, delta, Delta)
@@ -250,7 +259,7 @@ def test_optimum_equals_evaluate_at_optimal_angles(kind):
         corr = Correlator(StateSpec(n, p), CoarseningParams(delta=delta, Delta=Delta))
         for m in range(2, 65):
             spec = make(m)
-            value = optimum(spec, corr)
+            value = optimum(spec, corr.c0, corr.V)
             assert value == pytest.approx(
                 evaluate(spec, optimal_angles(spec), corr), rel=1e-14, abs=0
             ), (m, n, p, delta, Delta)
@@ -258,20 +267,15 @@ def test_optimum_equals_evaluate_at_optimal_angles(kind):
 
 def test_sharp_bell_optimum_closed_form():
     for m in range(2, 9):
-        assert optimum(bell_spec(m), SHARP) == pytest.approx(
+        assert optimum(bell_spec(m), SHARP.c0, SHARP.V) == pytest.approx(
             m / math.sin(math.pi / (2 * m)), abs=1e-12
         )
-
-
-class UnitCorrelator:
-    c0 = 0.0
-    V = 1.0
 
 
 def test_critical_visibility_parity_split():
     # V_c(m) = bound / B*_m: with delta = Delta = 0 the Bell witness holds for p > V_c(m).
     # Odd m fall toward pi/4 from above, even m rise toward it from below (m <= 10^5).
-    values = {m: bell_spec(m).bound / optimum(bell_spec(m), UnitCorrelator)
+    values = {m: bell_spec(m).bound / optimum(bell_spec(m), 0.0, 1.0)  # c0 = 0, V = 1
               for m in range(2, 10**5 + 1)}
     assert [round(values[m], 4) for m in range(2, 8)] == [
         0.7071, 0.8333, 0.7654, 0.8034, 0.7765, 0.7947]
