@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -45,8 +46,8 @@ TABLE1_REFERENCE = {
     0.75: (4.81042, 0.0147, 6.137, 0.0147),
 }
 
-# Largest settings count m and largest grid: at m = 10^6 a profile
-# row takes about 1.7 s and writes 38 MB, and a 10^5-point grid about 1.4 s.
+# Largest settings count m and largest grid: at m = 10^6 a profile row takes
+# about 4 s and writes 38 MB, a 10^5-point grid about 2.5 s (wall, 2 vCPUs).
 MAX_COUNT = 10**6
 
 
@@ -133,7 +134,7 @@ class ExperimentConfig:
 
 @dataclass
 class ResultRow:
-    """One output record; field order fixes the CSV column order."""
+    """One output record; field order fixes the CSV column order, angles last."""
 
     m: int
     n: int
@@ -211,23 +212,30 @@ def format_number(value):
     return str(value)
 
 
+def _record(obj):  # asdict without its deep copy: every field is already a plain value
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 def write_rows(config, rows, stream):
     """Emit rows in the configured format, preceded by the resolved config."""
-    resolved = dataclasses.asdict(config)
+    resolved = _record(config)
     if config.format == "json":
         payload = {
             "config": resolved,
             # JSON has no nan: a non-finite cell (the correlate bound) is null
             "rows": [{k: None if isinstance(v, float) and not math.isfinite(v) else v
-                      for k, v in dataclasses.asdict(row).items()} for row in rows],
+                      for k, v in _record(row).items()} for row in rows],
         }
         json.dump(payload, stream, indent=2, allow_nan=False)
         stream.write("\n")
         return
     stream.write("# config " + json.dumps(resolved, sort_keys=True) + "\n")
     stream.write(",".join(RESULT_FIELDS) + "\n")
+    shared = {id(row.angles): row.angles for row in rows}  # one command's rows share one list
+    angle_cells = {key: format_number(angles) for key, angles in shared.items()}
     for row in rows:
-        stream.write(",".join(format_number(getattr(row, name)) for name in RESULT_FIELDS) + "\n")
+        cells = [format_number(getattr(row, name)) for name in RESULT_FIELDS[:-1]]
+        stream.write(",".join(cells + [angle_cells[id(row.angles)]]) + "\n")
 
 
 def emit(config, rows, plot=()):
@@ -247,8 +255,7 @@ def emit(config, rows, plot=()):
             with open(config.out + ".plot.csv", "w") as fh:
                 fh.write(header + "\n")
                 for row in rows:
-                    cells = (format_number(getattr(row, name)) for name in fields)
-                    fh.write(",".join(cells) + "\n")
+                    fh.write(",".join(format_number(getattr(row, name)) for name in fields) + "\n")
     except OSError as exc:
         raise ConfigError(f"out: cannot write {exc.filename}: {exc.strerror}") from exc
 
@@ -269,10 +276,10 @@ def _row(config, **cells):
     return ResultRow(**{**point, **cells})
 
 
-def _transition_row(config, pt):
+def _transition_row(config, pt, angles):
     return _row(config, m=pt.witness.m, p=pt.p, delta_sq=pt.delta_sq, Delta_sq=pt.Delta_sq,
                 witness_kind=pt.witness.kind, witness_value=pt.achieved_value,
-                bound=pt.witness.bound, angles=_flat(optimal_angles(pt.witness)))
+                bound=pt.witness.bound, angles=angles)
 
 
 def cmd_correlate(config):
@@ -333,7 +340,8 @@ def cmd_boundary(config):
     points = trace_boundary(spec, state, config.Delta_sq_grid, tol=config.transition_tol)
     if not points:
         raise TransitionError("no boundary point found on the supplied grid")
-    emit(config, [_transition_row(config, pt) for pt in points],
+    angles = _flat(optimal_angles(spec))
+    emit(config, [_transition_row(config, pt, angles) for pt in points],
          plot=("Delta_sq,delta_sq", ("Delta_sq", "delta_sq")))
     return 0
 
@@ -350,10 +358,11 @@ def cmd_table1(config):
         f"{'p':>6} {'witness':>9} {'d2(D=0)':>10} {'ref':>10} {'rel':>9}"
         f" {'D2(d=0)':>10} {'ref':>10} {'rel':>9}"
     ]
+    witnesses = [(spec, _flat(optimal_angles(spec))) for spec in (bell_spec(2), steering_spec(2))]
     for p in config.p_list:
         state = StateSpec(n=config.n, p=p)
         refs = TABLE1_REFERENCE.get(round(p, 2), (None,) * 4)
-        for spec, ref_d2, ref_D2 in ((bell_spec(2), *refs[:2]), (steering_spec(2), *refs[2:])):
+        for (spec, angles), (ref_d2, ref_D2) in zip(witnesses, (refs[:2], refs[2:])):
             d2 = find_critical_delta(spec, state, Delta_fixed=0.0, tol=config.transition_tol)
             D2 = find_critical_Delta(spec, state, delta_fixed=0.0, tol=config.transition_tol)
             line = f"{p:>6.2f} {spec.kind:>9}"
@@ -362,7 +371,7 @@ def cmd_table1(config):
                     f"{ref:.{digits}f}", f"{(value - ref) / ref:.2%}")
                 line += f" {value:>10.{digits}f} {ref_text:>10} {rel_text:>9}"
             lines.append(line)
-            rows += [_transition_row(config, pt) for pt in (d2, D2)]
+            rows += [_transition_row(config, pt, angles) for pt in (d2, D2)]
     print("\n".join(lines))
     if config.out:
         emit(config, rows)
@@ -373,6 +382,7 @@ COMMANDS = {"correlate": cmd_correlate, "profile": cmd_profile,
             "boundary": cmd_boundary, "table1": cmd_table1}
 
 
+@functools.cache  # built on the first call, not at import
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fuzzycorr",

@@ -1,5 +1,6 @@
 """CLI tests: config handling, output formats, exit statuses, subcommands."""
 
+import dataclasses
 import json
 import math
 import os
@@ -18,9 +19,20 @@ from fuzzycorr import (
     bell_spec,
     evaluate,
     find_critical_delta,
+    optimal_angles,
     steering_spec,
 )
-from fuzzycorr.cli import COMMANDS, RESULT_FIELDS, ConfigError, format_number, main, parse_grid
+from fuzzycorr import cli
+from fuzzycorr.cli import (
+    COMMANDS,
+    RESULT_FIELDS,
+    ConfigError,
+    ExperimentConfig,
+    build_parser,
+    format_number,
+    main,
+    parse_grid,
+)
 from kernel_oracle import correlator_constants
 
 
@@ -221,6 +233,52 @@ def test_help_lists_every_command(capsys):
     assert list(COMMANDS) == ["correlate", "profile", "boundary", "table1"]
 
 
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_back_to_back_runs_share_no_state(tmp_path):
+    # the second run sets neither --m nor --witness: it gets the defaults
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert main(["profile", "--m", "3", "--witness", "steering", "--delta-sq-grid", "0",
+                 "--out", str(first)]) == 0
+    assert main(["profile", "--delta-sq-grid", "0", "--out", str(second)]) == 0
+    config, rows = read_csv(second)
+    assert (config["m"], config["witness"]) == (2, "bell")
+    assert [(row["m"], row["witness_kind"]) for row in rows] == [("2", "bell")]
+
+
+@pytest.mark.parametrize("bad", [["no_such_command"], ["profile", "--m", "abc"]])
+def test_parse_error_leaves_the_next_run_intact(tmp_path, capsys, bad):
+    out, runs = tmp_path / "rows.csv", []
+    for argv in ([], bad, []):
+        if argv:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.startswith("usage:")
+            continue
+        assert main(["profile", "--delta-sq-grid", "0:4:2", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        runs.append(out.read_bytes())
+    assert runs[0] == runs[1]
+
+
+def test_help_after_runs_lists_every_command(tmp_path, capsys, monkeypatch):
+    assert main(["profile", "--delta-sq-grid", "0", "--out", str(tmp_path / "rows.csv")]) == 0
+    assert main(["profile", "--witness", "chsh", "--delta-sq-grid", "0"]) == 2
+    helps = []
+    for columns in ("200", "40"):
+        monkeypatch.setenv("COLUMNS", columns)  # the width is read when --help runs
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    for name, func in COMMANDS.items():
+        assert f"{name:<10} {func.__doc__.splitlines()[0]}" in helps[0]
+    assert len(helps[1].splitlines()) > len(helps[0].splitlines())  # the usage line wraps
+
+
 @pytest.mark.parametrize("argv", [["no_such_command"], []])
 def test_unknown_or_missing_command_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -301,6 +359,16 @@ def test_profile_large_m(witness, tmp_path, capsys):
         assert float(row["witness_value"]) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
+def test_profile_rows_share_one_angle_cell(tmp_path):
+    m, out = 1000, tmp_path / "large.csv"
+    assert main(["profile", "--witness", "steering", "--m", str(m), "--p", "0.9",
+                 "--delta-sq-grid", "0,4,8", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    angles = optimal_angles(steering_spec(m))
+    cell = format_number(list(angles.alice) + list(angles.bob))
+    assert [row["angles"] for row in rows] == [cell] * 3
+
+
 def test_profile_kernel_wider_than_memory(tmp_path, capsys):
     # delta = 1e150 labels: the kernel masses come from its central terms and
     # the Poisson-summed norm, w_n = u and a_n = 10 u with u = 1/(sqrt(2 pi) delta)
@@ -369,6 +437,7 @@ def test_profile_rerun_is_byte_identical(tmp_path):
 @pytest.mark.parametrize("args", [
     ["profile", "--witness", "bell", "--m", "5", "--p", "0.9", "--delta-sq-grid", "0:40:8"],
     ["boundary", "--witness", "bell", "--m", "2", "--Delta-sq-grid", "0,0.01,0.03"],
+    ["profile", "--witness", "steering", "--m", "1000", "--p", "0.9", "--delta-sq-grid", "0,4,8"],
 ])
 def test_csv_rows_reproduce_their_witness_value(tmp_path, args):
     # every float is written in full, so each row's angles give its value back
@@ -412,6 +481,56 @@ def test_correlate_json_is_valid_json(tmp_path):
     assert main(["correlate", "--format", "json", "--out", str(out)]) == 0
     payload = json.loads(out.read_text(), parse_constant=no_constants)
     assert payload["rows"] and all(row["bound"] is None for row in payload["rows"])
+
+
+def _asdict_output(config, rows):
+    """The bytes of ``rows`` as written through the deep-copying ``dataclasses.asdict``."""
+    resolved = dataclasses.asdict(config)
+    if config.format == "json":
+        return json.dumps({"config": resolved, "rows": [
+            {k: None if isinstance(v, float) and not math.isfinite(v) else v
+             for k, v in dataclasses.asdict(row).items()} for row in rows]},
+            indent=2, allow_nan=False) + "\n"
+    lines = ["# config " + json.dumps(resolved, sort_keys=True), ",".join(RESULT_FIELDS)]
+    lines += [",".join(format_number(getattr(row, name)) for name in RESULT_FIELDS)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+_PAIRS = [[0.0, 0.0], [0.3, -0.7], [1.1, 2.5]]
+
+
+@pytest.mark.parametrize("command, values", [
+    ("correlate", {"angle_pairs": _PAIRS, "delta_sq_grid": [0.0, 2.0],
+                   "Delta_sq_grid": [0.0, 0.1], "p_list": [0.9, 0.8], "delta_sq": 1.0}),
+    ("profile", {"angle_pairs": _PAIRS, "delta_sq_grid": [0.0, 2.0, 4.0], "p_list": [0.9]}),
+    ("boundary", {"angle_pairs": _PAIRS, "delta_sq_grid": [0.0, 2.0],
+                  "Delta_sq_grid": [0.0, 0.02], "p_list": [0.9], "p": 0.95}),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rows_are_written_as_asdict_wrote_them(tmp_path, monkeypatch, command, values, fmt):
+    # the writer reads fields shallowly and formats each shared angle list once;
+    # the bytes stay those of the deep copy and of one format_number per cell
+    written, real_emit = [], cli.emit
+
+    def emit(config, rows, plot=()):
+        written.append(rows)
+        real_emit(config, rows, plot)
+
+    monkeypatch.setattr(cli, "emit", emit)
+    cfg, out = tmp_path / "config.json", tmp_path / "rows.out"
+    cfg.write_text(json.dumps(values))
+    assert main([command, "--config", str(cfg), "--format", fmt, "--out", str(out)]) == 0
+    config = ExperimentConfig(**json.loads(cfg.read_text()), format=fmt, out=str(out)).validate()
+    [rows] = written
+    assert out.read_text() == _asdict_output(config, rows)
+    if fmt == "csv":
+        header = out.read_text().splitlines()[0]
+        assert header == "# config " + json.dumps(dataclasses.asdict(config), sort_keys=True)
+    if command == "correlate" and fmt == "csv":  # five regimes a pair, each with its pair
+        _, rows = read_csv(out)
+        assert [row["angles"] for row in rows] == [format_number(pair)
+                                                   for pair in _PAIRS for _ in range(5)]
 
 
 @pytest.mark.parametrize("args,header,fields", [
