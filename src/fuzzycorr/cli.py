@@ -134,7 +134,7 @@ class ExperimentConfig:
 
 @dataclass
 class ResultRow:
-    """One output record; field order fixes the CSV column order, angles last."""
+    """One output record; field order fixes the CSV column order."""
 
     m: int
     n: int
@@ -231,11 +231,8 @@ def write_rows(config, rows, stream):
         return
     stream.write("# config " + json.dumps(resolved, sort_keys=True) + "\n")
     stream.write(",".join(RESULT_FIELDS) + "\n")
-    shared = {id(row.angles): row.angles for row in rows}  # one command's rows share one list
-    angle_cells = {key: format_number(angles) for key, angles in shared.items()}
     for row in rows:
-        cells = [format_number(getattr(row, name)) for name in RESULT_FIELDS[:-1]]
-        stream.write(",".join(cells + [angle_cells[id(row.angles)]]) + "\n")
+        stream.write(",".join(format_number(getattr(row, name)) for name in RESULT_FIELDS) + "\n")
 
 
 def emit(config, rows, plot=()):
@@ -255,7 +252,8 @@ def emit(config, rows, plot=()):
             with open(config.out + ".plot.csv", "w") as fh:
                 fh.write(header + "\n")
                 for row in rows:
-                    fh.write(",".join(format_number(getattr(row, name)) for name in fields) + "\n")
+                    cells = (format_number(getattr(row, name)) for name in fields)
+                    fh.write(",".join(cells) + "\n")
     except OSError as exc:
         raise ConfigError(f"out: cannot write {exc.filename}: {exc.strerror}") from exc
 
@@ -276,10 +274,10 @@ def _row(config, **cells):
     return ResultRow(**{**point, **cells})
 
 
-def _transition_row(config, pt, angles):
+def _transition_row(config, pt):
     return _row(config, m=pt.witness.m, p=pt.p, delta_sq=pt.delta_sq, Delta_sq=pt.Delta_sq,
                 witness_kind=pt.witness.kind, witness_value=pt.achieved_value,
-                bound=pt.witness.bound, angles=angles)
+                bound=pt.witness.bound, angles=_flat(optimal_angles(pt.witness)))
 
 
 def cmd_correlate(config):
@@ -340,8 +338,7 @@ def cmd_boundary(config):
     points = trace_boundary(spec, state, config.Delta_sq_grid, tol=config.transition_tol)
     if not points:
         raise TransitionError("no boundary point found on the supplied grid")
-    angles = _flat(optimal_angles(spec))
-    emit(config, [_transition_row(config, pt, angles) for pt in points],
+    emit(config, [_transition_row(config, pt) for pt in points],
          plot=("Delta_sq,delta_sq", ("Delta_sq", "delta_sq")))
     return 0
 
@@ -358,11 +355,10 @@ def cmd_table1(config):
         f"{'p':>6} {'witness':>9} {'d2(D=0)':>10} {'ref':>10} {'rel':>9}"
         f" {'D2(d=0)':>10} {'ref':>10} {'rel':>9}"
     ]
-    witnesses = [(spec, _flat(optimal_angles(spec))) for spec in (bell_spec(2), steering_spec(2))]
     for p in config.p_list:
         state = StateSpec(n=config.n, p=p)
         refs = TABLE1_REFERENCE.get(round(p, 2), (None,) * 4)
-        for (spec, angles), (ref_d2, ref_D2) in zip(witnesses, (refs[:2], refs[2:])):
+        for spec, ref_d2, ref_D2 in ((bell_spec(2), *refs[:2]), (steering_spec(2), *refs[2:])):
             d2 = find_critical_delta(spec, state, Delta_fixed=0.0, tol=config.transition_tol)
             D2 = find_critical_Delta(spec, state, delta_fixed=0.0, tol=config.transition_tol)
             line = f"{p:>6.2f} {spec.kind:>9}"
@@ -371,7 +367,7 @@ def cmd_table1(config):
                     f"{ref:.{digits}f}", f"{(value - ref) / ref:.2%}")
                 line += f" {value:>10.{digits}f} {ref_text:>10} {rel_text:>9}"
             lines.append(line)
-            rows += [_transition_row(config, pt, angles) for pt in (d2, D2)]
+            rows += [_transition_row(config, pt) for pt in (d2, D2)]
     print("\n".join(lines))
     if config.out:
         emit(config, rows)

@@ -223,14 +223,22 @@ def test_zero_transition_tol_flag_exits_2(capsys):
     assert "transition_tol" in capsys.readouterr().err
 
 
-def test_help_lists_every_command(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--help"])
-    assert exc.value.code == 0
-    out = capsys.readouterr().out
+def test_help_lists_every_command(tmp_path, capsys, monkeypatch):
+    # runs before --help use the same cached parser; the width is read when --help runs
+    assert main(["profile", "--delta-sq-grid", "0", "--out", str(tmp_path / "rows.csv")]) == 0
+    assert main(["profile", "--witness", "chsh", "--delta-sq-grid", "0"]) == 2
+    capsys.readouterr()
+    helps = []
+    for columns in ("200", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
     for name, func in COMMANDS.items():
-        assert f"{name:<10} {func.__doc__.splitlines()[0]}" in out
+        assert f"{name:<10} {func.__doc__.splitlines()[0]}" in helps[0]
     assert list(COMMANDS) == ["correlate", "profile", "boundary", "table1"]
+    assert len(helps[1].splitlines()) > len(helps[0].splitlines())  # the usage line wraps
 
 
 def test_parser_is_built_once():
@@ -262,21 +270,6 @@ def test_parse_error_leaves_the_next_run_intact(tmp_path, capsys, bad):
         assert capsys.readouterr().err == ""
         runs.append(out.read_bytes())
     assert runs[0] == runs[1]
-
-
-def test_help_after_runs_lists_every_command(tmp_path, capsys, monkeypatch):
-    assert main(["profile", "--delta-sq-grid", "0", "--out", str(tmp_path / "rows.csv")]) == 0
-    assert main(["profile", "--witness", "chsh", "--delta-sq-grid", "0"]) == 2
-    helps = []
-    for columns in ("200", "40"):
-        monkeypatch.setenv("COLUMNS", columns)  # the width is read when --help runs
-        with pytest.raises(SystemExit) as exc:
-            main(["--help"])
-        assert exc.value.code == 0
-        helps.append(capsys.readouterr().out)
-    for name, func in COMMANDS.items():
-        assert f"{name:<10} {func.__doc__.splitlines()[0]}" in helps[0]
-    assert len(helps[1].splitlines()) > len(helps[0].splitlines())  # the usage line wraps
 
 
 @pytest.mark.parametrize("argv", [["no_such_command"], []])
@@ -359,16 +352,6 @@ def test_profile_large_m(witness, tmp_path, capsys):
         assert float(row["witness_value"]) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
-def test_profile_rows_share_one_angle_cell(tmp_path):
-    m, out = 1000, tmp_path / "large.csv"
-    assert main(["profile", "--witness", "steering", "--m", str(m), "--p", "0.9",
-                 "--delta-sq-grid", "0,4,8", "--out", str(out)]) == 0
-    _, rows = read_csv(out)
-    angles = optimal_angles(steering_spec(m))
-    cell = format_number(list(angles.alice) + list(angles.bob))
-    assert [row["angles"] for row in rows] == [cell] * 3
-
-
 def test_profile_kernel_wider_than_memory(tmp_path, capsys):
     # delta = 1e150 labels: the kernel masses come from its central terms and
     # the Poisson-summed norm, w_n = u and a_n = 10 u with u = 1/(sqrt(2 pi) delta)
@@ -440,7 +423,8 @@ def test_profile_rerun_is_byte_identical(tmp_path):
     ["profile", "--witness", "steering", "--m", "1000", "--p", "0.9", "--delta-sq-grid", "0,4,8"],
 ])
 def test_csv_rows_reproduce_their_witness_value(tmp_path, args):
-    # every float is written in full, so each row's angles give its value back
+    # every row carries the optimal angles, each float written in full,
+    # so each row's angles give its value back
     out = tmp_path / "rows.csv"
     assert main(args + ["--n", "5", "--out", str(out)]) == 0
     _, rows = read_csv(out)
@@ -453,6 +437,8 @@ def test_csv_rows_reproduce_their_witness_value(tmp_path, args):
             CoarseningParams(math.sqrt(float(row["delta_sq"])),
                              math.sqrt(float(row["Delta_sq"]))),
         )
+        optimal = optimal_angles(spec)
+        assert row["angles"] == format_number(list(optimal.alice) + list(optimal.bob))
         angles = [float(a) for a in row["angles"].split(";")]
         value = evaluate(spec, AngleAssignment(angles[:m], angles[m:]), corr)
         assert value == pytest.approx(float(row["witness_value"]), abs=1e-12)
@@ -509,8 +495,7 @@ _PAIRS = [[0.0, 0.0], [0.3, -0.7], [1.1, 2.5]]
 ])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_rows_are_written_as_asdict_wrote_them(tmp_path, monkeypatch, command, values, fmt):
-    # the writer reads fields shallowly and formats each shared angle list once;
-    # the bytes stay those of the deep copy and of one format_number per cell
+    # the writer reads fields shallowly; the bytes stay those of the deep copy
     written, real_emit = [], cli.emit
 
     def emit(config, rows, plot=()):
