@@ -34,10 +34,10 @@ def kernel_masses(n, delta):
     K = ceil(TRUNCATION_SIGMAS * max(delta, 1)).  With g_k the Gaussian at
     k >= 0 and Z its sum over k = -K..K, w_n = g_n / Z (0 beyond K) and
     a_n = (g_0 + 2 sum_{k=1}^{n-1} g_k) / Z + w_n = 1 - 2 P(k > n) - w_n,
-    summed over k <= min(n, K) only.  From delta = 1 on, Z is the Poisson
-    sum sqrt(2 pi) delta (1 + 2 exp(-2 pi^2 delta^2)) (DLMF 1.8(iv)), whose
-    next term is below 1e-34.  Below EULER_MACLAURIN_DELTA the g_k are summed
-    (at most 97 terms); from there on, with u = n / delta and r = 1 / delta,
+    summed over k <= min(n, K) only.  Z is that sum below delta = 2 (K <= 16)
+    and sqrt(2 pi) delta from there on, where the Poisson sum's image terms
+    (DLMF 1.8(iv)) are below 1e-34.  Below EULER_MACLAURIN_DELTA the g_k are
+    summed (at most 97 terms); from there on, with u = n / delta, r = 1 / delta,
     a_n Z = 2 int_0^n g + 2 sum_j B_2j / (2j)! g^(2j-1)(n) (DLMF 2.10(i)),
     where g^(k)(n) = (-r)^k He_k(u) g_n: the end terms (g_0 + g_n) / 2 of
     the sum cancel exactly, so a_n = erf(u / sqrt 2) - O(r^2 g_n) has no
@@ -49,7 +49,6 @@ def kernel_masses(n, delta):
     if delta * delta == 0 or math.exp(-0.5 / (delta * delta)) == 0:
         return 0.0, 1.0
     r = 1.0 / delta
-    images = 1.0 + 2.0 * math.exp(-2.0 * math.pi**2 * (delta * delta))  # Z / sqrt(2 pi) delta
     if delta >= EULER_MACLAURIN_DELTA:
         # Past K (compared exactly, so a huge n is never made a float) the
         # masses are those at u = 8, up to the 1e-15 tail beyond K.
@@ -60,11 +59,11 @@ def kernel_masses(n, delta):
         # He_1 / 12 - r^2 (He_3 / 720 - r^2 He_5 / 30240), He_k the Hermite polynomials
         series = u * (1.0 / 12.0
                       - r2 * ((u2 - 3.0) / 720.0 - r2 * ((u2 - 10.0) * u2 + 15.0) / 30240.0))
-        a_n = (math.erf(u * _SQRT_HALF) - 2.0 / _SQRT_2PI * r2 * g_n * series) / images
-        return (0.0 if past else g_n / (_SQRT_2PI * delta * images)), a_n
+        a_n = math.erf(u * _SQRT_HALF) - 2.0 / _SQRT_2PI * r2 * g_n * series
+        return (0.0 if past else g_n / (_SQRT_2PI * delta)), a_n
     half = math.ceil(TRUNCATION_SIGMAS * max(delta, 1.0))
     c = -0.5 * (r * r)
-    g = [math.exp(c * (k * k)) for k in range((half if delta < 1.0 else min(n, half)) + 1)]
-    Z = 1.0 + 2.0 * sum(g[1:]) if delta < 1.0 else _SQRT_2PI * delta * images
+    g = [math.exp(c * (k * k)) for k in range((half if delta < 2.0 else min(n, half)) + 1)]
+    Z = 1.0 + 2.0 * sum(g[1:]) if delta < 2.0 else _SQRT_2PI * delta
     w_n = g[n] / Z if n <= half else 0.0
     return w_n, (1.0 + 2.0 * sum(g[1:n])) / Z + w_n

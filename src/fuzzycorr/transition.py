@@ -80,8 +80,8 @@ def _bisect_margin(margin, lo, hi, tol, lo_error, hi_error):
     Halves [a, b] while b - a > w = max(tol, RELATIVE_RESOLUTION * b), so a
     tol below the float spacing is raised to that floor.  Returns (root,
     margin at root - w, margin at root + w), the two certificate probes
-    clamped to [lo, hi].  Raises TransitionError when the certificates do
-    not bracket a sign change (a non-monotone margin).
+    clamped to [lo, hi].  Raises TransitionError when they do not bracket a
+    sign change, or when both clamp to the ends (w >= half the bracket).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
@@ -99,9 +99,9 @@ def _bisect_margin(margin, lo, hi, tol, lo_error, hi_error):
     root = 0.5 * a + 0.5 * b
     cert_lo = margin(max(root - width, lo))
     cert_hi = margin(min(root + width, hi))
-    if not cert_lo > 0 >= cert_hi:
-        raise TransitionError(f"uncertified bracket at {root}: margin {cert_lo} at "
-                              f"-{width}, {cert_hi} at +{width}")
+    if not cert_lo > 0 >= cert_hi or (root - width <= lo and root + width >= hi):
+        raise TransitionError(f"uncertified bracket at {root} in [{lo}, {hi}]: margin "
+                              f"{cert_lo} at -{width}, {cert_hi} at +{width}")
     return root, cert_lo, cert_hi
 
 

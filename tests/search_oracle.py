@@ -46,9 +46,9 @@ def _bisect_margin(margin, lo, hi, tol, lo_error, hi_error):
     root = 0.5 * a + 0.5 * b
     cert_lo = margin(max(root - width, lo))
     cert_hi = margin(min(root + width, hi))
-    if not cert_lo > 0 >= cert_hi:
-        raise TransitionError(f"uncertified bracket at {root}: margin {cert_lo} at "
-                              f"-{width}, {cert_hi} at +{width}")
+    if not cert_lo > 0 >= cert_hi or (root - width <= lo and root + width >= hi):
+        raise TransitionError(f"uncertified bracket at {root} in [{lo}, {hi}]: margin "
+                              f"{cert_lo} at -{width}, {cert_hi} at +{width}")
     return root, cert_lo, cert_hi
 
 

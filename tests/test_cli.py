@@ -549,7 +549,7 @@ def _floats(value):
     ("profile", {"witness": "steering", "p": 1, "Delta_sq": 0, "delta_sq_grid": [0, 4, 10**16]}),
     ("profile", {"p": 1, "delta_sq": 2, "Delta_sq_grid": [0, 1]}),
     ("boundary", {"p": 1, "delta_sq": 0, "Delta_sq_grid": [0], "transition_tol": 1}),
-    ("table1", {"p_list": [1], "transition_tol": 1}),
+    ("table1", {"p_list": [1]}),
 ], ids=["correlate", "profile-delta_sq", "profile-Delta_sq", "boundary", "table1"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_json_integers_write_the_bytes_of_floats(tmp_path, capsys, command, config, fmt):

@@ -153,9 +153,11 @@ def test_kernel_masses_of_a_very_wide_kernel():
     assert a_n == pytest.approx(10.0 * u, rel=1e-14, abs=0)
 
 
-# Both sides of the switch from the explicit sum to the Euler-Maclaurin
-# form, and a grid of widths around each n.
-_EDGE_DELTAS = (math.nextafter(EULER_MACLAURIN_DELTA, 0.0), EULER_MACLAURIN_DELTA)
+# Both sides of the switch from the summed norm Z to sqrt(2 pi) delta, of
+# the switch from the explicit sum to the Euler-Maclaurin form, and a grid
+# of widths around each n.
+_EDGE_DELTAS = (math.nextafter(2.0, 0.0), 2.0,
+                math.nextafter(EULER_MACLAURIN_DELTA, 0.0), EULER_MACLAURIN_DELTA)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 50, 500, 5000])
@@ -169,7 +171,7 @@ def test_kernel_masses_across_the_sum_edge(n):
 
 @pytest.mark.parametrize("delta", _EDGE_DELTAS)
 def test_kernel_masses_past_the_support(delta):
-    # K = 96 on both sides of the edge: past it w_n = 0 and a_n is 1 to the tail mass
+    # K = 16 or 96 on both sides of each edge: past it w_n = 0 and a_n is 1 to the tail mass
     half = math.ceil(TRUNCATION_SIGMAS * delta)
     for n in (half, half + 1, 10 * half):
         w_n, a_n = kernel_masses(n, delta)

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfinv
 
@@ -29,6 +29,7 @@ from fuzzycorr import (
 )
 from fuzzycorr.correlation import invariants
 from fuzzycorr.transition import DEFAULT_TOL, RELATIVE_RESOLUTION, _bisect_margin
+from kernel_oracle import correlator_constants
 
 PURE5 = StateSpec(n=5, p=1.0)
 
@@ -336,10 +337,13 @@ def test_bisect_checks_certificates():
 
 
 def test_certificate_probes_stay_in_bracket():
-    # a tolerance wider than the whole p bracket used to probe p < 0
-    pt = find_critical_visibility(bell_spec(2), n=5, tol=1.5)
+    # a tolerance wider than half the p bracket used to probe outside it
+    pt = find_critical_visibility(bell_spec(2), n=5, tol=0.6)
     assert 0.0 <= pt.p <= 1.0
     assert pt.margin_lo > 0.0 >= pt.margin_hi
+    # a tolerance so wide that both probes clamp to the bracket ends certifies nothing
+    with pytest.raises(TransitionError, match=r"uncertified bracket at 0\.5 in \[0\.0, 1\.0\]"):
+        find_critical_visibility(bell_spec(2), n=5, tol=1.5)
 
 
 def test_no_violation_at_pure_state_names_n():
@@ -428,3 +432,54 @@ def test_bracket_holds_one_root(spec, n, p, t, Delta, axis, samples):
         x = root + math.copysign(DEFAULT_TOL * (edge / DEFAULT_TOL) ** abs(u), u)
         if 0.0 <= x <= edge:
             assert margin(x) > 0.0 if x < root else margin(x) <= 0.0, (x, root)
+
+
+# ------------------------------------------------ Delta^2 and p in closed form
+# Both optima are alpha c0 + beta V, so a witness violates exactly when
+# V > V_c = (bound - alpha c0) / beta.  With delta fixed, c0 is fixed and
+# V = p a_n^2 exp(-4 Delta^2), so Delta^2_c = ln(V(Delta = 0) / V_c) / 4 and
+# p_c = V_c / V(p = 1).  The bisection stops on a bracket no wider than
+# w = max(tol, 2^-48 root) and returns its midpoint.  The oracle's (c0, V)
+# hold to 1e-12, so a V within that of V_c (steering m = 4 at p = 0.5 and
+# delta << n, where V_c = 1/2 = p) cannot tell which side it lies on.
+
+@st.composite
+def _n_and_delta(draw):
+    n = draw(st.sampled_from([1, 5, 100, 1000]))
+    return n, draw(st.floats(0.0, n / 2.0))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(spec=st.builds(lambda make, m: make(m), st.sampled_from([bell_spec, steering_spec]),
+                      st.sampled_from([2, 3, 4, 5, 16, 400])),
+       n_delta=_n_and_delta(), p=st.floats(0.5, 1.0), Delta=st.floats(0.0, 0.3))
+@example(spec=steering_spec(400), n_delta=(1, 0.8), p=1.0, Delta=0.0)  # c0 alone violates
+def test_Delta_sq_and_p_searches_against_their_closed_forms(spec, n_delta, p, Delta):
+    n, delta = n_delta
+    m = spec.m
+    if spec.kind == "bell":
+        alpha, beta = m, m / math.sin(math.pi / (2 * m))
+    else:
+        alpha = beta = math.sqrt(m)
+    c0, V_at_zero_Delta = correlator_constants(n, p, delta, 0.0)
+    V_at_pure = correlator_constants(n, 1.0, delta, Delta)[1]
+    V_c = (spec.bound - alpha * c0) / beta
+    assume(min(abs(V_at_zero_Delta - V_c), abs(V_at_pure - V_c), abs(V_c)) > 1e-12)
+    searches = [
+        (lambda tol: find_critical_Delta(spec, StateSpec(n, p), delta, tol).Delta_sq,
+         V_at_zero_Delta, NoViolationAtLo, lambda: 0.25 * math.log(V_at_zero_Delta / V_c)),
+        (lambda tol: find_critical_visibility(spec, n, CoarseningParams(delta, Delta), tol).p,
+         V_at_pure, NoViolationAtPureState, lambda: V_c / V_at_pure),
+    ]
+    for search, V_edge, lo_error, closed_form in searches:
+        for tol in (1e-3, 1e-9):
+            if V_edge <= V_c:
+                with pytest.raises(lo_error):
+                    search(tol)
+            elif V_c < 0:
+                with pytest.raises(NoTransitionAtHi):
+                    search(tol)
+            else:
+                root, exact = search(tol), closed_form()
+                width = max(tol, RELATIVE_RESOLUTION * root)
+                assert abs(root - exact) <= 0.5 * width + 1e-12 * abs(exact), (tol, root, exact)

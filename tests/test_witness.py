@@ -9,10 +9,13 @@ from fuzzycorr import (
     AngleAssignment,
     CoarseningParams,
     Correlator,
+    NoViolationAtLo,
     StateSpec,
     bell_spec,
     WitnessSpec,
     evaluate,
+    find_critical_delta,
+    find_critical_visibility,
     optimal_angles,
     optimum,
     steering_spec,
@@ -277,12 +280,25 @@ def test_critical_visibility_parity_split():
     # Odd m fall toward pi/4 from above, even m rise toward it from below (m <= 10^5).
     values = {m: bell_spec(m).bound / optimum(bell_spec(m), 0.0, 1.0)  # c0 = 0, V = 1
               for m in range(2, 10**5 + 1)}
-    assert [round(values[m], 4) for m in range(2, 8)] == [
-        0.7071, 0.8333, 0.7654, 0.8034, 0.7765, 0.7947]
+    assert [round(values[m], 6) for m in range(2, 12)] == [
+        0.707107, 0.833333, 0.765367, 0.803444, 0.776457,
+        0.794718, 0.780361, 0.791064, 0.782172, 0.789200]
     odd = [values[m] for m in range(3, 10**5 + 1, 2)]
     even = [values[m] for m in range(2, 10**5 + 1, 2)]
     assert all(a > b for a, b in zip(odd, odd[1:])) and odd[-1] > math.pi / 4
     assert all(a < b for a, b in zip(even, even[1:])) and even[-1] < math.pi / 4
+    # Under noise: at delta = Delta = 0, c0 = 0 and V = p, so the p search finds
+    # V_c(m) itself, and a noisy state violates only for the m with V_c(m) < p.
+    for m in range(2, 12):
+        assert abs(find_critical_visibility(bell_spec(m), 5, tol=1e-9).p - values[m]) <= 1e-9
+    for p, classical in ((0.75, set(range(3, 12))), (0.80, {3, 5})):
+        raised = set()
+        for m in range(2, 12):
+            try:
+                find_critical_delta(bell_spec(m), StateSpec(5, p))
+            except NoViolationAtLo:
+                raised.add(m)
+        assert raised == classical, p
 
 
 def test_optimal_angles_layout():
