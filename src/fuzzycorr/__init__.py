@@ -21,6 +21,7 @@ from .transition import (
 )
 from .witness import (
     AngleAssignment,
+    V_c,
     WitnessSpec,
     bell_spec,
     evaluate,

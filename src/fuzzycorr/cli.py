@@ -206,7 +206,7 @@ def format_number(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, list):
-        return ";".join(format_number(a) for a in value)
+        return ";".join(repr(a).removesuffix(".0") for a in value)  # every angle is a float
     if isinstance(value, float):
         return repr(value).removesuffix(".0")
     return str(value)

@@ -1,13 +1,11 @@
 """Quantum-to-classical transition search.
 
 A transition point is the coarsening (or visibility) at which the
-angle-optimized witness value falls to its classical bound.  All searches
-bisect on the squared parameter (variance) or on q = 1 - p over [0, hi]:
-hi starts at 4 n^2 (delta^2) or 1 (Delta^2, q) and doubles while the
-witness still violates there and V > 0.  Each probe reads the witness
-optimum from the pair (c0, V) of :func:`~fuzzycorr.correlation.invariants`,
-with the kernel masses computed once where delta is fixed; the optimal
-angles do not depend on the probed parameter.
+angle-optimized witness value falls to its classical bound: where V falls
+to :func:`~fuzzycorr.witness.V_c` of c0.  With delta fixed, c0 and a_n are
+fixed too, so the Delta^2 and p roots are closed forms; delta^2 moves both,
+so its search bisects.  Each probe reads the witness optimum from the pair
+(c0, V) of :func:`~fuzzycorr.correlation.invariants`.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from .correlation import CoarseningParams, StateSpec, invariants
 from .kernel import kernel_masses
-from .witness import WitnessSpec, optimum
+from .witness import V_c, WitnessSpec, optimum
 
 __all__ = [
     "TransitionPoint",
@@ -59,9 +57,9 @@ class NoViolationAtPureState(TransitionError):
 class TransitionPoint:
     """A (delta^2, Delta^2, p) triple on the quantum-to-classical boundary.
 
-    ``margin_lo`` / ``margin_hi`` certify the final bracket: the optimized
-    margin is positive at (parameter - w) and not positive at (parameter + w),
-    both clamped to the search bracket, where w = max(tol, ~2^-48 parameter).
+    ``margin_lo`` / ``margin_hi`` certify the root: the optimized margin is
+    positive at (parameter - w) and not positive at (parameter + w), w = max(tol,
+    ~2^-48 parameter), clamped to the delta^2 bracket, Delta^2 >= 0 or q in [0, 1].
     """
 
     delta_sq: float
@@ -74,17 +72,29 @@ class TransitionPoint:
     margin_hi: float
 
 
+def _check_tol(tol):
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
+def _certify(margin, root, width, lo, hi):
+    """Margins at root -+ width in [lo, hi], checked: a sign change, at most one clamped."""
+    cert_lo = margin(max(root - width, lo))
+    cert_hi = margin(min(root + width, hi))
+    if not cert_lo > 0 >= cert_hi or (root - width <= lo and root + width >= hi):
+        raise TransitionError(f"uncertified bracket at {root} in [{lo}, {hi}]: margin "
+                              f"{cert_lo} at -{width}, {cert_hi} at +{width}")
+    return cert_lo, cert_hi
+
+
 def _bisect_margin(margin, lo, hi, tol, lo_error, hi_error):
     """Bisection on a scalar parameter given margin(lo) > 0 >= margin(hi).
 
     Halves [a, b] while b - a > w = max(tol, RELATIVE_RESOLUTION * b), so a
     tol below the float spacing is raised to that floor.  Returns (root,
-    margin at root - w, margin at root + w), the two certificate probes
-    clamped to [lo, hi].  Raises TransitionError when they do not bracket a
-    sign change, or when both clamp to the ends (w >= half the bracket).
+    margin at root - w, margin at root + w), checked by :func:`_certify`.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    _check_tol(tol)
     if margin(lo) <= 0:
         raise lo_error
     if margin(hi) > 0:
@@ -97,91 +107,88 @@ def _bisect_margin(margin, lo, hi, tol, lo_error, hi_error):
         else:
             b = mid
     root = 0.5 * a + 0.5 * b
-    cert_lo = margin(max(root - width, lo))
-    cert_hi = margin(min(root + width, hi))
-    if not cert_lo > 0 >= cert_hi or (root - width <= lo and root + width >= hi):
-        raise TransitionError(f"uncertified bracket at {root} in [{lo}, {hi}]: margin "
-                              f"{cert_lo} at -{width}, {cert_hi} at +{width}")
-    return root, cert_lo, cert_hi
+    return root, *_certify(margin, root, width, lo, hi)
 
 
-def _search(spec, n, invariants_at, hi, tol, lo_error, coords):
-    """The TransitionPoint at the root of optimum(spec, *invariants_at(x)) - bound in [0, hi].
+def _margin(spec, invariants_at):
+    return lambda x: optimum(spec, *invariants_at(x)) - spec.bound
 
-    V falls to 0 as x grows, and the optimum with it to its c0 term, so the
-    doubling of hi ends; a witness that still violates at V = 0, or at an
-    hi that has left float range, raises NoTransitionAtHi.  Each x is probed
-    once; ``coords(root)`` gives the point's (delta^2, Delta^2, p).
+
+def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
+    """Critical resolution variance delta^2 at fixed Delta, by bisection probing each once.
+
+    V falls to 0 as delta^2 grows, so the doubling of hi ends; a witness
+    that still violates at V = 0, or at an hi past float range, raises
+    NoTransitionAtHi.  Raises NoViolationAtLo if it does not violate at delta = 0.
     """
-    invariants_at = functools.cache(invariants_at)
-
-    def margin(x):
-        return optimum(spec, *invariants_at(x)) - spec.bound
-
+    CoarseningParams(Delta=Delta_fixed)  # validated once, at entry
+    n, p = state.n, state.p
+    try:
+        hi = 4.0 * n**2
+    except OverflowError:  # 4 n^2 lies beyond float range
+        hi = math.inf
+    invariants_at = functools.cache(
+        lambda x: invariants(kernel_masses(n, math.sqrt(x)), p, Delta_fixed))
+    margin = _margin(spec, invariants_at)
     while hi < math.inf and margin(hi) > 0 and invariants_at(hi)[1] > 0:  # V > 0
         hi *= 2.0
     where = "V = 0" if hi < math.inf else "the largest float edge"
     hi_error = NoTransitionAtHi(f"still violating at {where} for {spec.kind} m={spec.m}, n={n}")
     if hi == math.inf:
         raise hi_error
-    root, cert_lo, cert_hi = _bisect_margin(margin, 0.0, hi, tol, lo_error, hi_error)
-    return TransitionPoint(*coords(root), witness=spec, n=n,
-                           achieved_value=optimum(spec, *invariants_at(root)),
-                           margin_lo=cert_lo, margin_hi=cert_hi)
+    root, cert_lo, cert_hi = _bisect_margin(margin, 0.0, hi, tol, NoViolationAtLo(
+        f"no violation at delta^2 = 0.0 for {spec.kind} m={spec.m}, n={n}, p={p}"), hi_error)
+    return TransitionPoint(root, Delta_fixed * Delta_fixed, p, spec, n,
+                           optimum(spec, *invariants_at(root)), cert_lo, cert_hi)
 
 
-def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
-    """Critical resolution variance delta^2 at fixed Delta for (witness, state).
-
-    Raises NoViolationAtLo if the state is classical already at delta = 0.
-    """
-    CoarseningParams(Delta=Delta_fixed)  # validated once, at entry
-    try:
-        hi = 4.0 * state.n**2
-    except OverflowError:  # 4 n^2 lies beyond float range
-        hi = math.inf
-    return _search(
-        spec, state.n,
-        lambda x: invariants(kernel_masses(state.n, math.sqrt(x)), state.p, Delta_fixed),
-        hi, tol,
-        NoViolationAtLo(f"no violation at delta^2 = 0.0 for {spec.kind} m={spec.m}, "
-                        f"n={state.n}, p={state.p}"),
-        lambda root: (root, Delta_fixed * Delta_fixed, state.p),
-    )
+def _edges(spec, n, invariants_at, tol, lo_error):
+    """(V(0), V_c) of a search in which c0 is fixed and V falls as x grows from 0."""
+    _check_tol(tol)
+    c0, V_edge = invariants_at(0.0)
+    V_crit = V_c(spec, c0)
+    if V_edge <= V_crit:
+        raise lo_error
+    if V_crit <= 0:  # the c0 term alone reaches the bound, so every V > 0 violates
+        raise NoTransitionAtHi(f"still violating at V = 0 for {spec.kind} m={spec.m}, n={n}")
+    return V_edge, V_crit
 
 
 def find_critical_Delta(spec, state, delta_fixed=0.0, tol=DEFAULT_TOL):
-    """Critical reference variance Delta^2 at fixed delta; mirror of find_critical_delta.
+    """Critical reference variance Delta^2 = ln(p a_n^2 / V_c) / 4 at fixed delta.
 
-    Raises NoTransitionAtHi when the c0 term alone exceeds the bound.
+    ``tol`` is the half-width of the certificate.  Raises NoViolationAtLo
+    when the state does not violate at Delta = 0, and NoTransitionAtHi when
+    the c0 term alone reaches the bound.
     """
     masses = kernel_masses(state.n, CoarseningParams(delta=delta_fixed).delta)  # validated once
-    return _search(
-        spec, state.n,
-        lambda Delta_sq: invariants(masses, state.p, math.sqrt(Delta_sq)),
-        1.0, tol,
-        NoViolationAtLo(f"no violation at Delta^2 = 0.0 for {spec.kind} m={spec.m}, "
-                        f"n={state.n}, p={state.p}"),
-        lambda root: (delta_fixed * delta_fixed, root, state.p),
-    )
+    invariants_at = lambda x: invariants(masses, state.p, math.sqrt(x))
+    V0, V_crit = _edges(spec, state.n, invariants_at, tol, NoViolationAtLo(
+        f"no violation at Delta^2 = 0.0 for {spec.kind} m={spec.m}, n={state.n}, p={state.p}"))
+    ratio = V0 / V_crit  # overflows only for a subnormal V_c
+    root = 0.25 * (math.log(ratio) if ratio < math.inf else math.log(V0) - math.log(V_crit))
+    width = max(tol, RELATIVE_RESOLUTION * root)
+    return TransitionPoint(delta_fixed * delta_fixed, root, state.p, spec, state.n,
+                           optimum(spec, *invariants_at(root)),
+                           *_certify(_margin(spec, invariants_at), root, width, 0.0, math.inf))
 
 
 def find_critical_visibility(spec, n, params=CoarseningParams(), tol=DEFAULT_TOL):
-    """Critical visibility p in [0, 1] at fixed coarsening.
+    """Critical visibility p = V_c / (a_n^2 exp(-4 Delta^2)) at fixed coarsening.
 
-    Raises NoViolationAtPureState when even the pure state fails to violate.
+    ``tol`` is the half-width of the certificate, on q = 1 - p in [0, 1].
+    Raises NoViolationAtPureState when even p = 1 does not violate, and
+    NoTransitionAtHi when the c0 term alone reaches the bound.
     """
-    # The margin is increasing in p, so bisect on q = 1 - p, which puts the
-    # violating edge (p = 1) at the lower end of the bracket.  V = 0 at
-    # q = 1, so the upper edge never grows.
     masses = kernel_masses(StateSpec(n).n, params.delta)  # n validated once, at entry
-    return _search(
-        spec, n,
-        lambda q: invariants(masses, 1.0 - q, params.Delta),
-        1.0, tol,
-        NoViolationAtPureState(f"no violation at p = 1 for {spec.kind} m={spec.m}, n={n}"),
-        lambda root: (params.delta * params.delta, params.Delta * params.Delta, 1.0 - root),
-    )
+    invariants_at = lambda q: invariants(masses, 1.0 - q, params.Delta)
+    V1, V_crit = _edges(spec, n, invariants_at, tol, NoViolationAtPureState(
+        f"no violation at p = 1 for {spec.kind} m={spec.m}, n={n}"))
+    p = V_crit / V1
+    q, width = 1.0 - p, max(tol, RELATIVE_RESOLUTION * (1.0 - p))
+    return TransitionPoint(params.delta * params.delta, params.Delta * params.Delta, p, spec, n,
+                           optimum(spec, *invariants_at(q)),
+                           *_certify(_margin(spec, invariants_at), q, width, 0.0, 1.0))
 
 
 def trace_boundary(spec, state, Delta_sq_grid, tol=DEFAULT_TOL):

@@ -28,6 +28,7 @@ __all__ = [
     "evaluate",
     "optimal_angles",
     "optimum",
+    "V_c",
 ]
 
 BELL = "bell"
@@ -132,3 +133,15 @@ def optimum(spec, c0, V):
     if spec.kind == BELL:
         return m * c0 + V * m / math.sin(math.pi / (2 * m))
     return math.sqrt(m) * (c0 + V)
+
+
+def V_c(spec, c0):
+    """(bound - alpha c0) / beta: the witness violates exactly when V > V_c.
+
+    :func:`optimum` is alpha c0 + beta V, (alpha, beta) = (m, B*_m) for Bell
+    and (sqrt(m), sqrt(m)) for steering.
+    """
+    m = spec.m
+    if spec.kind == BELL:
+        return (spec.bound - m * c0) / (m / math.sin(math.pi / (2 * m)))
+    return (spec.bound - math.sqrt(m) * c0) / math.sqrt(m)

@@ -2,12 +2,13 @@
 
 Each probe builds a StateSpec or CoarseningParams and a Correlator, and
 reads the witness optimum from it with ``optimum``; inputs are validated
-by those constructors at the first probe.  The bracket growth, the
-bisection and the certificates are frozen copies of the same steps in
-``fuzzycorr.transition``; the errors and ``TransitionPoint`` are the
-package's own, so results compare with ``==``.  ``tests/test_search_oracle.py``
-holds the package's searches, which probe (c0, V) pairs, bit-identical to
-these.
+by those constructors at the first probe.  All four searches bisect: the
+bracket growth, the bisection and the certificates are frozen copies of
+the steps that ``fuzzycorr.transition`` keeps for delta^2; the errors and
+``TransitionPoint`` are the package's own, so results compare with ``==``.
+``tests/test_search_oracle.py`` holds the package's delta^2 and boundary
+searches bit-identical to these, and its closed-form Delta^2 and p roots
+within this bisection's width of these.
 """
 
 import functools

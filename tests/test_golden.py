@@ -89,6 +89,16 @@ def test_output_matches_golden(name, tmp_path):
                 ), (column, exp, act, exp_row)
 
 
+def test_table1_Delta_sq_cells_are_the_closed_form(tmp_path):
+    # at delta = 0, c0 = 0 and a_n = 1, so V_c = 1/sqrt(2) for both m = 2
+    # witnesses and Delta_c^2 = ln(sqrt(2) p) / 4 exactly, whatever the tol
+    for text in (run_case("table1.txt", tmp_path), (GOLDEN / "table1.txt").read_text()):
+        rows = [line.split() for line in text.splitlines()[1:]]
+        assert len(rows) == 6
+        for row in rows:
+            assert row[5] == f"{0.25 * math.log(math.sqrt(2) * float(row[0])):.5f}", row
+
+
 if __name__ == "__main__":
     import tempfile
 

@@ -1,9 +1,19 @@
 """The searches, which probe (c0, V) pairs, against one Correlator per probe.
 
 ``tests/search_oracle.py`` holds the searches as they were written with one
-Correlator and one ``optimum`` per probe.  Every TransitionPoint field and
+Correlator and one ``optimum`` per probe, all by bisection.  The delta^2
+and boundary searches still bisect, so every TransitionPoint field and
 every error's type and message must be bit-identical: the points compare
 with ``==`` and by ``repr``, which tells every float apart, -0.0 included.
+The Delta^2 and p searches are closed forms now.  Their errors must still
+be identical; their roots must lie within the oracle bisection's width
+w = max(tol, 2^-48 root) of the oracle's and within 1e-12 relative of
+ln(V(Delta = 0) / V_c) / 4 and V_c / V(p = 1), with (c0, V) read from a
+Correlator and V_c = (bound - alpha c0) / beta stated here.  The one other
+difference is the certificate that clamps at both ends: the oracle's
+bracket for Delta^2 was [0, hi], the closed form's domain has no upper end,
+so there a wide tol still certifies the root; for p both searches raise,
+each message naming its own root.
 """
 
 import math
@@ -15,10 +25,13 @@ from hypothesis import strategies as st
 import search_oracle
 from fuzzycorr import (
     CoarseningParams,
+    Correlator,
     NoTransitionAtHi,
     NoViolationAtLo,
     NoViolationAtPureState,
     StateSpec,
+    TransitionError,
+    TransitionPoint,
     WitnessSpec,
     bell_spec,
     find_critical_Delta,
@@ -27,6 +40,7 @@ from fuzzycorr import (
     steering_spec,
     trace_boundary,
 )
+from fuzzycorr.transition import RELATIVE_RESOLUTION
 
 SEARCHES = {
     "delta_sq": (find_critical_delta, search_oracle.find_critical_delta),
@@ -43,13 +57,52 @@ def _outcome(func, args):
         return exc
 
 
-def _assert_same(axis, *args):
-    """Run the package's search and the oracle on ``args``; return the common outcome."""
-    new, old = (_outcome(func, args) for func in SEARCHES[axis])
-    if isinstance(old, Exception):
-        assert type(new) is type(old) and str(new) == str(old), (new, old)
+def _closed_form(axis, spec, *args):
+    """ln(V(Delta = 0) / V_c) / 4 or V_c / V(p = 1), from a Correlator's (c0, V)."""
+    if axis == "Delta_sq":
+        state, delta = args[:2]
+        corr = Correlator(state, CoarseningParams(delta, 0.0))
     else:
-        assert new == old and repr(new) == repr(old)
+        n, params = args[:2]
+        corr = Correlator(StateSpec(n), params)
+    m = spec.m
+    if spec.kind == "bell":
+        alpha, beta = m, m / math.sin(math.pi / (2 * m))
+    else:
+        alpha = beta = math.sqrt(m)
+    V_crit = (spec.bound - alpha * corr.c0) / beta
+    return 0.25 * math.log(corr.V / V_crit) if axis == "Delta_sq" else V_crit / corr.V
+
+
+def _assert_same(axis, *args):
+    """Run the package's search and the oracle on ``args``; return the package's outcome."""
+    new, old = (_outcome(func, args) for func in SEARCHES[axis])
+    if axis in ("delta_sq", "boundary"):
+        if isinstance(old, Exception):
+            assert type(new) is type(old) and str(new) == str(old), (new, old)
+        else:
+            assert new == old and repr(new) == repr(old)
+        return new
+    if type(old) is TransitionError:  # both certificate probes clamped to [0, hi]
+        assert str(old).startswith("uncertified bracket at"), old
+        if axis == "p" or isinstance(new, Exception):
+            assert type(new) is TransitionError and "uncertified bracket at" in str(new), new
+            return new
+    elif isinstance(old, Exception):
+        assert type(new) is type(old) and str(new) == str(old), (new, old)
+        return new
+    assert isinstance(new, TransitionPoint), (new, old)
+    assert new.margin_lo > 0 >= new.margin_hi
+    root = new.Delta_sq if axis == "Delta_sq" else new.p
+    exact = _closed_form(axis, *args)
+    assert abs(root - exact) <= 1e-12 * abs(exact), (root, exact)
+    if isinstance(old, TransitionPoint):
+        old_root = old.Delta_sq if axis == "Delta_sq" else old.p
+        x = old_root if axis == "Delta_sq" else 1.0 - old_root  # the oracle bisected on q = 1 - p
+        tol = args[-1]
+        assert abs(root - old_root) <= max(tol, RELATIVE_RESOLUTION * x), (root, old_root)
+        fixed = [f for f in ("delta_sq", "Delta_sq", "p", "witness", "n") if f != axis]
+        assert all(getattr(new, f) == getattr(old, f) for f in fixed), (new, old)
     return new
 
 
@@ -112,6 +165,8 @@ def test_searches_match_one_correlator_per_probe(kind, m, n, p, delta, Delta, to
     ("boundary", (bell_spec(2), StateSpec(5), [-0.1], 1e-3), ValueError),
     ("boundary", (bell_spec(2), StateSpec(5, 0.6), [0.0, 0.1], 1e-3), tuple),
     ("boundary", (bell_spec(2), StateSpec(5), [0.0, 0.1], math.inf), ValueError),
+    ("p", (bell_spec(2), 5, CoarseningParams(), 1.5), TransitionError),
+    ("Delta_sq", (bell_spec(2), StateSpec(5), 0.0, 1.5), TransitionPoint),
 ])
 def test_every_failure_path_matches(axis, args, error):
     assert isinstance(_assert_same(axis, *args), error)

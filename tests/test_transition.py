@@ -1,6 +1,7 @@
 """Transition-search tests: critical coarsenings, critical visibility, boundary curves."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -41,13 +42,13 @@ def test_critical_Delta_closed_form():
         expected = math.log(math.sqrt(2.0) * p) / 4.0
         for spec in (bell_spec(2), steering_spec(2)):
             pt = find_critical_Delta(spec, StateSpec(n=5, p=p))
-            assert pt.Delta_sq == pytest.approx(expected, abs=2e-3)
+            assert pt.Delta_sq == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_critical_visibility_sharp():
     for spec in (bell_spec(2), steering_spec(2)):
         pt = find_critical_visibility(spec, n=5)
-        assert pt.p == pytest.approx(1.0 / math.sqrt(2.0), abs=2e-3)
+        assert pt.p == pytest.approx(1.0 / math.sqrt(2.0), rel=0, abs=1e-12)
         assert pt.delta_sq == 0.0 and pt.Delta_sq == 0.0
 
 
@@ -79,9 +80,10 @@ def test_no_transition_where_c0_alone_violates(search):
 @pytest.mark.parametrize("m", [2000, 3000, 10**5])
 def test_steering_Delta_bracket_grows_past_one(m):
     # at the pure sharp state sqrt(m) exp(-4 Delta^2) = 1, so Delta_c^2 =
-    # ln(m) / 8, which passes the starting edge Delta^2 = 1 from m = 2981 on
+    # ln(m) / 8, which passes Delta^2 = 1, where a bisection would start its
+    # bracket, from m = 2981 on; the closed form has no bracket to grow
     pt = find_critical_Delta(steering_spec(m), PURE5, tol=1e-9)
-    assert pt.Delta_sq == pytest.approx(math.log(m) / 8.0, abs=1e-8)
+    assert pt.Delta_sq == pytest.approx(math.log(m) / 8.0, rel=1e-12, abs=0)
 
 
 # Regimes where V vanishes (p = 0, or exp(-4 Delta^2) underflows at Delta = 30),
@@ -136,11 +138,12 @@ def test_correlator_where_the_squares_overflow():
 
 @pytest.mark.parametrize("search, count", [
     (lambda: find_critical_delta(bell_spec(2), StateSpec(5, 0.85)), 22),
-    (lambda: find_critical_Delta(bell_spec(2), StateSpec(5, 0.85)), 15),
-    (lambda: find_critical_visibility(steering_spec(3), 5), 15),
+    (lambda: find_critical_Delta(bell_spec(2), StateSpec(5, 0.85)), 4),
+    (lambda: find_critical_visibility(steering_spec(3), 5), 4),
 ], ids=["delta_sq", "Delta_sq", "p"])
 def test_each_point_is_probed_once(monkeypatch, search, count):
     # the growth check, the bracket edges and the certificates share probes;
+    # the closed forms probe the violating edge, the root and root -+ tol;
     # a probe is one (c0, V) pair, and the README states these counts
     probes = []
 
@@ -341,9 +344,15 @@ def test_certificate_probes_stay_in_bracket():
     pt = find_critical_visibility(bell_spec(2), n=5, tol=0.6)
     assert 0.0 <= pt.p <= 1.0
     assert pt.margin_lo > 0.0 >= pt.margin_hi
-    # a tolerance so wide that both probes clamp to the bracket ends certifies nothing
-    with pytest.raises(TransitionError, match=r"uncertified bracket at 0\.5 in \[0\.0, 1\.0\]"):
+    # a tolerance so wide that both probes clamp to the ends of q = 1 - p in
+    # [0, 1] certifies nothing; the message names the exact root in q
+    message = f"uncertified bracket at {1.0 - pt.p} in [0.0, 1.0]"
+    with pytest.raises(TransitionError, match=re.escape(message)):
         find_critical_visibility(bell_spec(2), n=5, tol=1.5)
+    # Delta^2 has no upper end, so its probe at root + tol never clamps and
+    # a wide tolerance still certifies the same closed-form root
+    wide, narrow = (find_critical_Delta(bell_spec(2), PURE5, tol=tol) for tol in (1.5, 1e-3))
+    assert wide.margin_lo > 0.0 >= wide.margin_hi and wide.Delta_sq == narrow.Delta_sq
 
 
 def test_no_violation_at_pure_state_names_n():
@@ -438,10 +447,12 @@ def test_bracket_holds_one_root(spec, n, p, t, Delta, axis, samples):
 # Both optima are alpha c0 + beta V, so a witness violates exactly when
 # V > V_c = (bound - alpha c0) / beta.  With delta fixed, c0 is fixed and
 # V = p a_n^2 exp(-4 Delta^2), so Delta^2_c = ln(V(Delta = 0) / V_c) / 4 and
-# p_c = V_c / V(p = 1).  The bisection stops on a bracket no wider than
-# w = max(tol, 2^-48 root) and returns its midpoint.  The oracle's (c0, V)
-# hold to 1e-12, so a V within that of V_c (steering m = 4 at p = 0.5 and
-# delta << n, where V_c = 1/2 = p) cannot tell which side it lies on.
+# p_c = V_c / V(p = 1), which the searches return, whatever their tol.  The
+# oracle's (c0, V) hold to 1e-12, so a V within that of V_c (steering m = 4
+# at p = 0.5 and delta << n, where V_c = 1/2 = p) cannot tell which side it
+# lies on.  Near such a tie the ratio V / V_c is near 1, and its logarithm
+# is good to one float spacing at 1 (2.2e-16, so 5.6e-17 in Delta^2), not
+# to a share of the small Delta^2_c: hence the 1e-16 beside the 1e-12.
 
 @st.composite
 def _n_and_delta(draw):
@@ -481,5 +492,4 @@ def test_Delta_sq_and_p_searches_against_their_closed_forms(spec, n_delta, p, De
                     search(tol)
             else:
                 root, exact = search(tol), closed_form()
-                width = max(tol, RELATIVE_RESOLUTION * root)
-                assert abs(root - exact) <= 0.5 * width + 1e-12 * abs(exact), (tol, root, exact)
+                assert abs(root - exact) <= 1e-12 * abs(exact) + 1e-16, (tol, root, exact)
