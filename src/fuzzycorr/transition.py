@@ -4,8 +4,9 @@ A transition point is the coarsening (or visibility) at which the
 angle-optimized witness value falls to its classical bound: where V falls
 to :func:`~fuzzycorr.witness.V_c` of c0.  With delta fixed, c0 and a_n are
 fixed too, so the Delta^2 and p roots are closed forms; delta^2 moves both,
-so its search bisects.  Each probe reads the witness optimum from the pair
-(c0, V) of :func:`~fuzzycorr.correlation.invariants`.
+so its search narrows a bracket by regula falsi.  Each probe reads the
+witness optimum from the pair (c0, V) of
+:func:`~fuzzycorr.correlation.invariants`.
 """
 
 from __future__ import annotations
@@ -87,41 +88,52 @@ def _certify(margin, root, width, lo, hi):
     return cert_lo, cert_hi
 
 
-def _bisect_margin(margin, lo, hi, tol, lo_error, hi_error):
-    """Bisection on a scalar parameter given margin(lo) > 0 >= margin(hi).
+def _regula_falsi(margin, lo, hi, tol, lo_error, hi_error):
+    """Regula falsi on [lo, hi] given margin(lo) > 0 >= margin(hi), else raises lo/hi_error().
 
-    Halves [a, b] while b - a > w = max(tol, RELATIVE_RESOLUTION * b), so a
-    tol below the float spacing is raised to that floor.  Returns (root,
-    margin at root - w, margin at root + w), checked by :func:`_certify`.
+    Each step probes where the chord through the two ends crosses 0 (the
+    midpoint if that rounds onto an end), keeping margin(a) > 0 >= margin(b),
+    while b - a > w = max(tol, RELATIVE_RESOLUTION * b), so a tol below the
+    float spacing is raised to that floor.  Returns (root, margin at root - w,
+    margin at root + w), root the midpoint of [a, b], checked by :func:`_certify`.
     """
     _check_tol(tol)
-    if margin(lo) <= 0:
-        raise lo_error
-    if margin(hi) > 0:
-        raise hi_error
-    a, b = lo, hi
+    if (fa := margin(lo)) <= 0:
+        raise lo_error()
+    if (fb := margin(hi)) > 0:
+        raise hi_error()
+    a, b, moved = lo, hi, 0  # moved: +1 after a moved, -1 after b moved
     while b - a > (width := max(tol, RELATIVE_RESOLUTION * b)):
-        mid = 0.5 * a + 0.5 * b  # equals 0.5 * (a + b) in floats, but cannot overflow
-        if margin(mid) > 0:
-            a = mid
+        x = a + (b - a) * (fa / (fa - fb))
+        if not a < x < b:
+            x = 0.5 * a + 0.5 * b  # equals 0.5 * (a + b) in floats, but cannot overflow
+        # when one end moves twice in a row, halve the other end's margin so
+        # that it moves too (Illinois; Dowell & Jarratt, BIT 11, 1971)
+        if (fx := margin(x)) > 0:
+            a, fa, fb, moved = x, fx, fb * 0.5 if moved > 0 else fb, 1
         else:
-            b = mid
+            b, fb, fa, moved = x, fx, fa * 0.5 if moved < 0 else fa, -1
     root = 0.5 * a + 0.5 * b
     return root, *_certify(margin, root, width, lo, hi)
 
 
 def _margin(spec, invariants_at):
-    return lambda x: optimum(spec, *invariants_at(x)) - spec.bound
+    bound = spec.bound
+    return lambda x: optimum(spec, *invariants_at(x)) - bound
 
 
 def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
-    """Critical resolution variance delta^2 at fixed Delta, by bisection probing each once.
+    """Critical resolution variance delta^2 at fixed Delta, by regula falsi probing each once.
 
-    V falls to 0 as delta^2 grows, so the doubling of hi ends; a witness
-    that still violates at V = 0, or at an hi past float range, raises
-    NoTransitionAtHi.  Raises NoViolationAtLo if it does not violate at delta = 0.
+    The bracket is [0, hi]: hi starts at 4 n^2 and doubles while the witness
+    violates there and V > 0.  V falls to 0 as delta^2 grows, so the doubling
+    ends; a witness that still violates at V = 0, or at an hi past float
+    range, raises NoTransitionAtHi.  Raises NoViolationAtLo if it does not
+    violate at delta = 0.  ``tol`` is the width of the final bracket, whose
+    midpoint is the root.
     """
-    CoarseningParams(Delta=Delta_fixed)  # validated once, at entry
+    CoarseningParams(Delta=Delta_fixed)  # validated once, at entry, with tol
+    _check_tol(tol)
     n, p = state.n, state.p
     try:
         hi = 4.0 * n**2
@@ -132,11 +144,11 @@ def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
     margin = _margin(spec, invariants_at)
     while hi < math.inf and margin(hi) > 0 and invariants_at(hi)[1] > 0:  # V > 0
         hi *= 2.0
-    where = "V = 0" if hi < math.inf else "the largest float edge"
-    hi_error = NoTransitionAtHi(f"still violating at {where} for {spec.kind} m={spec.m}, n={n}")
+    hi_error = lambda where="V = 0": NoTransitionAtHi(
+        f"still violating at {where} for {spec.kind} m={spec.m}, n={n}")
     if hi == math.inf:
-        raise hi_error
-    root, cert_lo, cert_hi = _bisect_margin(margin, 0.0, hi, tol, NoViolationAtLo(
+        raise hi_error("the largest float edge")
+    root, cert_lo, cert_hi = _regula_falsi(margin, 0.0, hi, tol, lambda: NoViolationAtLo(
         f"no violation at delta^2 = 0.0 for {spec.kind} m={spec.m}, n={n}, p={p}"), hi_error)
     return TransitionPoint(root, Delta_fixed * Delta_fixed, p, spec, n,
                            optimum(spec, *invariants_at(root)), cert_lo, cert_hi)
@@ -148,7 +160,7 @@ def _edges(spec, n, invariants_at, tol, lo_error):
     c0, V_edge = invariants_at(0.0)
     V_crit = V_c(spec, c0)
     if V_edge <= V_crit:
-        raise lo_error
+        raise lo_error()
     if V_crit <= 0:  # the c0 term alone reaches the bound, so every V > 0 violates
         raise NoTransitionAtHi(f"still violating at V = 0 for {spec.kind} m={spec.m}, n={n}")
     return V_edge, V_crit
@@ -163,7 +175,7 @@ def find_critical_Delta(spec, state, delta_fixed=0.0, tol=DEFAULT_TOL):
     """
     masses = kernel_masses(state.n, CoarseningParams(delta=delta_fixed).delta)  # validated once
     invariants_at = lambda x: invariants(masses, state.p, math.sqrt(x))
-    V0, V_crit = _edges(spec, state.n, invariants_at, tol, NoViolationAtLo(
+    V0, V_crit = _edges(spec, state.n, invariants_at, tol, lambda: NoViolationAtLo(
         f"no violation at Delta^2 = 0.0 for {spec.kind} m={spec.m}, n={state.n}, p={state.p}"))
     ratio = V0 / V_crit  # overflows only for a subnormal V_c
     root = 0.25 * (math.log(ratio) if ratio < math.inf else math.log(V0) - math.log(V_crit))
@@ -182,7 +194,7 @@ def find_critical_visibility(spec, n, params=CoarseningParams(), tol=DEFAULT_TOL
     """
     masses = kernel_masses(StateSpec(n).n, params.delta)  # n validated once, at entry
     invariants_at = lambda q: invariants(masses, 1.0 - q, params.Delta)
-    V1, V_crit = _edges(spec, n, invariants_at, tol, NoViolationAtPureState(
+    V1, V_crit = _edges(spec, n, invariants_at, tol, lambda: NoViolationAtPureState(
         f"no violation at p = 1 for {spec.kind} m={spec.m}, n={n}"))
     p = V_crit / V1
     q, width = 1.0 - p, max(tol, RELATIVE_RESOLUTION * (1.0 - p))

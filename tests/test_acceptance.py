@@ -53,7 +53,7 @@ def test_criterion_1_reference_coarsening_columns():
 def test_criterion_2_resolution_coarsening_columns(table1_points):
     """delta^2 transitions (Table 1 resolution columns) match the model's closed form.
 
-    Each computed delta^2_c lies within the bisection tolerance of the
+    Each computed delta^2_c lies within the search tolerance of the
     closed-form root from ``table1_oracle``, whose correlator is checked
     against the operator-level oracle at that root; both columns fall
     strictly as p falls, as in Table 1.

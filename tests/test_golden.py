@@ -18,7 +18,9 @@ from pathlib import Path
 
 import pytest
 
+import table1_oracle
 from fuzzycorr.cli import main
+from fuzzycorr.transition import DEFAULT_TOL
 
 GOLDEN = Path(__file__).parent / "golden"
 VALUE_ATOL = 1e-12
@@ -70,7 +72,7 @@ def test_output_matches_golden(name, tmp_path):
     if not name.endswith(".csv"):
         assert actual == expected
         return
-    # boundary rows hold a bisection root, delta_c^2 at fixed Delta^2
+    # boundary rows hold a search root, delta_c^2 at fixed Delta^2
     roots = {"delta_sq"} if CASES[name][0][0] == "boundary" else set()
     exp_lines, act_lines = expected.splitlines(), actual.splitlines()
     assert act_lines[:2] == exp_lines[:2]  # config header and column names
@@ -97,6 +99,17 @@ def test_table1_Delta_sq_cells_are_the_closed_form(tmp_path):
         assert len(rows) == 6
         for row in rows:
             assert row[5] == f"{0.25 * math.log(math.sqrt(2) * float(row[0])):.5f}", row
+
+
+def test_table1_delta_sq_cells_are_the_oracle_root(tmp_path):
+    # the root is the midpoint of a final bracket no wider than the tol, so
+    # it lies within tol/2 of the model's root; the cell rounds it to 4 places
+    for text in (run_case("table1.txt", tmp_path), (GOLDEN / "table1.txt").read_text()):
+        rows = [line.split() for line in text.splitlines()[1:]]
+        assert len(rows) == 6
+        for row in rows:
+            root = table1_oracle.critical_delta_sq(row[1], 5, float(row[0]))
+            assert abs(float(row[2]) - root) <= DEFAULT_TOL / 2 + 5e-5, (row, root)
 
 
 if __name__ == "__main__":

@@ -1,22 +1,31 @@
 """The searches, which probe (c0, V) pairs, against one Correlator per probe.
 
 ``tests/search_oracle.py`` holds the searches as they were written with one
-Correlator and one ``optimum`` per probe, all by bisection.  The delta^2
-and boundary searches still bisect, so every TransitionPoint field and
-every error's type and message must be bit-identical: the points compare
-with ``==`` and by ``repr``, which tells every float apart, -0.0 included.
-The Delta^2 and p searches are closed forms now.  Their errors must still
-be identical; their roots must lie within the oracle bisection's width
-w = max(tol, 2^-48 root) of the oracle's and within 1e-12 relative of
-ln(V(Delta = 0) / V_c) / 4 and V_c / V(p = 1), with (c0, V) read from a
-Correlator and V_c = (bound - alpha c0) / beta stated here.  The one other
-difference is the certificate that clamps at both ends: the oracle's
-bracket for Delta^2 was [0, hi], the closed form's domain has no upper end,
-so there a wide tol still certifies the root; for p both searches raise,
-each message naming its own root.
+Correlator and one ``optimum`` per probe, all by bisection.  Every error's
+type and message must be identical, but for the certificates that clamp
+at both bracket ends, below.
+
+The delta^2 and boundary searches narrow the same bracket by regula falsi
+now, to the same width.  Each of their points must meet four conditions:
+its root lies within the oracle bisection's width w = max(tol, 2^-48 root)
+of the oracle's root; margin_lo > 0 >= margin_hi; ``achieved_value``
+equals ``optimum`` of a Correlator's (c0, V) at its root; every other field
+is ``==``.  An uncertified bracket raises in both, and each message names
+its own root, within w of the oracle's.
+
+The Delta^2 and p searches are closed forms.  Their roots must lie within
+w of the oracle's and within 1e-12 relative of ln(V(Delta = 0) / V_c) / 4
+and V_c / V(p = 1), with (c0, V) read from a Correlator and
+V_c = (bound - alpha c0) / beta stated here.  Their one other difference is
+the certificate that clamps at both ends: the oracle's bracket for Delta^2
+was [0, hi], the closed form's domain has no upper end, so there a wide
+tol still certifies the root; for p both searches raise, each message
+naming its own root.
 """
 
+import itertools
 import math
+import re
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -37,9 +46,12 @@ from fuzzycorr import (
     find_critical_Delta,
     find_critical_delta,
     find_critical_visibility,
+    optimum,
     steering_spec,
     trace_boundary,
 )
+import fuzzycorr.transition
+from fuzzycorr.correlation import invariants
 from fuzzycorr.transition import RELATIVE_RESOLUTION
 
 SEARCHES = {
@@ -74,14 +86,42 @@ def _closed_form(axis, spec, *args):
     return 0.25 * math.log(corr.V / V_crit) if axis == "Delta_sq" else V_crit / corr.V
 
 
+_UNCERTIFIED = re.compile(r"uncertified bracket at (\S+) in (\[.*?\]):")
+
+
+def _assert_same_delta_sq(new, old, Delta, tol):
+    """A delta^2 point (or error) of the package against the oracle bisection's."""
+    if type(old) is TransitionError and _UNCERTIFIED.match(str(old)):
+        assert type(new) is TransitionError, (new, old)
+        (new_root, new_bracket), (old_root, old_bracket) = (
+            _UNCERTIFIED.match(str(e)).groups() for e in (new, old))
+        assert new_bracket == old_bracket, (new, old)
+        new_root, old_root = float(new_root), float(old_root)
+    elif isinstance(old, Exception):
+        assert type(new) is type(old) and str(new) == str(old), (new, old)
+        return
+    else:
+        assert isinstance(new, TransitionPoint), (new, old)
+        assert new.margin_lo > 0 >= new.margin_hi, new
+        corr = Correlator(StateSpec(new.n, new.p),
+                          CoarseningParams(math.sqrt(new.delta_sq), Delta))
+        assert new.achieved_value == optimum(new.witness, corr.c0, corr.V), new
+        fixed = ("Delta_sq", "p", "witness", "n")
+        assert all(getattr(new, f) == getattr(old, f) for f in fixed), (new, old)
+        new_root, old_root = new.delta_sq, old.delta_sq
+    assert abs(new_root - old_root) <= max(tol, RELATIVE_RESOLUTION * old_root), (new, old)
+
+
 def _assert_same(axis, *args):
     """Run the package's search and the oracle on ``args``; return the package's outcome."""
     new, old = (_outcome(func, args) for func in SEARCHES[axis])
-    if axis in ("delta_sq", "boundary"):
-        if isinstance(old, Exception):
-            assert type(new) is type(old) and str(new) == str(old), (new, old)
-        else:
-            assert new == old and repr(new) == repr(old)
+    if axis == "boundary" and isinstance(old, tuple):
+        assert isinstance(new, tuple) and len(new) == len(old), (new, old)
+        for pt, old_pt in zip(new, old):  # each point searched at Delta = sqrt(grid value)
+            _assert_same_delta_sq(pt, old_pt, math.sqrt(pt.Delta_sq), args[3])
+        return new
+    if axis in ("delta_sq", "boundary"):  # a boundary error needs no Delta
+        _assert_same_delta_sq(new, old, args[2] if axis == "delta_sq" else None, args[3])
         return new
     if type(old) is TransitionError:  # both certificate probes clamped to [0, hi]
         assert str(old).startswith("uncertified bracket at"), old
@@ -128,9 +168,10 @@ def test_searches_match_one_correlator_per_probe(kind, m, n, p, delta, Delta, to
     if isinstance(delta, tuple):  # a width on the scale of n, within float range
         delta = delta[1] * min(n, 10**300)
     if axis == "delta_sq":
-        # the one input validated differently: with no float edge 4 n^2 the
-        # oracle never probed, so never saw a bad Delta; the package rejects it
-        assume(n < 10**400 or 0 <= Delta < math.inf)
+        # the inputs validated differently: with no float edge 4 n^2 the
+        # oracle never probed, so never saw a bad Delta or tol; the package
+        # rejects both at entry
+        assume(n < 10**400 or (0 <= Delta < math.inf and 0 < tol < math.inf))
         outcome = _assert_same(axis, spec, state, Delta, tol)
     elif axis == "Delta_sq":
         outcome = _assert_same(axis, spec, state, delta, tol)
@@ -167,6 +208,7 @@ def test_searches_match_one_correlator_per_probe(kind, m, n, p, delta, Delta, to
     ("boundary", (bell_spec(2), StateSpec(5), [0.0, 0.1], math.inf), ValueError),
     ("p", (bell_spec(2), 5, CoarseningParams(), 1.5), TransitionError),
     ("Delta_sq", (bell_spec(2), StateSpec(5), 0.0, 1.5), TransitionPoint),
+    ("delta_sq", (bell_spec(2), StateSpec(1), 0.0, 3.9), TransitionError),
 ])
 def test_every_failure_path_matches(axis, args, error):
     assert isinstance(_assert_same(axis, *args), error)
@@ -179,3 +221,57 @@ def test_bad_Delta_past_the_float_edge_is_rejected():
         search_oracle.find_critical_delta(bell_spec(2), StateSpec(10**400), -1.0)
     with pytest.raises(ValueError, match="Delta must be finite and non-negative"):
         find_critical_delta(bell_spec(2), StateSpec(10**400), -1.0)
+
+
+def test_wide_tol_certifies_where_the_bisection_clamped():
+    # a tol of 3/4 of the bracket [0, 4] or more: one halving left the
+    # bisection at root 1.0, whose probes at -+3 clamp to both ends; the
+    # chord's first point leaves a narrower bracket, whose midpoint 0.7
+    # probes at 3.7 < 4 and so certifies
+    with pytest.raises(TransitionError, match=re.escape("uncertified bracket at 1.0 in")):
+        search_oracle.find_critical_delta(bell_spec(2), StateSpec(1), tol=3.0)
+    pt = find_critical_delta(bell_spec(2), StateSpec(1), tol=3.0)
+    assert pt.margin_lo > 0 >= pt.margin_hi and pt.delta_sq + 3.0 < 4.0
+
+
+def test_bad_tol_past_the_float_edge_is_rejected():
+    # the oracle checked tol only after the hi doubling, which here ends
+    # past float range with NoTransitionAtHi; the package checks it at entry
+    for tol in (math.nan, 0.0):
+        with pytest.raises(NoTransitionAtHi):
+            search_oracle.find_critical_delta(bell_spec(2), StateSpec(10**400), tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            find_critical_delta(bell_spec(2), StateSpec(10**400), tol=tol)
+
+
+def _probes(monkeypatch, *args):
+    """(c0, V) pairs the package's delta^2 search reads, and Correlators the oracle builds."""
+    counts = {"new": 0, "old": 0}
+
+    def counted(*pair_args):
+        counts["new"] += 1
+        return invariants(*pair_args)
+
+    class Counted(Correlator):
+        def __init__(self, *corr_args):
+            counts["old"] += 1
+            super().__init__(*corr_args)
+
+    monkeypatch.setattr(fuzzycorr.transition, "invariants", counted)
+    monkeypatch.setattr(search_oracle, "Correlator", Counted)
+    _outcome(find_critical_delta, args)
+    _outcome(search_oracle.find_critical_delta, args)
+    return counts["new"], counts["old"]
+
+
+def test_regula_falsi_probes_fewer_points_than_bisection(monkeypatch):
+    # the same bracket to the same width: never more than one probe above
+    # the bisection on a case, and at most 60 % of its probes over the grid
+    new_total = old_total = 0
+    for kind, m, n, p, Delta, tol in itertools.product(
+            ["bell", "steering"], [2, 3, 16, 400], [1, 5, 1000, 10**7], [0.75, 0.95, 1.0],
+            [0.0, 0.2], [1e-3, 1e-9]):
+        new, old = _probes(monkeypatch, WitnessSpec(kind, m), StateSpec(n, p), Delta, tol)
+        assert new <= old + 1, (kind, m, n, p, Delta, tol, new, old)
+        new_total, old_total = new_total + new, old_total + old
+    assert new_total <= 0.6 * old_total, (new_total, old_total)

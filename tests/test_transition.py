@@ -29,7 +29,7 @@ from fuzzycorr import (
     trace_boundary,
 )
 from fuzzycorr.correlation import invariants
-from fuzzycorr.transition import DEFAULT_TOL, RELATIVE_RESOLUTION, _bisect_margin
+from fuzzycorr.transition import DEFAULT_TOL, RELATIVE_RESOLUTION, _regula_falsi
 from kernel_oracle import correlator_constants
 
 PURE5 = StateSpec(n=5, p=1.0)
@@ -137,7 +137,7 @@ def test_correlator_where_the_squares_overflow():
 
 
 @pytest.mark.parametrize("search, count", [
-    (lambda: find_critical_delta(bell_spec(2), StateSpec(5, 0.85)), 22),
+    (lambda: find_critical_delta(bell_spec(2), StateSpec(5, 0.85)), 13),
     (lambda: find_critical_Delta(bell_spec(2), StateSpec(5, 0.85)), 4),
     (lambda: find_critical_visibility(steering_spec(3), 5), 4),
 ], ids=["delta_sq", "Delta_sq", "p"])
@@ -286,7 +286,7 @@ def test_bisect_rejects_bad_tolerance(tol):
         return 0.5 - x
 
     with pytest.raises(ValueError, match="tol"):
-        _bisect_margin(margin, 0.0, 1.0, tol, NoViolationAtLo(), NoTransitionAtHi())
+        _regula_falsi(margin, 0.0, 1.0, tol, NoViolationAtLo, NoTransitionAtHi)
     assert calls == []
 
 
@@ -294,8 +294,8 @@ def test_bisect_tolerance_below_float_spacing_ends():
     # near x = 8 adjacent floats are 1.8e-15 apart, so the bracket can never
     # shrink to 1e-20; the width is raised to the floor 2^-48 x and certified there
     width = RELATIVE_RESOLUTION * 8.0
-    root, cert_lo, cert_hi = _bisect_margin(lambda x: 8.0 - x, 0.0, 100.0, 1e-20,
-                                            NoViolationAtLo(), NoTransitionAtHi())
+    root, cert_lo, cert_hi = _regula_falsi(lambda x: 8.0 - x, 0.0, 100.0, 1e-20,
+                                           NoViolationAtLo, NoTransitionAtHi)
     assert abs(root - 8.0) <= width
     assert 0 < cert_lo <= 2.5 * width
     assert -2.5 * width <= cert_hi <= 0
@@ -321,7 +321,7 @@ def test_delta_search_at_the_float_range_edge():
 
 def test_bisect_checks_certificates():
     # Positive below 0.5, negative on [0.5, 0.503) and again at the upper
-    # edge, positive in between: bisection closes in on 0.5, but the probe
+    # edge, positive in between: the search closes in on 0.5, but the probe
     # at root + tol lands where the margin is positive again.
     def margin(x):
         if x < 0.5:
@@ -331,10 +331,10 @@ def test_bisect_checks_certificates():
         return 1.0
 
     with pytest.raises(TransitionError, match="uncertified"):
-        _bisect_margin(margin, 0.0, 1.0, 0.01, NoViolationAtLo(), NoTransitionAtHi())
+        _regula_falsi(margin, 0.0, 1.0, 0.01, NoViolationAtLo, NoTransitionAtHi)
     # the same margin is certified once the tolerance is inside the dip
-    root, cert_lo, cert_hi = _bisect_margin(
-        margin, 0.0, 1.0, 0.001, NoViolationAtLo(), NoTransitionAtHi()
+    root, cert_lo, cert_hi = _regula_falsi(
+        margin, 0.0, 1.0, 0.001, NoViolationAtLo, NoTransitionAtHi
     )
     assert abs(root - 0.5) <= 0.001 and cert_lo > 0.0 >= cert_hi
 
