@@ -36,7 +36,7 @@ from .transition import (
 )
 from .witness import WitnessSpec, bell_spec, optimal_angles, optimum, steering_spec
 
-__all__ = ["ExperimentConfig", "ResultRow", "main"]
+__all__ = ["ExperimentConfig", "main"]
 
 # Published transition variances (delta^2 at Delta=0, Delta^2 at delta=0)
 # for the m=2 witnesses at n=5: p -> (bell_d2, bell_D2, steering_d2, steering_D2).
@@ -132,23 +132,9 @@ class ExperimentConfig:
         return self
 
 
-@dataclass
-class ResultRow:
-    """One output record; field order fixes the CSV column order."""
-
-    m: int
-    n: int
-    p: float
-    delta_sq: float
-    Delta_sq: float
-    witness_kind: str
-    witness_value: float
-    bound: float
-    violated: bool
-    angles: list
-
-
-RESULT_FIELDS = [f.name for f in dataclasses.fields(ResultRow)]
+# The columns of every result row, in output order.
+RESULT_FIELDS = ["m", "n", "p", "delta_sq", "Delta_sq", "witness_kind", "witness_value",
+                 "bound", "violated", "angles"]
 
 
 def _grid_number(text, value):
@@ -212,19 +198,15 @@ def format_number(value):
     return str(value)
 
 
-def _record(obj):  # asdict without its deep copy: every field is already a plain value
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-
-
 def write_rows(config, rows, stream):
     """Emit rows in the configured format, preceded by the resolved config."""
-    resolved = _record(config)
+    resolved = vars(config)  # asdict without its deep copy: every field is a plain value
     if config.format == "json":
         payload = {
             "config": resolved,
             # JSON has no nan: a non-finite cell (the correlate bound) is null
-            "rows": [{k: None if isinstance(v, float) and not math.isfinite(v) else v
-                      for k, v in _record(row).items()} for row in rows],
+            "rows": [{name: None if isinstance(v := row[name], float) and not math.isfinite(v)
+                      else v for name in RESULT_FIELDS} for row in rows],
         }
         json.dump(payload, stream, indent=2, allow_nan=False)
         stream.write("\n")
@@ -232,7 +214,7 @@ def write_rows(config, rows, stream):
     stream.write("# config " + json.dumps(resolved, sort_keys=True) + "\n")
     stream.write(",".join(RESULT_FIELDS) + "\n")
     for row in rows:
-        stream.write(",".join(format_number(getattr(row, name)) for name in RESULT_FIELDS) + "\n")
+        stream.write(",".join(format_number(row[name]) for name in RESULT_FIELDS) + "\n")
 
 
 def emit(config, rows, plot=()):
@@ -245,17 +227,17 @@ def emit(config, rows, plot=()):
         write_rows(config, rows, sys.stdout)
         return
     try:
-        with open(config.out, "w") as fh:
+        with open(path := config.out, "w") as fh:
             write_rows(config, rows, fh)
         if plot:
             header, fields = plot
-            with open(config.out + ".plot.csv", "w") as fh:
+            with open(path := config.out + ".plot.csv", "w") as fh:
                 fh.write(header + "\n")
                 for row in rows:
-                    cells = (format_number(getattr(row, name)) for name in fields)
+                    cells = (format_number(row[name]) for name in fields)
                     fh.write(",".join(cells) + "\n")
     except OSError as exc:
-        raise ConfigError(f"out: cannot write {exc.filename}: {exc.strerror}") from exc
+        raise ConfigError(f"out: cannot write {path}: {exc.strerror}") from exc
 
 
 def _params(delta_sq, Delta_sq):
@@ -267,11 +249,11 @@ def _flat(angles):
 
 
 def _row(config, **cells):
-    """A ResultRow at the configured point; ``cells`` replace the columns that differ."""
+    """A result row (a dict) at the configured point; ``cells`` replace the columns that differ."""
     point = {"m": config.m, "n": config.n, "p": config.p, "delta_sq": config.delta_sq,
              "Delta_sq": config.Delta_sq, "witness_kind": config.witness,
              "bound": math.nan, "violated": False}
-    return ResultRow(**{**point, **cells})
+    return {**point, **cells}
 
 
 def _transition_row(config, pt):

@@ -88,8 +88,8 @@ def _certify(margin, root, width, lo, hi):
     return cert_lo, cert_hi
 
 
-def _regula_falsi(margin, lo, hi, tol, lo_error, hi_error):
-    """Regula falsi on [lo, hi] given margin(lo) > 0 >= margin(hi), else raises lo/hi_error().
+def _regula_falsi(margin, lo, hi, tol):
+    """Regula falsi on [lo, hi], checked by the caller: margin(lo) > 0 >= margin(hi), tol > 0.
 
     Each step probes where the chord through the two ends crosses 0 (the
     midpoint if that rounds onto an end), keeping margin(a) > 0 >= margin(b),
@@ -97,11 +97,7 @@ def _regula_falsi(margin, lo, hi, tol, lo_error, hi_error):
     float spacing is raised to that floor.  Returns (root, margin at root - w,
     margin at root + w), root the midpoint of [a, b], checked by :func:`_certify`.
     """
-    _check_tol(tol)
-    if (fa := margin(lo)) <= 0:
-        raise lo_error()
-    if (fb := margin(hi)) > 0:
-        raise hi_error()
+    fa, fb = margin(lo), margin(hi)
     a, b, moved = lo, hi, 0  # moved: +1 after a moved, -1 after b moved
     while b - a > (width := max(tol, RELATIVE_RESOLUTION * b)):
         x = a + (b - a) * (fa / (fa - fb))
@@ -115,6 +111,10 @@ def _regula_falsi(margin, lo, hi, tol, lo_error, hi_error):
             b, fb, fa, moved = x, fx, fa * 0.5 if moved < 0 else fa, -1
     root = 0.5 * a + 0.5 * b
     return root, *_certify(margin, root, width, lo, hi)
+
+
+def _no_transition(spec, n, where="V = 0"):
+    return NoTransitionAtHi(f"still violating at {where} for {spec.kind} m={spec.m}, n={n}")
 
 
 def _margin(spec, invariants_at):
@@ -144,12 +144,14 @@ def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
     margin = _margin(spec, invariants_at)
     while hi < math.inf and margin(hi) > 0 and invariants_at(hi)[1] > 0:  # V > 0
         hi *= 2.0
-    hi_error = lambda where="V = 0": NoTransitionAtHi(
-        f"still violating at {where} for {spec.kind} m={spec.m}, n={n}")
     if hi == math.inf:
-        raise hi_error("the largest float edge")
-    root, cert_lo, cert_hi = _regula_falsi(margin, 0.0, hi, tol, lambda: NoViolationAtLo(
-        f"no violation at delta^2 = 0.0 for {spec.kind} m={spec.m}, n={n}, p={p}"), hi_error)
+        raise _no_transition(spec, n, "the largest float edge")
+    if margin(0.0) <= 0:
+        raise NoViolationAtLo(
+            f"no violation at delta^2 = 0.0 for {spec.kind} m={spec.m}, n={n}, p={p}")
+    if margin(hi) > 0:
+        raise _no_transition(spec, n)
+    root, cert_lo, cert_hi = _regula_falsi(margin, 0.0, hi, tol)
     return TransitionPoint(root, Delta_fixed * Delta_fixed, p, spec, n,
                            optimum(spec, *invariants_at(root)), cert_lo, cert_hi)
 
@@ -162,7 +164,7 @@ def _edges(spec, n, invariants_at, tol, lo_error):
     if V_edge <= V_crit:
         raise lo_error()
     if V_crit <= 0:  # the c0 term alone reaches the bound, so every V > 0 violates
-        raise NoTransitionAtHi(f"still violating at V = 0 for {spec.kind} m={spec.m}, n={n}")
+        raise _no_transition(spec, n)
     return V_edge, V_crit
 
 

@@ -138,10 +138,7 @@ def optimum(spec, c0, V):
 def V_c(spec, c0):
     """(bound - alpha c0) / beta: the witness violates exactly when V > V_c.
 
-    :func:`optimum` is alpha c0 + beta V, (alpha, beta) = (m, B*_m) for Bell
-    and (sqrt(m), sqrt(m)) for steering.
+    :func:`optimum` is alpha c0 + beta V, so alpha c0 = optimum(spec, c0, 0)
+    and beta = optimum(spec, 0, 1), each to the bit.
     """
-    m = spec.m
-    if spec.kind == BELL:
-        return (spec.bound - m * c0) / (m / math.sin(math.pi / (2 * m)))
-    return (spec.bound - math.sqrt(m) * c0) / math.sqrt(m)
+    return (spec.bound - optimum(spec, c0, 0.0)) / optimum(spec, 0.0, 1.0)

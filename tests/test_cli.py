@@ -1,6 +1,8 @@
 """CLI tests: config handling, output formats, exit statuses, subcommands."""
 
 import dataclasses
+import errno
+import io
 import json
 import math
 import os
@@ -175,6 +177,25 @@ def test_unwritable_out_exits_2(tmp_path, capsys, target):
     assert main(["profile", "--delta-sq-grid", "0,1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: out: cannot write {out}") and err.count("\n") == 1, err
+
+
+class _FullFile(io.StringIO):
+    """A file on a full disk: every write fails with ENOSPC and no filename."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("suffix", ["", ".plot.csv"])
+def test_failed_write_names_its_file(tmp_path, capsys, monkeypatch, suffix):
+    # a write error carries no filename, so the message names the file being written
+    out = tmp_path / "rows.csv"
+    full = str(out) + suffix
+    monkeypatch.setattr(cli, "open", lambda path, *args: _FullFile() if path == full
+                        else open(path, *args), raising=False)
+    assert main(["profile", "--delta-sq-grid", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: out: cannot write {full}: {os.strerror(errno.ENOSPC)}\n", err
 
 
 @pytest.mark.parametrize("command,values,field", [
@@ -469,17 +490,45 @@ def test_correlate_json_is_valid_json(tmp_path):
     assert payload["rows"] and all(row["bound"] is None for row in payload["rows"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["correlate"],
+    ["profile", "--delta-sq-grid", "0,2"],
+    ["boundary", "--Delta-sq-grid", "0:0.04:0.02"],
+    ["table1"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_every_row_has_the_result_fields_in_order(tmp_path, monkeypatch, capsys, argv, fmt):
+    # a row is a dict, which nothing stops from dropping or adding a column
+    written, real_emit = [], cli.emit
+
+    def emit(config, rows, plot=()):
+        written.append(rows)
+        real_emit(config, rows, plot)
+
+    monkeypatch.setattr(cli, "emit", emit)
+    out = tmp_path / "rows.out"
+    assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+    [rows] = written  # the rows as built, each with every column and no other
+    assert rows and all(sorted(row) == sorted(RESULT_FIELDS) for row in rows)
+    if fmt == "json":  # the rows as written, in column order
+        written_rows = json.loads(out.read_text())["rows"]
+        assert [list(row) for row in written_rows] == [RESULT_FIELDS] * len(rows)
+    else:
+        read_csv(out)  # checks the header line against RESULT_FIELDS
+        cells = [len(line.split(",")) for line in out.read_text().splitlines()[2:]]
+        assert cells == [len(RESULT_FIELDS)] * len(rows)
+
+
 def _asdict_output(config, rows):
-    """The bytes of ``rows`` as written through the deep-copying ``dataclasses.asdict``."""
+    """The bytes of ``rows`` with the config written through the deep-copying ``asdict``."""
     resolved = dataclasses.asdict(config)
     if config.format == "json":
         return json.dumps({"config": resolved, "rows": [
-            {k: None if isinstance(v, float) and not math.isfinite(v) else v
-             for k, v in dataclasses.asdict(row).items()} for row in rows]},
+            {name: None if isinstance(row[name], float) and not math.isfinite(row[name])
+             else row[name] for name in RESULT_FIELDS} for row in rows]},
             indent=2, allow_nan=False) + "\n"
     lines = ["# config " + json.dumps(resolved, sort_keys=True), ",".join(RESULT_FIELDS)]
-    lines += [",".join(format_number(getattr(row, name)) for name in RESULT_FIELDS)
-              for row in rows]
+    lines += [",".join(format_number(row[name]) for name in RESULT_FIELDS) for row in rows]
     return "\n".join(lines) + "\n"
 
 

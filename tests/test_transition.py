@@ -278,24 +278,28 @@ def test_macroscopic_limit_at_the_inverse_square_rate(spec):
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
-def test_bisect_rejects_bad_tolerance(tol):
-    calls = []
+def test_bisect_rejects_bad_tolerance(monkeypatch, tol):
+    # each public search checks tol at entry, before its first (c0, V) probe
+    probes = []
 
-    def margin(x):
-        calls.append(x)
-        return 0.5 - x
+    def counted(*args):
+        probes.append(args)
+        return invariants(*args)
 
-    with pytest.raises(ValueError, match="tol"):
-        _regula_falsi(margin, 0.0, 1.0, tol, NoViolationAtLo, NoTransitionAtHi)
-    assert calls == []
+    monkeypatch.setattr(fuzzycorr.transition, "invariants", counted)
+    for search in (lambda: find_critical_delta(bell_spec(2), PURE5, tol=tol),
+                   lambda: find_critical_Delta(bell_spec(2), PURE5, tol=tol),
+                   lambda: find_critical_visibility(bell_spec(2), 5, tol=tol)):
+        with pytest.raises(ValueError, match="tol"):
+            search()
+    assert probes == []
 
 
 def test_bisect_tolerance_below_float_spacing_ends():
     # near x = 8 adjacent floats are 1.8e-15 apart, so the bracket can never
     # shrink to 1e-20; the width is raised to the floor 2^-48 x and certified there
     width = RELATIVE_RESOLUTION * 8.0
-    root, cert_lo, cert_hi = _regula_falsi(lambda x: 8.0 - x, 0.0, 100.0, 1e-20,
-                                           NoViolationAtLo, NoTransitionAtHi)
+    root, cert_lo, cert_hi = _regula_falsi(lambda x: 8.0 - x, 0.0, 100.0, 1e-20)
     assert abs(root - 8.0) <= width
     assert 0 < cert_lo <= 2.5 * width
     assert -2.5 * width <= cert_hi <= 0
@@ -331,11 +335,9 @@ def test_bisect_checks_certificates():
         return 1.0
 
     with pytest.raises(TransitionError, match="uncertified"):
-        _regula_falsi(margin, 0.0, 1.0, 0.01, NoViolationAtLo, NoTransitionAtHi)
+        _regula_falsi(margin, 0.0, 1.0, 0.01)
     # the same margin is certified once the tolerance is inside the dip
-    root, cert_lo, cert_hi = _regula_falsi(
-        margin, 0.0, 1.0, 0.001, NoViolationAtLo, NoTransitionAtHi
-    )
+    root, cert_lo, cert_hi = _regula_falsi(margin, 0.0, 1.0, 0.001)
     assert abs(root - 0.5) <= 0.001 and cert_lo > 0.0 >= cert_hi
 
 

@@ -19,6 +19,7 @@ from fuzzycorr import (
     optimal_angles,
     optimum,
     steering_spec,
+    V_c,
 )
 from grid_oracle import chsh_grid_max, steering_grid_max
 from lhv_oracle import lhv_bound_bruteforce
@@ -299,6 +300,18 @@ def test_critical_visibility_parity_split():
             except NoViolationAtLo:
                 raised.add(m)
         assert raised == classical, p
+
+
+@pytest.mark.parametrize("kind", ["bell", "steering"])
+def test_V_c_is_the_linear_condition_exactly(kind):
+    # the optimum is alpha c0 + beta V, so the witness violates exactly for
+    # V > (bound - alpha c0) / beta; V_c must give that float, to the bit
+    for m in [*range(2, 65), 10**5]:
+        spec = WitnessSpec(kind, m)
+        alpha, beta = ((m, m / math.sin(math.pi / (2 * m))) if kind == "bell"
+                       else (math.sqrt(m), math.sqrt(m)))
+        for c0 in (0.0, 1e-300, 1e-12, 1e-3, 0.0625, 0.3, 1.0 / m, 0.5, 1.0, 7.5):
+            assert V_c(spec, c0) == (spec.bound - alpha * c0) / beta, (kind, m, c0)
 
 
 def test_optimal_angles_layout():
