@@ -339,7 +339,7 @@ def cmd_table1(config):
     ]
     for p in config.p_list:
         state = StateSpec(n=config.n, p=p)
-        refs = TABLE1_REFERENCE.get(round(p, 2), (None,) * 4)
+        refs = TABLE1_REFERENCE.get(p, (None,) * 4)  # the published p exactly
         for spec, ref_d2, ref_D2 in ((bell_spec(2), *refs[:2]), (steering_spec(2), *refs[2:])):
             d2 = find_critical_delta(spec, state, Delta_fixed=0.0, tol=config.transition_tol)
             D2 = find_critical_Delta(spec, state, delta_fixed=0.0, tol=config.transition_tol)

@@ -21,7 +21,7 @@ __all__ = ["TRUNCATION_SIGMAS", "EULER_MACLAURIN_DELTA", "kernel_masses"]
 TRUNCATION_SIGMAS = 8.0
 
 # From this width on the central sum is its Euler-Maclaurin form through
-# g^(5); the first omitted term, B_8/8! g^(7)(n), is below 1e-15 of a_n.
+# g^(7); the first omitted term, B_10/10! g^(9)(n), moves a_n by under 8e-17.
 EULER_MACLAURIN_DELTA = 12.0
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -38,7 +38,7 @@ def kernel_masses(n, delta):
     and sqrt(2 pi) delta from there on, where the Poisson sum's image terms
     (DLMF 1.8(iv)) are below 1e-34.  Below EULER_MACLAURIN_DELTA the g_k are
     summed (at most 97 terms); from there on, with u = n / delta, r = 1 / delta,
-    a_n Z = 2 int_0^n g + 2 sum_j B_2j / (2j)! g^(2j-1)(n) (DLMF 2.10(i)),
+    a_n Z = 2 int_0^n g + 2 sum_{j<=4} B_2j / (2j)! g^(2j-1)(n) (DLMF 2.10(i)),
     where g^(k)(n) = (-r)^k He_k(u) g_n: the end terms (g_0 + g_n) / 2 of
     the sum cancel exactly, so a_n = erf(u / sqrt 2) - O(r^2 g_n) has no
     cancellation at small u.  delta = 0 is the point mass at offset zero
@@ -56,9 +56,9 @@ def kernel_masses(n, delta):
         u = TRUNCATION_SIGMAS if past else n * r
         u2, r2 = u * u, r * r
         g_n = math.exp(-0.5 * u2)
-        # He_1 / 12 - r^2 (He_3 / 720 - r^2 He_5 / 30240), He_k the Hermite polynomials
-        series = u * (1.0 / 12.0
-                      - r2 * ((u2 - 3.0) / 720.0 - r2 * ((u2 - 10.0) * u2 + 15.0) / 30240.0))
+        # He_1/12 - r^2 (He_3/720 - r^2 (He_5/30240 - r^2 He_7/1209600)), He_k Hermite polynomials
+        series = u * (1.0 / 12.0 - r2 * ((u2 - 3.0) / 720.0 - r2 * (((u2 - 10.0) * u2 + 15.0)
+                      / 30240.0 - r2 * (((u2 - 21.0) * u2 + 105.0) * u2 - 105.0) / 1209600.0)))
         a_n = math.erf(u * _SQRT_HALF) - 2.0 / _SQRT_2PI * r2 * g_n * series
         return (0.0 if past else g_n / (_SQRT_2PI * delta)), a_n
     half = math.ceil(TRUNCATION_SIGMAS * max(delta, 1.0))

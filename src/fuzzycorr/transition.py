@@ -58,9 +58,9 @@ class NoViolationAtPureState(TransitionError):
 class TransitionPoint:
     """A (delta^2, Delta^2, p) triple on the quantum-to-classical boundary.
 
-    ``margin_lo`` / ``margin_hi`` certify the root: the optimized margin is
-    positive at (parameter - w) and not positive at (parameter + w), w = max(tol,
-    ~2^-48 parameter), clamped to the delta^2 bracket, Delta^2 >= 0 or q in [0, 1].
+    ``margin_lo`` / ``margin_hi`` certify the root x: the optimized margin is positive
+    at x - w and not positive at x + w, w = max(tol, 2^-48 x), at most one of the two clamped
+    to the delta^2 bracket, to Delta^2 >= 0 or to q = 1 - p in [0, 1].
     """
 
     delta_sq: float
@@ -78,39 +78,29 @@ def _check_tol(tol):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
-def _certify(margin, root, width, lo, hi):
-    """Margins at root -+ width in [lo, hi], checked: a sign change, at most one clamped."""
-    cert_lo = margin(max(root - width, lo))
-    cert_hi = margin(min(root + width, hi))
-    if not cert_lo > 0 >= cert_hi or (root - width <= lo and root + width >= hi):
-        raise TransitionError(f"uncertified bracket at {root} in [{lo}, {hi}]: margin "
-                              f"{cert_lo} at -{width}, {cert_hi} at +{width}")
-    return cert_lo, cert_hi
-
-
 def _regula_falsi(margin, lo, hi, tol):
-    """Regula falsi on [lo, hi], checked by the caller: margin(lo) > 0 >= margin(hi), tol > 0.
+    """Root of margin on [lo, hi], checked by the caller: margin(lo) > 0 >= margin(hi), tol > 0.
 
-    Each step probes where the chord through the two ends crosses 0 (the
-    midpoint if that rounds onto an end), keeping margin(a) > 0 >= margin(b),
-    while b - a > w = max(tol, RELATIVE_RESOLUTION * b), so a tol below the
-    float spacing is raised to that floor.  Returns (root, margin at root - w,
-    margin at root + w), root the midpoint of [a, b], checked by :func:`_certify`.
+    Each step probes where the chord through the two ends crosses 0, keeping
+    margin(a) > 0 >= margin(b), while b - a > w = max(tol, RELATIVE_RESOLUTION * b): a tol
+    below the float spacing is raised to that floor.  The first chord to round onto an end
+    probes w/2 inside it (Dekker, 1969), closing the far end if the root is there; later
+    ones halve [a, b], since steps of w/2 crawl where the margin's sign is float noise.
     """
     fa, fb = margin(lo), margin(hi)
-    a, b, moved = lo, hi, 0  # moved: +1 after a moved, -1 after b moved
+    a, b, moved, nudged = lo, hi, 0, False  # moved: +1 after a moved, -1 after b moved
     while b - a > (width := max(tol, RELATIVE_RESOLUTION * b)):
         x = a + (b - a) * (fa / (fa - fb))
         if not a < x < b:
-            x = 0.5 * a + 0.5 * b  # equals 0.5 * (a + b) in floats, but cannot overflow
+            x = 0.5 * a + 0.5 * b if nudged else a + 0.5 * width if x <= a else b - 0.5 * width
+            nudged = True
         # when one end moves twice in a row, halve the other end's margin so
         # that it moves too (Illinois; Dowell & Jarratt, BIT 11, 1971)
         if (fx := margin(x)) > 0:
             a, fa, fb, moved = x, fx, fb * 0.5 if moved > 0 else fb, 1
         else:
             b, fb, fa, moved = x, fx, fa * 0.5 if moved < 0 else fa, -1
-    root = 0.5 * a + 0.5 * b
-    return root, *_certify(margin, root, width, lo, hi)
+    return 0.5 * a + 0.5 * b  # the midpoint: 0.5 * (a + b) in floats, but cannot overflow
 
 
 def _no_transition(spec, n, where="V = 0"):
@@ -120,6 +110,17 @@ def _no_transition(spec, n, where="V = 0"):
 def _margin(spec, invariants_at):
     bound = spec.bound
     return lambda x: optimum(spec, *invariants_at(x)) - bound
+
+
+def _point(spec, n, margin, invariants_at, root, tol, hi, delta_sq, Delta_sq, p):
+    """The TransitionPoint at root, its certificate (see TransitionPoint) checked."""
+    width = max(tol, RELATIVE_RESOLUTION * root)
+    cert_lo, cert_hi = margin(max(root - width, 0.0)), margin(min(root + width, hi))
+    if not cert_lo > 0 >= cert_hi or (root - width <= 0.0 and root + width >= hi):
+        raise TransitionError(f"uncertified bracket at {root} in [0.0, {hi}]: margin "
+                              f"{cert_lo} at -{width}, {cert_hi} at +{width}")
+    return TransitionPoint(delta_sq, Delta_sq, p, spec, n, optimum(spec, *invariants_at(root)),
+                           cert_lo, cert_hi)
 
 
 def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
@@ -151,9 +152,8 @@ def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
             f"no violation at delta^2 = 0.0 for {spec.kind} m={spec.m}, n={n}, p={p}")
     if margin(hi) > 0:
         raise _no_transition(spec, n)
-    root, cert_lo, cert_hi = _regula_falsi(margin, 0.0, hi, tol)
-    return TransitionPoint(root, Delta_fixed * Delta_fixed, p, spec, n,
-                           optimum(spec, *invariants_at(root)), cert_lo, cert_hi)
+    root = _regula_falsi(margin, 0.0, hi, tol)
+    return _point(spec, n, margin, invariants_at, root, tol, hi, root, Delta_fixed * Delta_fixed, p)
 
 
 def _edges(spec, n, invariants_at, tol, lo_error):
@@ -181,10 +181,8 @@ def find_critical_Delta(spec, state, delta_fixed=0.0, tol=DEFAULT_TOL):
         f"no violation at Delta^2 = 0.0 for {spec.kind} m={spec.m}, n={state.n}, p={state.p}"))
     ratio = V0 / V_crit  # overflows only for a subnormal V_c
     root = 0.25 * (math.log(ratio) if ratio < math.inf else math.log(V0) - math.log(V_crit))
-    width = max(tol, RELATIVE_RESOLUTION * root)
-    return TransitionPoint(delta_fixed * delta_fixed, root, state.p, spec, state.n,
-                           optimum(spec, *invariants_at(root)),
-                           *_certify(_margin(spec, invariants_at), root, width, 0.0, math.inf))
+    return _point(spec, state.n, _margin(spec, invariants_at), invariants_at, root, tol, math.inf,
+                  delta_fixed * delta_fixed, root, state.p)
 
 
 def find_critical_visibility(spec, n, params=CoarseningParams(), tol=DEFAULT_TOL):
@@ -199,10 +197,8 @@ def find_critical_visibility(spec, n, params=CoarseningParams(), tol=DEFAULT_TOL
     V1, V_crit = _edges(spec, n, invariants_at, tol, lambda: NoViolationAtPureState(
         f"no violation at p = 1 for {spec.kind} m={spec.m}, n={n}"))
     p = V_crit / V1
-    q, width = 1.0 - p, max(tol, RELATIVE_RESOLUTION * (1.0 - p))
-    return TransitionPoint(params.delta * params.delta, params.Delta * params.Delta, p, spec, n,
-                           optimum(spec, *invariants_at(q)),
-                           *_certify(_margin(spec, invariants_at), q, width, 0.0, 1.0))
+    return _point(spec, n, _margin(spec, invariants_at), invariants_at, 1.0 - p, tol, 1.0,
+                  params.delta * params.delta, params.Delta * params.Delta, p)
 
 
 def trace_boundary(spec, state, Delta_sq_grid, tol=DEFAULT_TOL):

@@ -8,8 +8,10 @@ from their own kernel.  Under it w_n is the weight at offset n and
 a_n = (zeta_mean(kernel, n) - zeta_mean(kernel, -n)) / 2.
 """
 
+import decimal
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -69,3 +71,24 @@ def correlator_constants(n, p, delta, Delta):
     c0 = (0.5 * (s_plus + s_minus)) ** 2
     V = p * (0.5 * (s_plus - s_minus)) ** 2 * math.exp(-4.0 * Delta**2)
     return c0, V
+
+
+def decimal_kernel_masses(delta, n_max, digits=40):
+    """[(w_n, a_n) for n = 1..n_max] of the truncated kernel, as ``digits``-digit Decimals.
+
+    The kernel of ``make_discrete_kernel``, exp(-k^2 / 2 delta^2) on k = -K..K,
+    each weight from the standard library's ``Decimal.exp``: w_n is the mass
+    at offset n (0 past K) and a_n the mass of |k| < n plus w_n.
+    """
+    half = int(math.ceil(TRUNCATION_SIGMAS * max(delta, 1.0)))
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        scale = -1 / (2 * Decimal(delta) ** 2)
+        g = [(scale * (k * k)).exp() for k in range(half + 1)]
+        norm = g[0] + 2 * sum(g[1:])
+        masses, inner = [], g[0]  # inner: the weight of |k| < n
+        for n in range(1, n_max + 1):
+            w = g[n] if n <= half else Decimal(0)
+            masses.append((w / norm, (inner + w) / norm))
+            inner += 2 * w
+    return masses

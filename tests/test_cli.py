@@ -662,6 +662,20 @@ def test_boundary_at_an_n_beyond_float_range_exits_3(capsys):
 
 # ----------------------------------------------------------------- table1
 
+@pytest.mark.parametrize("p, published", [(0.85, True), (0.849, False)])
+def test_table1_compares_only_a_published_p(tmp_path, capsys, p, published):
+    # 0.849 prints as 0.85 in the p column, but it is not the published row:
+    # its ref and rel cells read "-"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"p_list": [p]}))
+    assert main(["table1", "--config", str(cfg)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[1] for row in rows] == ["bell", "steering"]
+    for row in rows:
+        refs = [row[3], row[4], row[6], row[7]]
+        assert (refs == ["-"] * 4) != published, row
+
+
 def test_table1_smoke(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"p_list": [0.85]}))

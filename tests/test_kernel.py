@@ -1,12 +1,14 @@
 """Kernel tests: the package's kernel masses, the two-sided test kernel and the paper's quadrature.
 
 ``kernel_masses`` is checked against direct sums over 10^4 offsets, the
-two-sided oracle kernel (``kernel_oracle``) and constants computed once at
-50-digit precision; the oracle kernel itself against the direct sums.
+two-sided oracle kernel (``kernel_oracle``), 40-digit decimal sums of the
+truncated kernel and constants computed once at 50-digit precision; the
+oracle kernel itself against the direct sums.
 """
 
 import math
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from scipy.integrate import quad
 
 from fuzzycorr import CoarseningParams, Correlator, StateSpec
 from fuzzycorr.kernel import EULER_MACLAURIN_DELTA, TRUNCATION_SIGMAS, kernel_masses
-from kernel_oracle import correlator_constants, make_discrete_kernel, zeta_mean
+from kernel_oracle import (correlator_constants, decimal_kernel_masses, make_discrete_kernel,
+                           zeta_mean)
 from paper_oracle import reference_nodes
 from table1_oracle import gaussian_weights
 
@@ -179,6 +182,19 @@ def test_kernel_masses_past_the_support(delta):
         assert (w_n == 0.0) == (n > half)
         assert abs(w_n * w_n - c0) <= 1e-12
         assert abs(a_n * a_n - V) <= 1e-12
+
+
+@pytest.mark.parametrize("delta", [0.03, 0.1, 0.3, 0.5, 1, 1.5, 1.99, 2, 3, 6,
+                                   11.99, 12, 13, 24, 48, 100])
+def test_kernel_masses_against_40_digit_sums(delta):
+    # both norm rules and both sides of the Euler-Maclaurin switch, n past K;
+    # what is left is the 8-sigma tail beyond K, 1 - erf(8 / sqrt 2) ~ 1.2e-15
+    # (the form through g^(5) alone was 5.4e-14 off at delta = 12)
+    masses = decimal_kernel_masses(delta, math.floor(9 * max(delta, 1)) + 1)
+    for n, (w, a) in enumerate(masses, start=1):
+        w_n, a_n = kernel_masses(n, delta)
+        assert abs(Decimal(w_n) - w) <= Decimal("2e-15"), (n, w_n, w)
+        assert abs(Decimal(a_n) - a) <= Decimal("2e-15"), (n, a_n, a)
 
 
 @pytest.mark.parametrize("delta", [0.5, 3.0, 20.0, 1e300])

@@ -266,12 +266,13 @@ def _probes(monkeypatch, *args):
 
 def test_regula_falsi_probes_fewer_points_than_bisection(monkeypatch):
     # the same bracket to the same width: never more than one probe above
-    # the bisection on a case, and at most 60 % of its probes over the grid
+    # the bisection on a case, never more than 24 probes (the midpoint
+    # fallback took up to 50 here), and at most 60 % of its probes over the grid
     new_total = old_total = 0
     for kind, m, n, p, Delta, tol in itertools.product(
             ["bell", "steering"], [2, 3, 16, 400], [1, 5, 1000, 10**7], [0.75, 0.95, 1.0],
             [0.0, 0.2], [1e-3, 1e-9]):
         new, old = _probes(monkeypatch, WitnessSpec(kind, m), StateSpec(n, p), Delta, tol)
-        assert new <= old + 1, (kind, m, n, p, Delta, tol, new, old)
+        assert new <= min(old + 1, 24), (kind, m, n, p, Delta, tol, new, old)
         new_total, old_total = new_total + new, old_total + old
     assert new_total <= 0.6 * old_total, (new_total, old_total)

@@ -1,8 +1,10 @@
 """Transition-search tests: critical coarsenings, critical visibility, boundary curves."""
 
+import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from fuzzycorr import (
     NoViolationAtPureState,
     StateSpec,
     TransitionError,
+    WitnessSpec,
     bell_spec,
     find_critical_Delta,
     find_critical_delta,
@@ -29,7 +32,7 @@ from fuzzycorr import (
     trace_boundary,
 )
 from fuzzycorr.correlation import invariants
-from fuzzycorr.transition import DEFAULT_TOL, RELATIVE_RESOLUTION, _regula_falsi
+from fuzzycorr.transition import DEFAULT_TOL, RELATIVE_RESOLUTION, _point, _regula_falsi
 from kernel_oracle import correlator_constants
 
 PURE5 = StateSpec(n=5, p=1.0)
@@ -221,6 +224,32 @@ def test_trace_boundary_rejects_unsorted_grid():
         trace_boundary(bell_spec(2), PURE5, [0.02, 0.0])
 
 
+@pytest.mark.parametrize("golden", ["boundary_bell2.csv", "boundary_steering3.csv"])
+def test_boundary_points_give_back_their_Delta_sq(golden):
+    # each (delta_c^2, Delta^2) of a boundary golden case, fed back to the
+    # closed-form Delta^2 search at delta = delta_c, returns Delta^2 to within
+    # the curve's slope times the delta^2 search's width w, plus rounding
+    header = (Path(__file__).parent / "golden" / golden).read_text().splitlines()[0]
+    config = json.loads(header[len("# config "):])
+    spec, state = WitnessSpec(config["witness"], config["m"]), StateSpec(config["n"], config["p"])
+    tol = config["transition_tol"]
+    back = lambda d2: find_critical_Delta(spec, state, delta_fixed=math.sqrt(d2), tol=tol).Delta_sq
+    points = trace_boundary(spec, state, config["Delta_sq_grid"], tol=tol)
+    assert len(points) >= 4
+    for pt in points:
+        w = max(tol, RELATIVE_RESOLUTION * pt.delta_sq)
+        slope = (back(pt.delta_sq - w) - back(pt.delta_sq - 2.0 * w)) / w
+        allowance = abs(slope) * w + 1e-12 * pt.Delta_sq
+        try:
+            Delta_sq = back(pt.delta_sq)
+        except NoViolationAtLo:
+            # delta_c^2 lies past the Delta^2 = 0 end of the curve, by less
+            # than w: w before it, the search gives back at most the allowance
+            assert pt.Delta_sq == 0.0, pt
+            Delta_sq = back(pt.delta_sq - w)
+        assert abs(Delta_sq - pt.Delta_sq) <= allowance, (pt, Delta_sq, allowance)
+
+
 def test_steering_boundary_grows_with_settings():
     # the quantum region traced by the steering witness expands with m
     grid = [0.0, 0.03, 0.06]
@@ -295,14 +324,53 @@ def test_bisect_rejects_bad_tolerance(monkeypatch, tol):
     assert probes == []
 
 
+def _certified_root(margin, hi, tol):
+    """(root, margin_lo, margin_hi) of margin on [0, hi], as a delta^2 search finds them."""
+    root = _regula_falsi(margin, 0.0, hi, tol)
+    pt = _point(bell_spec(2), 1, margin, lambda x: (0.0, 0.0), root, tol, hi, root, 0.0, 1.0)
+    return root, pt.margin_lo, pt.margin_hi
+
+
 def test_bisect_tolerance_below_float_spacing_ends():
     # near x = 8 adjacent floats are 1.8e-15 apart, so the bracket can never
     # shrink to 1e-20; the width is raised to the floor 2^-48 x and certified there
     width = RELATIVE_RESOLUTION * 8.0
-    root, cert_lo, cert_hi = _regula_falsi(lambda x: 8.0 - x, 0.0, 100.0, 1e-20)
+    root, cert_lo, cert_hi = _certified_root(lambda x: 8.0 - x, 100.0, 1e-20)
     assert abs(root - 8.0) <= width
     assert 0 < cert_lo <= 2.5 * width
     assert -2.5 * width <= cert_hi <= 0
+
+
+@pytest.mark.parametrize("root, tol", [(8.1, 1e-3), (8.0, 1e-20)])
+def test_linear_margin_takes_a_handful_of_calls(root, tol):
+    # once a chord lands on the root of a straight line, the next step probes
+    # w/2 past it and closes the far end (the midpoint fallback took 18 and
+    # 53 calls here); six calls count the bracket ends and the certificate
+    calls = []
+
+    def margin(x):
+        calls.append(x)
+        return root - x
+
+    found, cert_lo, cert_hi = _certified_root(margin, 100.0, tol)
+    assert abs(found - root) <= max(tol, RELATIVE_RESOLUTION * root)
+    assert cert_lo > 0 >= cert_hi
+    assert len(calls) <= 6, calls
+
+
+def test_margin_plateau_is_halved_not_crawled():
+    # margin 0 on all of [1, 100], as float noise is near a flat root: the
+    # chord rounds onto 100 every time, and steps of w/2 would take 2e5 calls;
+    # after the one minimum step the bracket is halved, 17 times down to 1e-3
+    calls = []
+
+    def margin(x):
+        calls.append(x)
+        return 1.0 if x < 1.0 else 0.0
+
+    found, cert_lo, cert_hi = _certified_root(margin, 100.0, 1e-3)
+    assert abs(found - 1.0) <= 1e-3 and cert_lo > 0 >= cert_hi
+    assert len(calls) <= 2 + 1 + 17 + 2, len(calls)  # ends, minimum step, halvings, certificate
 
 
 def test_delta_search_past_float_resolution_certifies():
@@ -335,9 +403,9 @@ def test_bisect_checks_certificates():
         return 1.0
 
     with pytest.raises(TransitionError, match="uncertified"):
-        _regula_falsi(margin, 0.0, 1.0, 0.01)
+        _certified_root(margin, 1.0, 0.01)
     # the same margin is certified once the tolerance is inside the dip
-    root, cert_lo, cert_hi = _regula_falsi(margin, 0.0, 1.0, 0.001)
+    root, cert_lo, cert_hi = _certified_root(margin, 1.0, 0.001)
     assert abs(root - 0.5) <= 0.001 and cert_lo > 0.0 >= cert_hi
 
 
