@@ -17,6 +17,7 @@ from .transition import (
     find_critical_Delta,
     find_critical_delta,
     find_critical_visibility,
+    macroscopic_limit,
     trace_boundary,
 )
 from .witness import (

@@ -339,11 +339,12 @@ def cmd_table1(config):
     ]
     for p in config.p_list:
         state = StateSpec(n=config.n, p=p)
+        label = f"{p:.2f}" if float(f"{p:.2f}") == p else repr(p)  # 0.849 is not 0.85
         refs = TABLE1_REFERENCE.get(p, (None,) * 4)  # the published p exactly
         for spec, ref_d2, ref_D2 in ((bell_spec(2), *refs[:2]), (steering_spec(2), *refs[2:])):
             d2 = find_critical_delta(spec, state, Delta_fixed=0.0, tol=config.transition_tol)
             D2 = find_critical_Delta(spec, state, delta_fixed=0.0, tol=config.transition_tol)
-            line = f"{p:>6.2f} {spec.kind:>9}"
+            line = f"{label:>6} {spec.kind:>9}"
             for value, ref, digits in ((d2.delta_sq, ref_d2, 4), (D2.Delta_sq, ref_D2, 5)):
                 ref_text, rel_text = ("-", "-") if ref is None else (
                     f"{ref:.{digits}f}", f"{(value - ref) / ref:.2%}")

@@ -4,14 +4,14 @@ A transition point is the coarsening (or visibility) at which the
 angle-optimized witness value falls to its classical bound: where V falls
 to :func:`~fuzzycorr.witness.V_c` of c0.  With delta fixed, c0 and a_n are
 fixed too, so the Delta^2 and p roots are closed forms; delta^2 moves both,
-so its search narrows a bracket by regula falsi.  Each probe reads the
-witness optimum from the pair (c0, V) of
-:func:`~fuzzycorr.correlation.invariants`.
+so its search narrows a bracket by regula falsi, seeded where it can be
+by :func:`macroscopic_limit`.  Each probe reads the witness optimum from
+the pair (c0, V) of :func:`~fuzzycorr.correlation.invariants`.
 """
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import math
 from dataclasses import dataclass, replace
 
@@ -29,6 +29,7 @@ __all__ = [
     "find_critical_Delta",
     "find_critical_visibility",
     "trace_boundary",
+    "macroscopic_limit",
 ]
 
 DEFAULT_TOL = 1e-3
@@ -36,6 +37,10 @@ DEFAULT_TOL = 1e-3
 # Relative floor of the bracket width: at least 16 float spacings, so a
 # bracket near x always holds a float strictly inside it, however large x is.
 RELATIVE_RESOLUTION = 2.0**-48
+
+# Reach of the seeded delta^2 bracket past w, in (1 + (12 kappa + 3) / x*^2)^2 / n^2: the
+# asymptote's next term held 0.0053 of them for n = 2..30, m = 2..400 (README)
+SEED_SPREAD = 0.006
 
 
 class TransitionError(RuntimeError):
@@ -58,9 +63,9 @@ class NoViolationAtPureState(TransitionError):
 class TransitionPoint:
     """A (delta^2, Delta^2, p) triple on the quantum-to-classical boundary.
 
-    ``margin_lo`` / ``margin_hi`` certify the root x: the optimized margin is positive
-    at x - w and not positive at x + w, w = max(tol, 2^-48 x), at most one of the two clamped
-    to the delta^2 bracket, to Delta^2 >= 0 or to q = 1 - p in [0, 1].
+    ``margin_lo`` / ``margin_hi`` certify the root x: the optimized margin is positive at lo,
+    not positive at hi, lo < x < hi, hi - lo <= 2w, w = max(tol, 2^-48 x): x -+ w/2 for a seeded
+    delta^2 root, else x -+ w, clamped to the delta^2 bracket, Delta^2 >= 0 or q = 1 - p in [0, 1].
     """
 
     delta_sq: float
@@ -78,29 +83,55 @@ def _check_tol(tol):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
+def _illinois(margin, x, a, fa, b, fb, moved):
+    """Probe x and narrow [a, b] to it, keeping fa = margin(a) > 0 >= margin(b) = fb."""
+    # moved: +1 after a moved, -1 after b; Illinois (Dowell & Jarratt, BIT 11, 1971)
+    # halves the margin of the end that stayed twice, so that it moves too
+    if (fx := margin(x)) > 0:
+        return x, fx, b, fb * 0.5 if moved > 0 else fb, 1
+    return a, fa * 0.5 if moved < 0 else fa, x, fx, -1
+
+
 def _regula_falsi(margin, lo, hi, tol):
     """Root of margin on [lo, hi], checked by the caller: margin(lo) > 0 >= margin(hi), tol > 0.
 
-    Each step probes where the chord through the two ends crosses 0, keeping
-    margin(a) > 0 >= margin(b), while b - a > w = max(tol, RELATIVE_RESOLUTION * b): a tol
-    below the float spacing is raised to that floor.  The first chord to round onto an end
-    probes w/2 inside it (Dekker, 1969), closing the far end if the root is there; later
-    ones halve [a, b], since steps of w/2 crawl where the margin's sign is float noise.
+    Each step probes where the chord through the two ends crosses 0 (:func:`_illinois`),
+    while b - a > w = max(tol, RELATIVE_RESOLUTION * b): a tol below the float spacing is
+    raised to that floor.  The first chord to round onto an end probes w/2 inside it
+    (Dekker, 1969), closing the far end if the root is there; later ones halve [a, b],
+    since steps of w/2 crawl where the margin's sign is float noise.
     """
     fa, fb = margin(lo), margin(hi)
-    a, b, moved, nudged = lo, hi, 0, False  # moved: +1 after a moved, -1 after b moved
+    a, b, moved, nudged = lo, hi, 0, False
     while b - a > (width := max(tol, RELATIVE_RESOLUTION * b)):
         x = a + (b - a) * (fa / (fa - fb))
         if not a < x < b:
             x = 0.5 * a + 0.5 * b if nudged else a + 0.5 * width if x <= a else b - 0.5 * width
             nudged = True
-        # when one end moves twice in a row, halve the other end's margin so
-        # that it moves too (Illinois; Dowell & Jarratt, BIT 11, 1971)
-        if (fx := margin(x)) > 0:
-            a, fa, fb, moved = x, fx, fb * 0.5 if moved > 0 else fb, 1
-        else:
-            b, fb, fa, moved = x, fx, fa * 0.5 if moved < 0 else fa, -1
+        a, fa, b, fb, moved = _illinois(margin, x, a, fa, b, fb, moved)
     return 0.5 * a + 0.5 * b  # the midpoint: 0.5 * (a + b) in floats, but cannot overflow
+
+
+def macroscopic_limit(spec, p=1.0, Delta=0.0):
+    """(x*^2, kappa) of delta_c^2(n) = x*^2 n^2 + kappa + O(1/n^2), the macroscopic limit.
+
+    c0 -> 0 and a_n -> erf(u / sqrt 2), u = n / delta, so x*^2 = 1 / (2 erfinv(sqrt r)^2),
+    r = V_c(spec, 0) / (p exp(-4 Delta^2)); kappa = rho g / (sqrt(8 pi) u* sqrt r) - 1/6, with
+    g = exp(-u*^2 / 2) and rho = alpha / (beta p exp(-4 Delta^2)).  Raises NoViolationAtLo when
+    r >= 1: then no n violates at delta = 0.
+    """
+    scale = p * math.exp(-4.0 * (Delta * Delta))
+    y = math.sqrt(V_c(spec, 0.0) / scale) if scale > 0 else math.inf
+    if not y < 1:
+        raise NoViolationAtLo(f"no violation at delta = 0 for any n: {spec.kind} m={spec.m}")
+    # v = erfinv(y) to an ulp: Winitzki's start, 4 Newton steps (DLMF 7.17), exact 1 - y
+    log = math.log((1.0 - y) * (1.0 + y))
+    v = math.sqrt(math.sqrt((t := 2.0 / (math.pi * 0.147) + 0.5 * log) ** 2 - log / 0.147) - t)
+    for _ in range(4):
+        v += (math.erfc(v) - (1.0 - y) if y > 0.5 else y - math.erf(v)) / (
+            2.0 / math.sqrt(math.pi) * math.exp(-v * v))
+    u, rho = math.sqrt(2.0) * v, optimum(spec, 1.0, 0.0) / (optimum(spec, 0.0, 1.0) * scale)
+    return 1.0 / (u * u), rho * math.exp(-0.5 * u * u) / (math.sqrt(8.0 * math.pi) * u * y) - 1 / 6
 
 
 def _no_transition(spec, n, where="V = 0"):
@@ -112,9 +143,9 @@ def _margin(spec, invariants_at):
     return lambda x: optimum(spec, *invariants_at(x)) - bound
 
 
-def _point(spec, n, margin, invariants_at, root, tol, hi, delta_sq, Delta_sq, p):
-    """The TransitionPoint at root, its certificate (see TransitionPoint) checked."""
-    width = max(tol, RELATIVE_RESOLUTION * root)
+def _point(spec, n, margin, invariants_at, root, tol, hi, delta_sq, Delta_sq, p, reach=1.0):
+    """The TransitionPoint at root, its certificate at root -+ reach * w checked."""
+    width = reach * max(tol, RELATIVE_RESOLUTION * root)
     cert_lo, cert_hi = margin(max(root - width, 0.0)), margin(min(root + width, hi))
     if not cert_lo > 0 >= cert_hi or (root - width <= 0.0 and root + width >= hi):
         raise TransitionError(f"uncertified bracket at {root} in [0.0, {hi}]: margin "
@@ -124,25 +155,40 @@ def _point(spec, n, margin, invariants_at, root, tol, hi, delta_sq, Delta_sq, p)
 
 
 def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
-    """Critical resolution variance delta^2 at fixed Delta, by regula falsi probing each once.
+    """Critical resolution variance delta^2 at fixed Delta, probing each point once.
 
-    The bracket is [0, hi]: hi starts at 4 n^2 and doubles while the witness
-    violates there and V > 0.  V falls to 0 as delta^2 grows, so the doubling
-    ends; a witness that still violates at V = 0, or at an hi past float
-    range, raises NoTransitionAtHi.  Raises NoViolationAtLo if it does not
-    violate at delta = 0.  ``tol`` is the width of the final bracket, whose
-    midpoint is the root.
+    For 2 <= n <= 10^15 it first takes Illinois chords on [g - h, g + h], g = x*^2 n^2 + kappa,
+    until the next would move less than w/8, w = max(tol, 2^-48 g), and certifies the last at
+    -+ w/2.  Failing that, the bracket is [0, hi]: hi starts at 4 n^2 and doubles while the
+    witness violates there and V > 0; a witness that still violates at V = 0, or at an hi past
+    float range, raises NoTransitionAtHi, and one that does not violate at delta = 0 raises
+    NoViolationAtLo.  ``tol`` is the width of the final bracket, whose midpoint is the root.
     """
     CoarseningParams(Delta=Delta_fixed)  # validated once, at entry, with tol
     _check_tol(tol)
     n, p = state.n, state.p
+    memo = {}  # each point is probed once (a dict: building a functools.cache costs more)
+    invariants_at = lambda x: memo[x] if x in memo else memo.setdefault(
+        x, invariants(kernel_masses(n, math.sqrt(x)), p, Delta_fixed))
+    margin = _margin(spec, invariants_at)
+    # n = 1 lies far from the limit, and a huge n would overflow x*^2 n^2 (tested to 10^15)
+    if 2 <= n <= 10**15 and margin(0.0) > 0:
+        with contextlib.suppress(TransitionError):  # r >= 1, or an uncertified root: fall back
+            x_sq, kappa = macroscopic_limit(spec, p, Delta_fixed)
+            width = max(tol, RELATIVE_RESOLUTION * (seed := x_sq * n * n + kappa))
+            h = SEED_SPREAD * (1.0 + (12.0 * kappa + 3.0) / x_sq) ** 2 / (n * n) + width
+            a, b, x, moved = seed - h, seed + h, math.inf, 0
+            if a > 0 and (fa := margin(a)) > 0 >= (fb := margin(b)):
+                for _ in range(12):  # bounds what a seed that does not settle can cost
+                    if abs((x_next := a + (b - a) * (fa / (fa - fb))) - x) < 0.125 * width:
+                        return _point(spec, n, margin, invariants_at, x, tol, math.inf, x,
+                                      Delta_fixed * Delta_fixed, p, reach=0.5)
+                    x = x_next
+                    a, fa, b, fb, moved = _illinois(margin, x, a, fa, b, fb, moved)
     try:
         hi = 4.0 * n**2
     except OverflowError:  # 4 n^2 lies beyond float range
         hi = math.inf
-    invariants_at = functools.cache(
-        lambda x: invariants(kernel_masses(n, math.sqrt(x)), p, Delta_fixed))
-    margin = _margin(spec, invariants_at)
     while hi < math.inf and margin(hi) > 0 and invariants_at(hi)[1] > 0:  # V > 0
         hi *= 2.0
     if hi == math.inf:

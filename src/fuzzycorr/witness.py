@@ -45,7 +45,8 @@ class WitnessSpec:
     def __post_init__(self):
         if self.kind not in (BELL, STEERING):
             raise ValueError(f"unknown witness kind: {self.kind!r}")
-        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral) or self.m < 2:
+        m = self.m  # an exact int skips the numbers.Integral check, which takes about 1 us
+        if type(m) is not int and (type(m) is bool or not isinstance(m, numbers.Integral)) or m < 2:
             raise ValueError(f"{self.kind} witness requires an integer m >= 2, got {self.m!r}")
 
     @property

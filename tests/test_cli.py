@@ -664,8 +664,7 @@ def test_boundary_at_an_n_beyond_float_range_exits_3(capsys):
 
 @pytest.mark.parametrize("p, published", [(0.85, True), (0.849, False)])
 def test_table1_compares_only_a_published_p(tmp_path, capsys, p, published):
-    # 0.849 prints as 0.85 in the p column, but it is not the published row:
-    # its ref and rel cells read "-"
+    # 0.849 is not the published row 0.85: its ref and rel cells read "-"
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"p_list": [p]}))
     assert main(["table1", "--config", str(cfg)]) == 0
@@ -674,6 +673,18 @@ def test_table1_compares_only_a_published_p(tmp_path, capsys, p, published):
     for row in rows:
         refs = [row[3], row[4], row[6], row[7]]
         assert (refs == ["-"] * 4) != published, row
+
+
+@pytest.mark.parametrize("p, label", [(0.85, "0.85"), (0.8, "0.80"), (0.849, "0.849"),
+                                      (1.0, "1.00"), (0.912345678, "0.912345678")])
+def test_table1_labels_each_row_with_the_p_searched(tmp_path, capsys, p, label):
+    # a p on the 2-decimal grid prints as before; any other p prints in full,
+    # not rounded onto a published row
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"p_list": [p]}))
+    assert main(["table1", "--config", str(cfg)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[0] for row in rows] == [label, label]
 
 
 def test_table1_smoke(tmp_path, capsys):

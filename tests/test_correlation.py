@@ -12,6 +12,7 @@ Oracles used here are deliberately independent of the implementation:
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from fuzzycorr import (
     CoarseningParams,
     Correlator,
     StateSpec,
+    WitnessSpec,
     find_critical_Delta,
     find_critical_delta,
     steering_spec,
@@ -370,3 +372,18 @@ def test_correlator_matches_paper_formula(n, p, delta_frac, Delta, ti, tj):
     assert Correlator(state, params)(ti, tj) == pytest.approx(
         corr_werner_full(ti, tj, state, params), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("value, accepted", [
+    (2, True), (True, False), (False, False), (2.0, False), (np.int64(2), True),
+    (Fraction(2), False), ("2", False), (0, False), (-1, False),
+])
+def test_counts_accept_the_same_values(value, accepted):
+    # an exact int skips the numbers.Integral check; bools, non-integral
+    # numbers, strings and counts below the minimum are still refused
+    for build in (lambda v: StateSpec(v), lambda v: WitnessSpec("bell", v)):
+        if accepted:
+            build(value)
+        else:
+            with pytest.raises(ValueError):
+                build(value)

@@ -5,8 +5,9 @@ Correlator and one ``optimum`` per probe, all by bisection.  Every error's
 type and message must be identical, but for the certificates that clamp
 at both bracket ends, below.
 
-The delta^2 and boundary searches narrow the same bracket by regula falsi
-now, to the same width.  Each of their points must meet four conditions:
+The delta^2 and boundary searches now narrow a bracket around the
+macroscopic limit, or else the same bracket by regula falsi, to the same
+width.  Each of their points must meet four conditions:
 its root lies within the oracle bisection's width w = max(tol, 2^-48 root)
 of the oracle's root; margin_lo > 0 >= margin_hi; ``achieved_value``
 equals ``optimum`` of a Correlator's (c0, V) at its root; every other field

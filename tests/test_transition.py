@@ -1,5 +1,6 @@
 """Transition-search tests: critical coarsenings, critical visibility, boundary curves."""
 
+import itertools
 import json
 import math
 import re
@@ -26,6 +27,7 @@ from fuzzycorr import (
     find_critical_Delta,
     find_critical_delta,
     find_critical_visibility,
+    macroscopic_limit,
     optimal_angles,
     optimum,
     steering_spec,
@@ -140,14 +142,15 @@ def test_correlator_where_the_squares_overflow():
 
 
 @pytest.mark.parametrize("search, count", [
-    (lambda: find_critical_delta(bell_spec(2), StateSpec(5, 0.85)), 13),
+    (lambda: find_critical_delta(bell_spec(2), StateSpec(5, 0.85)), 6),
     (lambda: find_critical_Delta(bell_spec(2), StateSpec(5, 0.85)), 4),
     (lambda: find_critical_visibility(steering_spec(3), 5), 4),
 ], ids=["delta_sq", "Delta_sq", "p"])
 def test_each_point_is_probed_once(monkeypatch, search, count):
-    # the growth check, the bracket edges and the certificates share probes;
-    # the closed forms probe the violating edge, the root and root -+ tol;
-    # a probe is one (c0, V) pair, and the README states these counts
+    # delta^2 probes 0, the two ends of the seeded bracket, one chord and the
+    # chord -+ w/2 (the chord is the root); the closed forms probe the violating
+    # edge, the root and root -+ tol; a probe is one (c0, V) pair, and the
+    # README states these counts
     probes = []
 
     def counted(masses, p, Delta):
@@ -304,6 +307,67 @@ def test_macroscopic_limit_at_the_inverse_square_rate(spec):
     settled = offset(50)
     for n in (500, 5000, 10**5, 10**6):
         assert offset(n) == pytest.approx(settled, abs=5e-3)
+
+
+# The six cases of the asymptote: (spec, p, Delta).
+LIMIT_CASES = [(steering_spec(2), 1.0, 0.0), (steering_spec(64), 1.0, 0.0),
+               (bell_spec(2), 1.0, 0.0), (bell_spec(3), 1.0, 0.0),
+               (bell_spec(2), 0.85, 0.0), (steering_spec(3), 0.9, 0.1)]
+LIMIT_IDS = ["steering2", "steering64", "bell2", "bell3", "bell2-p0.85", "steering3-p0.9-D0.1"]
+
+
+def test_macroscopic_limit_of_steering_two():
+    # 1 / (2 erfinv(2^-1/4)^2), correctly rounded
+    assert macroscopic_limit(steering_spec(2))[0] == 0.5043562740277252
+
+
+@pytest.mark.parametrize("spec, p, Delta", LIMIT_CASES, ids=LIMIT_IDS)
+def test_macroscopic_limit_against_scipy(spec, p, Delta):
+    # x*^2 = 1 / (2 erfinv(sqrt r)^2) with scipy's erfinv as the oracle
+    r = (spec.bound / optimum(spec, 0.0, 1.0)) / (p * math.exp(-4.0 * Delta * Delta))
+    x_sq = 1.0 / (2.0 * erfinv(math.sqrt(r)) ** 2)
+    assert macroscopic_limit(spec, p, Delta)[0] == pytest.approx(x_sq, rel=1e-13)
+
+
+@pytest.mark.parametrize("spec, p, Delta", LIMIT_CASES, ids=LIMIT_IDS)
+def test_delta_sq_follows_the_asymptote_to_its_next_term(spec, p, Delta):
+    # |delta_c^2 - x*^2 n^2 - kappa| <= C / n^2, C = 0.1, stated before the run:
+    # the residual times n^2 measured -0.03 to 0.06 on these cases.  The root
+    # is known to w = max(tol, 2^-48 delta_c^2), which passes C / n^2 past
+    # n ~ 3000, so the bound is C / n^2 + w
+    x_sq, kappa = macroscopic_limit(spec, p, Delta)
+    for n in (3, 5, 10, 30, 100, 1000, 10**4):
+        root = find_critical_delta(spec, StateSpec(n, p), Delta_fixed=Delta, tol=1e-12).delta_sq
+        width = max(1e-12, RELATIVE_RESOLUTION * root)
+        assert abs(root - x_sq * n * n - kappa) <= 0.1 / n**2 + width, n
+
+
+@pytest.mark.parametrize("spec", [steering_spec(2), bell_spec(2), steering_spec(64)],
+                         ids=["steering2", "bell2", "steering64"])
+def test_delta_sq_over_n_sq_reaches_the_limit(spec):
+    x_sq = macroscopic_limit(spec)[0]
+    for n in (10**9, 10**11, 10**13, 10**15):
+        assert find_critical_delta(spec, StateSpec(n)).delta_sq / n**2 == pytest.approx(
+            x_sq, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec, p, Delta", [(bell_spec(2), 0.7, 0.0), (steering_spec(2), 0.0, 0.0),
+                                            (steering_spec(2), 1.0, 1e155)],
+                         ids=["below-threshold", "p0", "Delta-huge"])
+def test_macroscopic_limit_without_violation(spec, p, Delta):
+    # r >= 1: the witness violates at delta = 0 for no n, so there is no limit
+    with pytest.raises(NoViolationAtLo, match="for any n"):
+        macroscopic_limit(spec, p, Delta)
+
+
+def test_table1_roots_sit_near_their_tight_roots():
+    # the seeded search returns the last chord, not the midpoint of a bracket
+    # that stopped narrowing early: each root at the default tol lies within
+    # w/8 of the same search at tol 1e-12
+    for p, spec in itertools.product((0.85, 0.80, 0.75), (bell_spec(2), steering_spec(2))):
+        loose = find_critical_delta(spec, StateSpec(5, p)).delta_sq
+        tight = find_critical_delta(spec, StateSpec(5, p), tol=1e-12).delta_sq
+        assert abs(loose - tight) <= DEFAULT_TOL / 8, (p, spec.kind, loose, tight)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
