@@ -36,9 +36,7 @@ class StateSpec:
     p: float = 1.0
 
     def __post_init__(self):
-        n = self.n  # an exact int skips the numbers.Integral check, which takes about 1 us
-        if type(n) is not int and (type(n) is bool or not isinstance(n, numbers.Integral)) or n < 1:
-            raise ValueError("n must be a positive integer")
+        check_n(self.n)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
 
@@ -56,10 +54,21 @@ class CoarseningParams:
     Delta: float = 0.0
 
     def __post_init__(self):
-        for name in ("delta", "Delta"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        check_coarsening(self.delta, self.Delta)
+
+
+def check_n(n):
+    """Raise ValueError unless n is a positive integer, as StateSpec requires."""
+    # an exact int skips the numbers.Integral check, which takes about 1 us
+    if type(n) is not int and (type(n) is bool or not isinstance(n, numbers.Integral)) or n < 1:
+        raise ValueError("n must be a positive integer")
+
+
+def check_coarsening(delta=0.0, Delta=0.0):
+    """Raise ValueError naming the first of delta, Delta that is not finite and non-negative."""
+    if not (0 <= delta < math.inf and 0 <= Delta < math.inf):
+        name, value = ("Delta", Delta) if 0 <= delta < math.inf else ("delta", delta)
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 def invariants(masses, p, Delta):

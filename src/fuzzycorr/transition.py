@@ -15,7 +15,7 @@ import contextlib
 import math
 from dataclasses import dataclass, replace
 
-from .correlation import CoarseningParams, StateSpec, invariants
+from .correlation import CoarseningParams, check_coarsening, check_n, invariants
 from .kernel import kernel_masses
 from .witness import V_c, WitnessSpec, optimum
 
@@ -164,7 +164,7 @@ def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
     float range, raises NoTransitionAtHi, and one that does not violate at delta = 0 raises
     NoViolationAtLo.  ``tol`` is the width of the final bracket, whose midpoint is the root.
     """
-    CoarseningParams(Delta=Delta_fixed)  # validated once, at entry, with tol
+    check_coarsening(Delta=Delta_fixed)  # validated once, at entry, with tol
     _check_tol(tol)
     n, p = state.n, state.p
     memo = {}  # each point is probed once (a dict: building a functools.cache costs more)
@@ -221,7 +221,8 @@ def find_critical_Delta(spec, state, delta_fixed=0.0, tol=DEFAULT_TOL):
     when the state does not violate at Delta = 0, and NoTransitionAtHi when
     the c0 term alone reaches the bound.
     """
-    masses = kernel_masses(state.n, CoarseningParams(delta=delta_fixed).delta)  # validated once
+    check_coarsening(delta=delta_fixed)  # validated once, at entry
+    masses = kernel_masses(state.n, delta_fixed)
     invariants_at = lambda x: invariants(masses, state.p, math.sqrt(x))
     V0, V_crit = _edges(spec, state.n, invariants_at, tol, lambda: NoViolationAtLo(
         f"no violation at Delta^2 = 0.0 for {spec.kind} m={spec.m}, n={state.n}, p={state.p}"))
@@ -238,7 +239,8 @@ def find_critical_visibility(spec, n, params=CoarseningParams(), tol=DEFAULT_TOL
     Raises NoViolationAtPureState when even p = 1 does not violate, and
     NoTransitionAtHi when the c0 term alone reaches the bound.
     """
-    masses = kernel_masses(StateSpec(n).n, params.delta)  # n validated once, at entry
+    check_n(n)  # validated once, at entry
+    masses = kernel_masses(n, params.delta)
     invariants_at = lambda q: invariants(masses, 1.0 - q, params.Delta)
     V1, V_crit = _edges(spec, n, invariants_at, tol, lambda: NoViolationAtPureState(
         f"no violation at p = 1 for {spec.kind} m={spec.m}, n={n}"))

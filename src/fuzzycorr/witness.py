@@ -15,9 +15,10 @@ m c0 + V m / sin(pi / 2m) for Bell and sqrt(m) (c0 + V) for steering.
 from __future__ import annotations
 
 import cmath
-import itertools
+import functools
 import math
 import numbers
+import types
 from dataclasses import dataclass
 
 __all__ = [
@@ -55,33 +56,58 @@ class WitnessSpec:
         return float((self.m * self.m + 1) // 2) if self.kind == BELL else 1.0
 
 
-@dataclass(frozen=True)
+def _reduced(seq):
+    """The angles of ``seq`` as floats reduced to [0, pi); a 1-D numeric buffer is read whole."""
+    # item access written in Python (a masked array's) may yield other items than the buffer
+    if not isinstance(getattr(type(seq), "__getitem__", None), types.FunctionType):
+        try:
+            view = memoryview(seq)
+        except (TypeError, ValueError):  # no buffer: a list, a generator, a datetime64 array
+            pass
+        else:
+            try:  # released in finally: a with block costs about 0.3 us more a call
+                seq = view.tolist() if view.ndim == 1 else seq
+            except NotImplementedError:  # a format tolist cannot read: >f8, float16, object
+                pass
+            finally:
+                view.release()
+    # a second % sends the pi that a tiny negative angle rounds to back to 0.0
+    return tuple([float(a) % math.pi % math.pi for a in seq])
+
+
+@dataclass(frozen=True, init=False)
 class AngleAssignment:
     """One angle per setting per party, from any real sequence, as floats reduced to [0, pi)."""
 
     alice: tuple
     bob: tuple
 
-    def __post_init__(self):
-        # a second % sends the pi that a tiny negative angle rounds to back to 0.0
-        object.__setattr__(self, "alice", tuple(float(a) % math.pi % math.pi for a in self.alice))
-        object.__setattr__(self, "bob", tuple(float(b) % math.pi % math.pi for b in self.bob))
-        if len(self.alice) != len(self.bob):
+    def __init__(self, alice, bob):
+        fields = self.__dict__  # each set once, past the frozen __setattr__
+        fields["alice"], fields["bob"] = alice, bob = _reduced(alice), _reduced(bob)
+        if len(alice) != len(bob):
             raise ValueError("alice and bob must have the same number of settings")
         # a non-finite angle reduces to nan, and so does every sum that holds it
-        if not math.isfinite(sum(self.alice) + sum(self.bob)):
-            party = "bob" if math.isfinite(sum(self.alice)) else "alice"
+        if not math.isfinite(sum(alice) + sum(bob)):
+            party = "bob" if math.isfinite(sum(alice)) else "alice"
             raise ValueError(f"{party}: every angle must be finite")
+
+
+# bell_spec and steering_spec share one spec per exact int m (a cache would also hand the
+# m = 2 spec to 2.0 and True), of the last SHARED_SPECS of each kind they built
+SHARED_SPECS = 64
+_bell_specs = functools.lru_cache(SHARED_SPECS)(functools.partial(WitnessSpec, BELL))
+_steering_specs = functools.lru_cache(SHARED_SPECS)(functools.partial(WitnessSpec, STEERING))
 
 
 def bell_spec(m):
     """The m-settings symmetric Bell witness with bound floor((m^2 + 1)/2)."""
-    return WitnessSpec(BELL, m)
+    return _bell_specs(m) if type(m) is int else WitnessSpec(BELL, m)
 
 
 def steering_spec(m):
     """The m-settings linear steering witness (1/sqrt(m)) |sum_i <A_i B_i>| <= 1."""
-    return WitnessSpec(STEERING, m)
+    return _steering_specs(m) if type(m) is int else WitnessSpec(STEERING, m)
 
 
 def evaluate(spec, angles, corr):
@@ -99,11 +125,14 @@ def evaluate(spec, angles, corr):
         raise ValueError(f"expected {m} settings per party, got {len(angles.alice)}")
     c0, V = corr.c0, corr.V
     if spec.kind == BELL:
-        x = [cmath.rect(1.0, 2.0 * a) for a in angles.alice]
-        prefix = list(itertools.accumulate(cmath.rect(1.0, 2.0 * b) for b in angles.bob))
-        paired = sum(x_i * p for x_i, p in zip(x, reversed(prefix)))  # sum_i x_i P_{m+1-i}
-        return m * c0 - V * (2.0 * paired - sum(x) * prefix[-1]).real
-    trace = sum(c0 - V * math.cos(2.0 * (a + b)) for a, b in zip(angles.alice, angles.bob))
+        rect, prefix, total, sum_x, paired = cmath.rect, [], 0j, 0j, 0j
+        for b in angles.bob:
+            prefix.append(total := total + rect(1.0, b + b))
+        for a, p in zip(angles.alice, reversed(prefix)):  # paired = sum_i x_i P_{m+1-i}
+            sum_x += (x := rect(1.0, a + a))
+            paired += x * p
+        return m * c0 - V * (2.0 * paired - sum_x * prefix[-1]).real
+    trace = sum([c0 - V * math.cos(2.0 * (a + b)) for a, b in zip(angles.alice, angles.bob)])
     return abs(trace) / math.sqrt(m)
 
 

@@ -4,8 +4,15 @@
 every pairwise correlation c0 - V cos 2(a_i + b_j) is spelled out, the
 Bell value is its sum against the full sign matrix and the steering value
 its trace, as the witnesses are defined.
+
+``reference_angles`` and ``reference_evaluate`` keep the O(m) form as it
+was first written, item by item with ``sum`` and ``itertools.accumulate``:
+``AngleAssignment`` and ``evaluate`` do the same float operations in the
+same order, so they must agree with it bit for bit.
 """
 
+import cmath
+import itertools
 import math
 
 import numpy as np
@@ -44,3 +51,29 @@ def array_optimal_angles(spec):
     else:
         bob = math.pi / 2 + (np.arange(1, m + 1) - (m + 1) / 2) * math.pi / (2 * m)
     return alice % math.pi, bob % math.pi
+
+
+def reference_angles(alice, bob):
+    """(alice, bob) as AngleAssignment first stored them, or the error it first raised."""
+    # each item as the sequence yields it (a numpy scalar from an array); a second % sends
+    # the pi that a tiny negative angle rounds to back to 0.0
+    alice = tuple(float(a) % math.pi % math.pi for a in alice)
+    bob = tuple(float(b) % math.pi % math.pi for b in bob)
+    if len(alice) != len(bob):
+        raise ValueError("alice and bob must have the same number of settings")
+    if not math.isfinite(sum(alice) + sum(bob)):
+        party = "bob" if math.isfinite(sum(alice)) else "alice"
+        raise ValueError(f"{party}: every angle must be finite")
+    return alice, bob
+
+
+def reference_evaluate(spec, alice, bob, c0, V):
+    """``evaluate`` at reduced angles as first written: m c0 - V Re[2 sum x P - (sum x)(sum y)]."""
+    m = spec.m
+    if spec.kind == STEERING:
+        trace = sum(c0 - V * math.cos(2.0 * (a + b)) for a, b in zip(alice, bob))
+        return abs(trace) / math.sqrt(m)
+    x = [cmath.rect(1.0, 2.0 * a) for a in alice]
+    prefix = list(itertools.accumulate(cmath.rect(1.0, 2.0 * b) for b in bob))
+    paired = sum(x_i * p for x_i, p in zip(x, reversed(prefix)))  # sum_i x_i P_{m+1-i}
+    return m * c0 - V * (2.0 * paired - sum(x) * prefix[-1]).real

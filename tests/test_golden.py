@@ -7,13 +7,16 @@ column header and every non-numeric cell must be identical, each
 transition root within the run's ``transition_tol``, and every other
 number (witness and correlator values, angles, bounds) within 1e-12.
 
-Regenerate the fixtures with ``PYTHONPATH=src python tests/test_golden.py``.
+Regenerate the fixtures with ``PYTHONPATH=src python tests/test_golden.py``,
+or only some of them by name: ``... tests/test_golden.py table1.txt``.
 """
 
 import contextlib
 import io
 import json
 import math
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -59,6 +62,17 @@ def run_case(name, tmp_dir):
     with contextlib.redirect_stdout(stdout):
         assert main(argv) == 0
     return stdout.getvalue()
+
+
+def regenerate(names, golden=GOLDEN):
+    """Rewrite the fixtures ``names`` under ``golden``; raise KeyError for an unknown name."""
+    for name in names:
+        if name not in CASES:
+            raise KeyError(f"no golden case {name!r}; the cases are {', '.join(sorted(CASES))}")
+    golden.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names:
+            (golden / name).write_text(run_case(name, tmp))
 
 
 def _numbers(cell):
@@ -112,10 +126,16 @@ def test_table1_delta_sq_cells_are_the_oracle_root(tmp_path):
             assert abs(float(row[2]) - root) <= DEFAULT_TOL / 2 + 5e-5, (row, root)
 
 
-if __name__ == "__main__":
-    import tempfile
+def test_regenerate_rewrites_only_the_named_fixtures(tmp_path):
+    regenerate(["table1.txt"], tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["table1.txt"]
+    assert (tmp_path / "table1.txt").read_text() == (GOLDEN / "table1.txt").read_text()
+    with pytest.raises(KeyError, match="no golden case 'table2.txt'"):
+        regenerate(["table1.txt", "table2.txt"], tmp_path)
 
-    GOLDEN.mkdir(exist_ok=True)
-    with tempfile.TemporaryDirectory() as tmp:
-        for case in CASES:
-            (GOLDEN / case).write_text(run_case(case, tmp))
+
+if __name__ == "__main__":
+    try:
+        regenerate(sys.argv[1:] or list(CASES))
+    except KeyError as exc:
+        sys.exit(f"error: {exc.args[0]}")

@@ -388,6 +388,25 @@ def test_bisect_rejects_bad_tolerance(monkeypatch, tol):
     assert probes == []
 
 
+@pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
+def test_searches_refuse_a_bad_fixed_coarsening_as_CoarseningParams_does(value):
+    # checked at entry by the check CoarseningParams runs, with no object built
+    for search, name in (
+            (lambda: find_critical_delta(bell_spec(2), PURE5, Delta_fixed=value), "Delta"),
+            (lambda: find_critical_Delta(bell_spec(2), PURE5, delta_fixed=value), "delta")):
+        with pytest.raises(ValueError) as raised:
+            search()
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == f"{name} must be finite and non-negative, got {value!r}"
+
+
+@pytest.mark.parametrize("n", [0, True, 2.0])
+def test_visibility_search_refuses_a_bad_n_as_StateSpec_does(n):
+    with pytest.raises(ValueError) as raised:
+        find_critical_visibility(bell_spec(2), n)
+    assert type(raised.value) is ValueError and str(raised.value) == "n must be a positive integer"
+
+
 def _certified_root(margin, hi, tol):
     """(root, margin_lo, margin_hi) of margin on [0, hi], as a delta^2 search finds them."""
     root = _regula_falsi(margin, 0.0, hi, tol)

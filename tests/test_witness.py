@@ -1,6 +1,11 @@
 """Witness module tests: coefficient patterns, classical bounds, evaluation, optima."""
 
+import array
+import dataclasses
 import math
+import warnings
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,9 +26,17 @@ from fuzzycorr import (
     steering_spec,
     V_c,
 )
+from fuzzycorr import witness
 from grid_oracle import chsh_grid_max, steering_grid_max
 from lhv_oracle import lhv_bound_bruteforce
-from matrix_oracle import array_optimal_angles, bell_coefficients, matrix_witness, pair_matrix
+from matrix_oracle import (
+    array_optimal_angles,
+    bell_coefficients,
+    matrix_witness,
+    pair_matrix,
+    reference_angles,
+    reference_evaluate,
+)
 from nm_oracle import maximize
 from operator_oracle import operator_oracle
 
@@ -222,6 +235,113 @@ def test_non_finite_angle_rejected(party, angle):
     angles[party][0] = angle
     with pytest.raises(ValueError, match=f"^{party}: "):
         AngleAssignment(**angles)
+
+
+def _outcome(build):
+    """What build() returns, or the type and message of what it raises."""
+    with warnings.catch_warnings():  # float() of a masked, complex or 2-D item warns
+        warnings.simplefilter("ignore")
+        try:
+            return build()
+        except Exception as exc:  # the error is the outcome compared
+            return type(exc), str(exc)
+
+
+def _mask_last(values):
+    masked = np.ma.array(values)
+    masked[-1] = np.ma.masked
+    return masked
+
+
+# Each party input kind, built fresh for each use (a generator is read once).
+ANGLE_INPUTS = {
+    "float64": lambda: np.array([-7.25, 0.5, 3.5, 9.0]),
+    "float32": lambda: np.array([-7.25, 0.1, 3.5, 9.0], dtype=np.float32),
+    "int64": lambda: np.array([-7, 1, 4, 9]),
+    "bool": lambda: np.array([True, False, True, True]),
+    "float16": lambda: np.array([-7.25, 0.1, 3.5, 9.0], dtype=np.float16),
+    ">f8": lambda: np.array([-7.25, 0.1, 3.5, 9.0], dtype=">f8"),
+    "object": lambda: np.array([-7.25, 1, Fraction(1, 3), 9.0], dtype=object),
+    "strided": lambda: np.linspace(-9.0, 9.0, 12)[::3],
+    "reversed": lambda: np.linspace(-9.0, 9.0, 12)[::-3],
+    "0-d": lambda: np.array(1.5),
+    "2-D": lambda: np.full((4, 1), 0.25),
+    "2-D rows": lambda: np.ones((4, 2)),
+    "complex": lambda: np.array([1.0, 2.0, 3.0, 4.0], dtype=complex),
+    "datetime64": lambda: np.array(["2020-01-01"] * 4, dtype="datetime64[D]"),
+    "masked": lambda: _mask_last([0.5, 1.0, 1.5, 2.0]),
+    "list": lambda: [-7.25, 0.1, 3.5, 9.0],
+    "tuple": lambda: (-7.25, 0.1, 3.5, 9.0),
+    "generator": lambda: (0.5 * k - 7.0 for k in range(4)),
+    "array d": lambda: array.array("d", [-7.25, 0.1, 3.5, 9.0]),
+    "array f": lambda: array.array("f", [-7.25, 0.1, 3.5, 9.0]),
+    "bytes": lambda: bytes([0, 1, 2, 200]),
+    "string": lambda: "0123",
+}
+
+
+@pytest.mark.parametrize("kind", ANGLE_INPUTS)
+def test_angles_reduce_as_first_written_for_every_input_kind(kind):
+    # a 1-D buffer of a format memoryview reads is read whole, every other input item by
+    # item: both must store the same floats, or raise the same error, as the reference
+    make = ANGLE_INPUTS[kind]
+    for parties in ((make, make), (make, lambda: [0.5, 1.0, 1.5, 2.0])):
+        got = _outcome(lambda: AngleAssignment(parties[0](), parties[1]()))
+        if isinstance(got, AngleAssignment):
+            got = got.alice, got.bob
+        assert got == _outcome(lambda: reference_angles(parties[0](), parties[1]())), kind
+
+
+def test_evaluate_is_the_first_written_expression_bit_for_bit():
+    # the one-pass sums repeat the reference's float operations in its order: ==, not approx
+    rng = np.random.default_rng(26)
+    for draw in range(10_000):
+        spec = WitnessSpec("bell" if draw % 2 else "steering", int(rng.integers(2, 65)))
+        alice, bob = rng.uniform(-2.0 * math.pi, 3.0 * math.pi, (2, spec.m))
+        corr = SimpleNamespace(c0=float(rng.uniform(0.0, 1.0)), V=float(rng.uniform(0.0, 1.0)))
+        angles = AngleAssignment(alice, bob)
+        want = reference_angles(alice, bob)
+        assert (angles.alice, angles.bob) == want, (spec, alice, bob)
+        assert evaluate(spec, angles, corr) == reference_evaluate(spec, *want, corr.c0, corr.V)
+
+
+def test_angle_assignment_is_a_frozen_value():
+    angles = AngleAssignment(np.array([0.5, 4.0]), [1.0, -1.0])
+    same = AngleAssignment([0.5, 4.0 - math.pi], (1.0, math.pi - 1.0))
+    assert angles == same and hash(angles) == hash(same)
+    assert repr(angles) == f"AngleAssignment(alice={angles.alice!r}, bob={angles.bob!r})"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        angles.alice = (0.0, 0.0)
+    moved = dataclasses.replace(angles, bob=np.array([-1.0, 7.0]))
+    assert moved.alice == angles.alice and moved.bob == reference_angles([0.0, 0.0], [-1.0, 7.0])[1]
+
+
+# ------------------------------------------------------------------ shared specs
+
+# the counts of test_counts_accept_the_same_values, and [2], 3 and 10**20
+SPEC_COUNTS = [2, True, False, 2.0, np.int64(2), Fraction(2), "2", 0, -1, [2], 3, 10**20]
+
+
+def test_specs_are_shared_per_int_m():
+    assert bell_spec(2) is bell_spec(2) and steering_spec(3) is steering_spec(3)
+    assert bell_spec(2) is not steering_spec(2)
+    assert bell_spec(np.int64(2)) is not bell_spec(2)  # built, as any m but an exact int
+
+
+def test_shared_specs_accept_and_refuse_as_WitnessSpec_does():
+    # a plain cache would hand the m = 2 spec to 2.0 and True, and raise TypeError for [2]
+    for cached in (False, True):
+        for shared in (witness._bell_specs, witness._steering_specs):
+            shared.cache_clear()
+        if cached:
+            bell_spec(2), steering_spec(2)
+        for value in SPEC_COUNTS:
+            for make, kind in ((bell_spec, "bell"), (steering_spec, "steering")):
+                got = _outcome(lambda: make(value))
+                want = _outcome(lambda: WitnessSpec(kind, value))
+                assert got == want and type(got) is type(want), (kind, value, cached)
+                if isinstance(got, WitnessSpec):
+                    assert type(got.m) is type(value), (kind, value, cached)
 
 
 # ------------------------------------------------------------------ optimum
