@@ -4,14 +4,12 @@ A transition point is the coarsening (or visibility) at which the
 angle-optimized witness value falls to its classical bound: where V falls
 to :func:`~fuzzycorr.witness.V_c` of c0.  With delta fixed, c0 and a_n are
 fixed too, so the Delta^2 and p roots are closed forms; delta^2 moves both,
-so its search narrows a bracket by regula falsi, seeded where it can be
-by :func:`macroscopic_limit`.  Each probe reads the witness optimum from
-the pair (c0, V) of :func:`~fuzzycorr.correlation.invariants`.
+so one chord loop narrows its bracket, seeded by :func:`macroscopic_limit`.
+Each probe reads the optimum from :func:`~fuzzycorr.correlation.invariants`.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, replace
 
@@ -64,8 +62,8 @@ class TransitionPoint:
     """A (delta^2, Delta^2, p) triple on the quantum-to-classical boundary.
 
     ``margin_lo`` / ``margin_hi`` certify the root x: the optimized margin is positive at lo,
-    not positive at hi, lo < x < hi, hi - lo <= 2w, w = max(tol, 2^-48 x): x -+ w/2 for a seeded
-    delta^2 root, else x -+ w, clamped to the delta^2 bracket, Delta^2 >= 0 or q = 1 - p in [0, 1].
+    not positive at hi, lo < x < hi, hi - lo <= 2w, w = max(tol, 2^-48 x): x -+ w/2 for delta^2,
+    x -+ w for Delta^2 and p, clamped to the delta^2 bracket, Delta^2 >= 0 or q = 1 - p in [0, 1].
     """
 
     delta_sq: float
@@ -83,33 +81,30 @@ def _check_tol(tol):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
-def _illinois(margin, x, a, fa, b, fb, moved):
-    """Probe x and narrow [a, b] to it, keeping fa = margin(a) > 0 >= margin(b) = fb."""
-    # moved: +1 after a moved, -1 after b; Illinois (Dowell & Jarratt, BIT 11, 1971)
-    # halves the margin of the end that stayed twice, so that it moves too
-    if (fx := margin(x)) > 0:
-        return x, fx, b, fb * 0.5 if moved > 0 else fb, 1
-    return a, fa * 0.5 if moved < 0 else fa, x, fx, -1
+def _root(margin, a, fa, b, fb, tol):
+    """Root of margin on [a, b], checked by the caller: fa = margin(a) > 0 >= margin(b) = fb.
 
-
-def _regula_falsi(margin, lo, hi, tol):
-    """Root of margin on [lo, hi], checked by the caller: margin(lo) > 0 >= margin(hi), tol > 0.
-
-    Each step probes where the chord through the two ends crosses 0 (:func:`_illinois`),
-    while b - a > w = max(tol, RELATIVE_RESOLUTION * b): a tol below the float spacing is
-    raised to that floor.  The first chord to round onto an end probes w/2 inside it
-    (Dekker, 1969), closing the far end if the root is there; later ones halve [a, b],
-    since steps of w/2 crawl where the margin's sign is float noise.
+    Probes chords, w = max(tol, 2^-48 chord): the first to round onto an end probes w/2 inside it
+    (Dekker, 1969), later ones the midpoint.  Once the next lies within w/2 of the last, x, the root
+    is x, moved, if [a, b] is no wider than w, to the nearest point whose -+ w/2 holds [a, b].
     """
-    fa, fb = margin(lo), margin(hi)
-    a, b, moved, nudged = lo, hi, 0, False
-    while b - a > (width := max(tol, RELATIVE_RESOLUTION * b)):
-        x = a + (b - a) * (fa / (fa - fb))
-        if not a < x < b:
-            x = 0.5 * a + 0.5 * b if nudged else a + 0.5 * width if x <= a else b - 0.5 * width
-            nudged = True
-        a, fa, b, fb, moved = _illinois(margin, x, a, fa, b, fb, moved)
-    return 0.5 * a + 0.5 * b  # the midpoint: 0.5 * (a + b) in floats, but cannot overflow
+    x, moved, nudged = math.inf, 0, False  # moved: +1 after a moved, -1 after b
+    while True:
+        probe = a + (b - a) * (fa / (fa - fb))
+        width = max(tol, RELATIVE_RESOLUTION * probe)
+        if a < probe < b or nudged or b - a <= width:
+            if not a < probe < b:  # halve [a, b], as w/2 steps crawl where the sign is float noise
+                probe = 0.5 * a + 0.5 * b  # 0.5 * (a + b) in floats, but cannot overflow
+            if abs(probe - x) < 0.5 * width:
+                return x if b - a > width else min(max(x, b - 0.5 * width), a + 0.5 * width)
+            x = probe
+        else:  # the Dekker step, not a root estimate: x stays
+            probe, nudged = a + 0.5 * width if probe <= a else b - 0.5 * width, True
+        # Illinois (Dowell & Jarratt, BIT 11, 1971): an end that stayed twice has its margin halved
+        if (f := margin(probe)) > 0:
+            a, fa, fb, moved = probe, f, fb * 0.5 if moved > 0 else fb, 1
+        else:
+            b, fb, fa, moved = probe, f, fa * 0.5 if moved < 0 else fa, -1
 
 
 def macroscopic_limit(spec, p=1.0, Delta=0.0):
@@ -157,12 +152,11 @@ def _point(spec, n, margin, invariants_at, root, tol, hi, delta_sq, Delta_sq, p,
 def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
     """Critical resolution variance delta^2 at fixed Delta, probing each point once.
 
-    For 2 <= n <= 10^15 it first takes Illinois chords on [g - h, g + h], g = x*^2 n^2 + kappa,
-    until the next would move less than w/8, w = max(tol, 2^-48 g), and certifies the last at
-    -+ w/2.  Failing that, the bracket is [0, hi]: hi starts at 4 n^2 and doubles while the
-    witness violates there and V > 0; a witness that still violates at V = 0, or at an hi past
-    float range, raises NoTransitionAtHi, and one that does not violate at delta = 0 raises
-    NoViolationAtLo.  ``tol`` is the width of the final bracket, whose midpoint is the root.
+    :func:`_root` narrows [g - h, g + h], g = x*^2 n^2 + kappa (:func:`macroscopic_limit`), where
+    r < 1 and g is a float; where that fails, the first sign change the probes show in [0, hi],
+    until a root x certifies at -+ w/2, w = max(tol, 2^-48 x).  hi = 4 n^2 doubles while the witness
+    violates there and V > 0; violating at V = 0 or past float range raises NoTransitionAtHi, and
+    not violating at delta = 0 raises NoViolationAtLo.
     """
     check_coarsening(Delta=Delta_fixed)  # validated once, at entry, with tol
     _check_tol(tol)
@@ -171,24 +165,22 @@ def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
     invariants_at = lambda x: memo[x] if x in memo else memo.setdefault(
         x, invariants(kernel_masses(n, math.sqrt(x)), p, Delta_fixed))
     margin = _margin(spec, invariants_at)
-    # n = 1 lies far from the limit, and a huge n would overflow x*^2 n^2 (tested to 10^15)
-    if 2 <= n <= 10**15 and margin(0.0) > 0:
-        with contextlib.suppress(TransitionError):  # r >= 1, or an uncertified root: fall back
-            x_sq, kappa = macroscopic_limit(spec, p, Delta_fixed)
-            width = max(tol, RELATIVE_RESOLUTION * (seed := x_sq * n * n + kappa))
-            h = SEED_SPREAD * (1.0 + (12.0 * kappa + 3.0) / x_sq) ** 2 / (n * n) + width
-            a, b, x, moved = seed - h, seed + h, math.inf, 0
-            if a > 0 and (fa := margin(a)) > 0 >= (fb := margin(b)):
-                for _ in range(12):  # bounds what a seed that does not settle can cost
-                    if abs((x_next := a + (b - a) * (fa / (fa - fb))) - x) < 0.125 * width:
-                        return _point(spec, n, margin, invariants_at, x, tol, math.inf, x,
-                                      Delta_fixed * Delta_fixed, p, reach=0.5)
-                    x = x_next
-                    a, fa, b, fb, moved = _illinois(margin, x, a, fa, b, fb, moved)
+    point = lambda root, hi: _point(spec, n, margin, invariants_at, root, tol, hi, root,
+                                    Delta_fixed * Delta_fixed, p, reach=0.5)
+    hi = math.inf  # 4 n^2 in floats, so 0.25 hi is n^2; inf where n^2 has no float
     try:
         hi = 4.0 * n**2
-    except OverflowError:  # 4 n^2 lies beyond float range
-        hi = math.inf
+        x_sq, kappa = macroscopic_limit(spec, p, Delta_fixed)
+        seed = x_sq * n * n + kappa
+        h = SEED_SPREAD * (1.0 + (12.0 * kappa + 3.0) / x_sq) ** 2 / (0.25 * hi) + max(
+            tol, RELATIVE_RESOLUTION * seed)
+    except (OverflowError, NoViolationAtLo):  # no float n^2, or r >= 1 and so margin(0) <= 0
+        seed = h = math.inf  # so seed - h is NaN: no seeded bracket
+    if 0 < (a := seed - h) and (fa := margin(a)) > 0 >= (fb := margin(b := seed + h)):
+        try:
+            return point(_root(margin, a, fa, b, fb, tol), math.inf)
+        except TransitionError:  # uncertified: go on in [0, hi], from the probes made
+            pass
     while hi < math.inf and margin(hi) > 0 and invariants_at(hi)[1] > 0:  # V > 0
         hi *= 2.0
     if hi == math.inf:
@@ -198,8 +190,15 @@ def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
             f"no violation at delta^2 = 0.0 for {spec.kind} m={spec.m}, n={n}, p={p}")
     if margin(hi) > 0:
         raise _no_transition(spec, n)
-    root = _regula_falsi(margin, 0.0, hi, tol)
-    return _point(spec, n, margin, invariants_at, root, tol, hi, root, Delta_fixed * Delta_fixed, p)
+    while True:  # a margin of exactly 0 (float noise) at b would pin every chord to b
+        b = min((x for x in memo if x < hi and margin(x) < 0), default=hi)
+        a = max(x for x in memo if x < b and margin(x) > 0)
+        probed = len(memo)
+        try:
+            return point(_root(margin, a, margin(a), b, margin(b), tol), hi)
+        except TransitionError:
+            if len(memo) == probed:  # no new probe, so no new root
+                raise
 
 
 def _edges(spec, n, invariants_at, tol, lo_error):

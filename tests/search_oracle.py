@@ -5,7 +5,7 @@ reads the witness optimum from it with ``optimum``; inputs are validated
 by those constructors at the first probe.  All four searches bisect: the
 bracket growth and the certificates are frozen copies of the steps that
 ``fuzzycorr.transition`` keeps for delta^2, which narrows the same bracket
-to the same width by regula falsi instead of halving it; the errors and
+by a chord loop instead of halving it; the errors and
 ``TransitionPoint`` are the package's own, so results compare with ``==``.
 ``tests/test_search_oracle.py`` holds the package's delta^2, boundary,
 Delta^2 and p roots within this bisection's width of these, and every

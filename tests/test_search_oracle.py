@@ -6,8 +6,8 @@ type and message must be identical, but for the certificates that clamp
 at both bracket ends, below.
 
 The delta^2 and boundary searches now narrow a bracket around the
-macroscopic limit, or else the same bracket by regula falsi, to the same
-width.  Each of their points must meet four conditions:
+macroscopic limit, or else the same bracket, by one chord loop certified at
+-+ w/2.  Each of their points must meet four conditions:
 its root lies within the oracle bisection's width w = max(tol, 2^-48 root)
 of the oracle's root; margin_lo > 0 >= margin_hi; ``achieved_value``
 equals ``optimum`` of a Correlator's (c0, V) at its root; every other field
@@ -209,7 +209,7 @@ def test_searches_match_one_correlator_per_probe(kind, m, n, p, delta, Delta, to
     ("boundary", (bell_spec(2), StateSpec(5), [0.0, 0.1], math.inf), ValueError),
     ("p", (bell_spec(2), 5, CoarseningParams(), 1.5), TransitionError),
     ("Delta_sq", (bell_spec(2), StateSpec(5), 0.0, 1.5), TransitionPoint),
-    ("delta_sq", (bell_spec(2), StateSpec(1), 0.0, 3.9), TransitionError),
+    ("delta_sq", (bell_spec(2), StateSpec(1), 0.0, 7.9), TransitionError),
 ])
 def test_every_failure_path_matches(axis, args, error):
     assert isinstance(_assert_same(axis, *args), error)
@@ -227,12 +227,12 @@ def test_bad_Delta_past_the_float_edge_is_rejected():
 def test_wide_tol_certifies_where_the_bisection_clamped():
     # a tol of 3/4 of the bracket [0, 4] or more: one halving left the
     # bisection at root 1.0, whose probes at -+3 clamp to both ends; the
-    # chord's first point leaves a narrower bracket, whose midpoint 0.7
-    # probes at 3.7 < 4 and so certifies
+    # package stops at its first chord, 1.40, certified at -+ w/2, and its
+    # probe at 2.90 < 4 does not clamp
     with pytest.raises(TransitionError, match=re.escape("uncertified bracket at 1.0 in")):
         search_oracle.find_critical_delta(bell_spec(2), StateSpec(1), tol=3.0)
     pt = find_critical_delta(bell_spec(2), StateSpec(1), tol=3.0)
-    assert pt.margin_lo > 0 >= pt.margin_hi and pt.delta_sq + 3.0 < 4.0
+    assert pt.margin_lo > 0 >= pt.margin_hi and pt.delta_sq + 1.5 < 4.0
 
 
 def test_bad_tol_past_the_float_edge_is_rejected():
@@ -271,7 +271,7 @@ def test_regula_falsi_probes_fewer_points_than_bisection(monkeypatch):
     # fallback took up to 50 here), and at most 60 % of its probes over the grid
     new_total = old_total = 0
     for kind, m, n, p, Delta, tol in itertools.product(
-            ["bell", "steering"], [2, 3, 16, 400], [1, 5, 1000, 10**7], [0.75, 0.95, 1.0],
+            ["bell", "steering"], [2, 3, 16, 400], [1, 5, 1000, 10**7, 10**16], [0.75, 0.95, 1.0],
             [0.0, 0.2], [1e-3, 1e-9]):
         new, old = _probes(monkeypatch, WitnessSpec(kind, m), StateSpec(n, p), Delta, tol)
         assert new <= min(old + 1, 24), (kind, m, n, p, Delta, tol, new, old)

@@ -34,7 +34,7 @@ from fuzzycorr import (
     trace_boundary,
 )
 from fuzzycorr.correlation import invariants
-from fuzzycorr.transition import DEFAULT_TOL, RELATIVE_RESOLUTION, _point, _regula_falsi
+from fuzzycorr.transition import DEFAULT_TOL, RELATIVE_RESOLUTION, _point, _root
 from kernel_oracle import correlator_constants
 
 PURE5 = StateSpec(n=5, p=1.0)
@@ -122,12 +122,14 @@ def test_extreme_regimes_fail_cleanly(search, error):
         search()
 
 
-@pytest.mark.parametrize("spec, n", [(bell_spec(2), 10**400), (steering_spec(10**5), 5 * 10**153)],
-                         ids=["start", "doubling"])
+@pytest.mark.parametrize("spec, n", [(bell_spec(2), 10**400), (steering_spec(10**5), 5 * 10**153),
+                                     (steering_spec(2), 10**155)],
+                         ids=["start", "doubling", "square"])
 def test_delta_search_where_the_edge_overflows(spec, n):
     # 4 n^2 = 4e800 has no float, so there is no delta^2 edge to search from;
     # at n = 5e153, 4 n^2 = 1e308 and steering m = 10^5 still violates there
-    # (delta_c^2 ~ 200 n^2), so the doubling leaves float range
+    # (delta_c^2 ~ 200 n^2), so the doubling leaves float range; at n = 1e155
+    # n^2 itself has no float, so neither has the seed x*^2 n^2 + kappa
     with pytest.raises(NoTransitionAtHi, match="largest float edge"):
         find_critical_delta(spec, StateSpec(n))
 
@@ -142,12 +144,12 @@ def test_correlator_where_the_squares_overflow():
 
 
 @pytest.mark.parametrize("search, count", [
-    (lambda: find_critical_delta(bell_spec(2), StateSpec(5, 0.85)), 6),
+    (lambda: find_critical_delta(bell_spec(2), StateSpec(5, 0.85)), 5),
     (lambda: find_critical_Delta(bell_spec(2), StateSpec(5, 0.85)), 4),
     (lambda: find_critical_visibility(steering_spec(3), 5), 4),
 ], ids=["delta_sq", "Delta_sq", "p"])
 def test_each_point_is_probed_once(monkeypatch, search, count):
-    # delta^2 probes 0, the two ends of the seeded bracket, one chord and the
+    # delta^2 probes the two ends of the seeded bracket, one chord and the
     # chord -+ w/2 (the chord is the root); the closed forms probe the violating
     # edge, the root and root -+ tol; a probe is one (c0, V) pair, and the
     # README states these counts
@@ -160,6 +162,42 @@ def test_each_point_is_probed_once(monkeypatch, search, count):
     monkeypatch.setattr(fuzzycorr.transition, "invariants", counted)
     search()
     assert len(probes) == len(set(probes)) == count
+
+
+MACROSCOPIC_SPECS = [steering_spec(2), bell_spec(2), bell_spec(3), steering_spec(400)]
+
+
+def _probe_count(monkeypatch, spec, n):
+    """The delta^2 point at p = 1 and the (c0, V) pairs its search read."""
+    probes = []
+
+    def counted(masses, p, Delta):
+        probes.append((masses, p, Delta))
+        return invariants(masses, p, Delta)
+
+    monkeypatch.setattr(fuzzycorr.transition, "invariants", counted)
+    return find_critical_delta(spec, StateSpec(n)), len(probes)
+
+
+@pytest.mark.parametrize("n", [10**16, 10**18, 10**100, 10**153],
+                         ids=["1e16", "1e18", "1e100", "1e153"])
+@pytest.mark.parametrize("spec", MACROSCOPIC_SPECS, ids=["steering2", "bell2", "bell3", "steering400"])
+def test_macroscopic_delta_search_is_seeded(monkeypatch, spec, n):
+    # x*^2 n^2 + kappa is a float up to n ~ 1e154, so the search starts from
+    # the limit there too: the [0, hi] search took 15 to 20 probes here
+    pt, count = _probe_count(monkeypatch, spec, n)
+    assert pt.margin_lo > 0 >= pt.margin_hi
+    assert count <= 7, count
+    assert pt.delta_sq / n**2 == pytest.approx(macroscopic_limit(spec)[0], rel=1e-14)
+
+
+@pytest.mark.parametrize("spec, most", list(zip(MACROSCOPIC_SPECS, [11, 12, 11, 17])),
+                         ids=["steering2", "bell2", "bell3", "steering400"])
+def test_delta_search_at_n_one_probes_no_more(monkeypatch, spec, most):
+    # n = 1 lies far from the limit; the counts of the [0, hi] search alone
+    pt, count = _probe_count(monkeypatch, spec, 1)
+    assert pt.margin_lo > 0 >= pt.margin_hi
+    assert count <= most, count
 
 
 def test_bracket_certificate():
@@ -409,8 +447,9 @@ def test_visibility_search_refuses_a_bad_n_as_StateSpec_does(n):
 
 def _certified_root(margin, hi, tol):
     """(root, margin_lo, margin_hi) of margin on [0, hi], as a delta^2 search finds them."""
-    root = _regula_falsi(margin, 0.0, hi, tol)
-    pt = _point(bell_spec(2), 1, margin, lambda x: (0.0, 0.0), root, tol, hi, root, 0.0, 1.0)
+    root = _root(margin, 0.0, margin(0.0), hi, margin(hi), tol)
+    pt = _point(bell_spec(2), 1, margin, lambda x: (0.0, 0.0), root, tol, hi, root, 0.0, 1.0,
+                reach=0.5)
     return root, pt.margin_lo, pt.margin_hi
 
 
