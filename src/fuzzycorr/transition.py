@@ -149,14 +149,23 @@ def _point(spec, n, margin, invariants_at, root, tol, hi, delta_sq, Delta_sq, p,
                            cert_lo, cert_hi)
 
 
+def _first_sign_change(margin, probes, hi):
+    """(a, margin(a), b, margin(b)): b the first probe below hi whose margin is < 0, else hi (an
+    exact 0, float noise, would pin every chord to b), a the last below b whose margin is > 0."""
+    b = min((x for x in probes if x < hi and margin(x) < 0), default=hi)
+    a = max(x for x in probes if x < b and margin(x) > 0)
+    return a, margin(a), b, margin(b)
+
+
 def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
     """Critical resolution variance delta^2 at fixed Delta, probing each point once.
 
-    :func:`_root` narrows [g - h, g + h], g = x*^2 n^2 + kappa (:func:`macroscopic_limit`), where
-    r < 1 and g is a float; where that fails, the first sign change the probes show in [0, hi],
-    until a root x certifies at -+ w/2, w = max(tol, 2^-48 x).  hi = 4 n^2 doubles while the witness
-    violates there and V > 0; violating at V = 0 or past float range raises NoTransitionAtHi, and
-    not violating at delta = 0 raises NoViolationAtLo.
+    :func:`_root` narrows [g - h, g + h], g = x*^2 n^2 + kappa (:func:`macroscopic_limit`), if
+    r < 1, g is a float and the margin changes sign there; else the first sign change the probes
+    show in [0, hi], hi = 4 n^2 doubled while the witness violates there and V > 0.  A root x
+    certifies at -+ w/2, w = max(tol, 2^-48 x), or is searched again from those probes.  Violating
+    at V = 0 or past float range raises NoTransitionAtHi; not violating at delta = 0 raises
+    NoViolationAtLo.
     """
     check_coarsening(Delta=Delta_fixed)  # validated once, at entry, with tol
     _check_tol(tol)
@@ -165,40 +174,38 @@ def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
     invariants_at = lambda x: memo[x] if x in memo else memo.setdefault(
         x, invariants(kernel_masses(n, math.sqrt(x)), p, Delta_fixed))
     margin = _margin(spec, invariants_at)
-    point = lambda root, hi: _point(spec, n, margin, invariants_at, root, tol, hi, root,
-                                    Delta_fixed * Delta_fixed, p, reach=0.5)
-    hi = math.inf  # 4 n^2 in floats, so 0.25 hi is n^2; inf where n^2 has no float
+    hi = math.inf  # 4 n^2; inf wherever that overflows, and h then reduces to w
     try:
         hi = 4.0 * n**2
         x_sq, kappa = macroscopic_limit(spec, p, Delta_fixed)
         seed = x_sq * n * n + kappa
         h = SEED_SPREAD * (1.0 + (12.0 * kappa + 3.0) / x_sq) ** 2 / (0.25 * hi) + max(
             tol, RELATIVE_RESOLUTION * seed)
-    except (OverflowError, NoViolationAtLo):  # no float n^2, or r >= 1 and so margin(0) <= 0
+    except (OverflowError, NoViolationAtLo):  # no float n^2, or r >= 1: no macroscopic limit
         seed = h = math.inf  # so seed - h is NaN: no seeded bracket
     if 0 < (a := seed - h) and (fa := margin(a)) > 0 >= (fb := margin(b := seed + h)):
-        try:
-            return point(_root(margin, a, fa, b, fb, tol), math.inf)
-        except TransitionError:  # uncertified: go on in [0, hi], from the probes made
-            pass
-    while hi < math.inf and margin(hi) > 0 and invariants_at(hi)[1] > 0:  # V > 0
-        hi *= 2.0
-    if hi == math.inf:
-        raise _no_transition(spec, n, "the largest float edge")
-    if margin(0.0) <= 0:
-        raise NoViolationAtLo(
-            f"no violation at delta^2 = 0.0 for {spec.kind} m={spec.m}, n={n}, p={p}")
-    if margin(hi) > 0:
-        raise _no_transition(spec, n)
-    while True:  # a margin of exactly 0 (float noise) at b would pin every chord to b
-        b = min((x for x in memo if x < hi and margin(x) < 0), default=hi)
-        a = max(x for x in memo if x < b and margin(x) > 0)
+        hi = b  # the seeded bracket holds a sign change: the search stays in it
+    else:
+        while hi < math.inf and margin(hi) > 0 and invariants_at(hi)[1] > 0:  # V > 0
+            hi *= 2.0
+        if hi == math.inf:
+            raise _no_transition(spec, n, "the largest float edge")
+        if margin(0.0) <= 0:
+            raise NoViolationAtLo(
+                f"no violation at delta^2 = 0.0 for {spec.kind} m={spec.m}, n={n}, p={p}")
+        if margin(hi) > 0:
+            raise _no_transition(spec, n)
+        a, fa, b, fb = _first_sign_change(margin, memo, hi)
+    while True:  # until a root certifies or a pass probes nothing new
         probed = len(memo)
         try:
-            return point(_root(margin, a, margin(a), b, margin(b), tol), hi)
+            root = _root(margin, a, fa, b, fb, tol)
+            return _point(spec, n, margin, invariants_at, root, tol, hi, root,
+                          Delta_fixed * Delta_fixed, p, reach=0.5)
         except TransitionError:
-            if len(memo) == probed:  # no new probe, so no new root
+            if len(memo) == probed:
                 raise
+        a, fa, b, fb = _first_sign_change(margin, memo, hi)
 
 
 def _edges(spec, n, invariants_at, tol, lo_error):

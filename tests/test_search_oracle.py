@@ -2,8 +2,8 @@
 
 ``tests/search_oracle.py`` holds the searches as they were written with one
 Correlator and one ``optimum`` per probe, all by bisection.  Every error's
-type and message must be identical, but for the certificates that clamp
-at both bracket ends, below.
+type and message must be identical, but for the cases named below, where
+the package certifies a root and the oracle raises.
 
 The delta^2 and boundary searches now narrow a bracket around the
 macroscopic limit, or else the same bracket, by one chord loop certified at
@@ -12,7 +12,12 @@ its root lies within the oracle bisection's width w = max(tol, 2^-48 root)
 of the oracle's root; margin_lo > 0 >= margin_hi; ``achieved_value``
 equals ``optimum`` of a Correlator's (c0, V) at its root; every other field
 is ``==``.  An uncertified bracket raises in both, and each message names
-its own root, within w of the oracle's.
+its own root, within w of the oracle's.  Three cases differ, each tested
+below: a tol near the bracket width, where the oracle's probes at -+ w clamp
+to both ends and the package's at -+ w/2 do not; a root in the margin's
+float noise, which the package searches again from its certificate's
+probes; and an n whose 4 n^2 overflows but whose n^2 does not, where the
+oracle has no bracket edge and the package seeds from the macroscopic limit.
 
 The Delta^2 and p searches are closed forms.  Their roots must lie within
 w of the oracle's and within 1e-12 relative of ln(V(Delta = 0) / V_c) / 4
@@ -44,6 +49,7 @@ from fuzzycorr import (
     TransitionPoint,
     WitnessSpec,
     bell_spec,
+    macroscopic_limit,
     find_critical_Delta,
     find_critical_delta,
     find_critical_visibility,
@@ -233,6 +239,44 @@ def test_wide_tol_certifies_where_the_bisection_clamped():
         search_oracle.find_critical_delta(bell_spec(2), StateSpec(1), tol=3.0)
     pt = find_critical_delta(bell_spec(2), StateSpec(1), tol=3.0)
     assert pt.margin_lo > 0 >= pt.margin_hi and pt.delta_sq + 1.5 < 4.0
+
+
+def test_wide_tol_certifies_at_half_the_width():
+    # at tol 3.9 the package's own search with a -+ w certificate raised as
+    # the bisection does: its root 0.70 probed at -+3.9, both ends of [0, 4];
+    # the one chord loop certifies its first chord, 1.40, at -+1.95; at tol
+    # 7.9 its certificate clamps at both ends too, and both raise (above)
+    with pytest.raises(TransitionError, match=re.escape("uncertified bracket at 1.0 in")):
+        search_oracle.find_critical_delta(bell_spec(2), StateSpec(1), tol=3.9)
+    pt = find_critical_delta(bell_spec(2), StateSpec(1), tol=3.9)
+    assert pt.margin_lo > 0 >= pt.margin_hi and pt.delta_sq + 1.95 < 4.0
+
+
+def test_noise_band_root_is_searched_again():
+    # s = V_c (1 + 1e-8): the margin near the root is float noise (ROADMAP
+    # item 4), and the bisection's certificate reads it with the wrong sign;
+    # so did the package's before it searched a failed root again from its
+    # certificate's probes.  A certified root here says only that the margin
+    # changes sign within w/2 of it, not that the inputs fix it that well.
+    state = StateSpec(50, 0.44721359997209387)
+    with pytest.raises(TransitionError, match="uncertified bracket"):
+        search_oracle.find_critical_delta(steering_spec(5), state, tol=1e-12)
+    pt = find_critical_delta(steering_spec(5), state, tol=1e-12)
+    assert pt.margin_lo > 0 >= pt.margin_hi
+    assert abs(pt.delta_sq - 72.9594068) < 1e-6
+
+
+@pytest.mark.parametrize("spec", [steering_spec(2), bell_spec(2), bell_spec(3)],
+                         ids=["steering2", "bell2", "bell3"])
+def test_seed_certifies_where_4_n_sq_overflows(spec):
+    # at n = 10^154, 4 n^2 has no float, so the bisection has no edge to start
+    # from; n^2 and x*^2 n^2 + kappa do, so the package seeds and certifies
+    n = 10**154
+    with pytest.raises(NoTransitionAtHi, match="largest float edge"):
+        search_oracle.find_critical_delta(spec, StateSpec(n))
+    pt = find_critical_delta(spec, StateSpec(n))
+    assert pt.margin_lo > 0 >= pt.margin_hi
+    assert pt.delta_sq / n**2 == pytest.approx(macroscopic_limit(spec)[0], rel=1e-14)
 
 
 def test_bad_tol_past_the_float_edge_is_rejected():

@@ -153,22 +153,13 @@ def test_each_point_is_probed_once(monkeypatch, search, count):
     # chord -+ w/2 (the chord is the root); the closed forms probe the violating
     # edge, the root and root -+ tol; a probe is one (c0, V) pair, and the
     # README states these counts
-    probes = []
-
-    def counted(masses, p, Delta):
-        probes.append((masses, p, Delta))
-        return invariants(masses, p, Delta)
-
-    monkeypatch.setattr(fuzzycorr.transition, "invariants", counted)
+    probes = _counted_probes(monkeypatch)
     search()
     assert len(probes) == len(set(probes)) == count
 
 
-MACROSCOPIC_SPECS = [steering_spec(2), bell_spec(2), bell_spec(3), steering_spec(400)]
-
-
-def _probe_count(monkeypatch, spec, n):
-    """The delta^2 point at p = 1 and the (c0, V) pairs its search read."""
+def _counted_probes(monkeypatch):
+    """The list to which every (c0, V) pair a search reads appends its arguments."""
     probes = []
 
     def counted(masses, p, Delta):
@@ -176,28 +167,33 @@ def _probe_count(monkeypatch, spec, n):
         return invariants(masses, p, Delta)
 
     monkeypatch.setattr(fuzzycorr.transition, "invariants", counted)
-    return find_critical_delta(spec, StateSpec(n)), len(probes)
+    return probes
+
+
+MACROSCOPIC_SPECS = [steering_spec(2), bell_spec(2), bell_spec(3), steering_spec(400)]
+MACROSCOPIC_IDS = ["steering2", "bell2", "bell3", "steering400"]
 
 
 @pytest.mark.parametrize("n", [10**16, 10**18, 10**100, 10**153],
                          ids=["1e16", "1e18", "1e100", "1e153"])
-@pytest.mark.parametrize("spec", MACROSCOPIC_SPECS, ids=["steering2", "bell2", "bell3", "steering400"])
+@pytest.mark.parametrize("spec", MACROSCOPIC_SPECS, ids=MACROSCOPIC_IDS)
 def test_macroscopic_delta_search_is_seeded(monkeypatch, spec, n):
     # x*^2 n^2 + kappa is a float up to n ~ 1e154, so the search starts from
     # the limit there too: the [0, hi] search took 15 to 20 probes here
-    pt, count = _probe_count(monkeypatch, spec, n)
+    probes = _counted_probes(monkeypatch)
+    pt = find_critical_delta(spec, StateSpec(n))
     assert pt.margin_lo > 0 >= pt.margin_hi
-    assert count <= 7, count
-    assert pt.delta_sq / n**2 == pytest.approx(macroscopic_limit(spec)[0], rel=1e-14)
+    assert len(probes) <= 7, len(probes)
 
 
 @pytest.mark.parametrize("spec, most", list(zip(MACROSCOPIC_SPECS, [11, 12, 11, 17])),
-                         ids=["steering2", "bell2", "bell3", "steering400"])
+                         ids=MACROSCOPIC_IDS)
 def test_delta_search_at_n_one_probes_no_more(monkeypatch, spec, most):
     # n = 1 lies far from the limit; the counts of the [0, hi] search alone
-    pt, count = _probe_count(monkeypatch, spec, 1)
+    probes = _counted_probes(monkeypatch)
+    pt = find_critical_delta(spec, StateSpec(1))
     assert pt.margin_lo > 0 >= pt.margin_hi
-    assert count <= most, count
+    assert len(probes) <= most, len(probes)
 
 
 def test_bracket_certificate():
@@ -380,13 +376,15 @@ def test_delta_sq_follows_the_asymptote_to_its_next_term(spec, p, Delta):
         assert abs(root - x_sq * n * n - kappa) <= 0.1 / n**2 + width, n
 
 
-@pytest.mark.parametrize("spec", [steering_spec(2), bell_spec(2), steering_spec(64)],
-                         ids=["steering2", "bell2", "steering64"])
+@pytest.mark.parametrize("spec", [steering_spec(2), bell_spec(2), steering_spec(64), bell_spec(3),
+                                  steering_spec(400)],
+                         ids=["steering2", "bell2", "steering64", "bell3", "steering400"])
 def test_delta_sq_over_n_sq_reaches_the_limit(spec):
+    # kappa / n^2 and w / n^2 are below 1e-14 of x*^2 from n = 10^9 on
     x_sq = macroscopic_limit(spec)[0]
-    for n in (10**9, 10**11, 10**13, 10**15):
+    for n in (10**9, 10**11, 10**13, 10**15, 10**16, 10**18, 10**100, 10**153):
         assert find_critical_delta(spec, StateSpec(n)).delta_sq / n**2 == pytest.approx(
-            x_sq, rel=1e-12)
+            x_sq, rel=1e-14), n
 
 
 @pytest.mark.parametrize("spec, p, Delta", [(bell_spec(2), 0.7, 0.0), (steering_spec(2), 0.0, 0.0),
@@ -446,7 +444,7 @@ def test_visibility_search_refuses_a_bad_n_as_StateSpec_does(n):
 
 
 def _certified_root(margin, hi, tol):
-    """(root, margin_lo, margin_hi) of margin on [0, hi], as a delta^2 search finds them."""
+    """(root, margin_lo, margin_hi) of margin on [0, hi], as one delta^2 search pass finds them."""
     root = _root(margin, 0.0, margin(0.0), hi, margin(hi), tol)
     pt = _point(bell_spec(2), 1, margin, lambda x: (0.0, 0.0), root, tol, hi, root, 0.0, 1.0,
                 reach=0.5)
