@@ -162,10 +162,9 @@ def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
 
     :func:`_root` narrows [g - h, g + h], g = x*^2 n^2 + kappa (:func:`macroscopic_limit`), if
     r < 1, g is a float and the margin changes sign there; else the first sign change the probes
-    show in [0, hi], hi = 4 n^2 doubled while the witness violates there and V > 0.  A root x
-    certifies at -+ w/2, w = max(tol, 2^-48 x), or is searched again from those probes.  Violating
-    at V = 0 or past float range raises NoTransitionAtHi; not violating at delta = 0 raises
-    NoViolationAtLo.
+    show in [0, hi], hi = 4 n^2 doubled while the witness violates there.  A root x certifies at
+    -+ w/2, w = max(tol, 2^-48 x), or is searched again from those probes.  Violating past float
+    range raises NoTransitionAtHi; not violating at delta = 0 raises NoViolationAtLo.
     """
     check_coarsening(Delta=Delta_fixed)  # validated once, at entry, with tol
     _check_tol(tol)
@@ -186,15 +185,13 @@ def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
     if 0 < (a := seed - h) and (fa := margin(a)) > 0 >= (fb := margin(b := seed + h)):
         hi = b  # the seeded bracket holds a sign change: the search stays in it
     else:
-        while hi < math.inf and margin(hi) > 0 and invariants_at(hi)[1] > 0:  # V > 0
+        while hi < math.inf and margin(hi) > 0:
             hi *= 2.0
         if hi == math.inf:
             raise _no_transition(spec, n, "the largest float edge")
         if margin(0.0) <= 0:
             raise NoViolationAtLo(
                 f"no violation at delta^2 = 0.0 for {spec.kind} m={spec.m}, n={n}, p={p}")
-        if margin(hi) > 0:
-            raise _no_transition(spec, n)
         a, fa, b, fb = _first_sign_change(margin, memo, hi)
     while True:  # until a root certifies or a pass probes nothing new
         probed = len(memo)

@@ -22,6 +22,7 @@ from fuzzycorr import (
     NoViolationAtPureState,
     StateSpec,
     TransitionError,
+    V_c,
     WitnessSpec,
     bell_spec,
     find_critical_Delta,
@@ -94,7 +95,9 @@ def test_steering_Delta_bracket_grows_past_one(m):
 # Regimes where V vanishes (p = 0, or exp(-4 Delta^2) underflows at Delta = 30),
 # where the kernel is 1e150 labels wide, or where delta^2 or Delta^2 overflows
 # to inf (delta or Delta = 1e155): each search ends in its named failure, never
-# in a ValueError, an OverflowError or a hang.
+# in a ValueError, an OverflowError or a hang.  For steering m = 1100, n = 1 at
+# p = 0, V = 0 but the c0 term alone violates at the first edge delta^2 = 4
+# (margin +0.0277), so the doubling runs on until c0 falls below the bound.
 @pytest.mark.parametrize(
     "search, error",
     [
@@ -112,10 +115,11 @@ def test_steering_Delta_bracket_grows_past_one(m):
         (lambda: find_critical_delta(bell_spec(2), PURE5, Delta_fixed=1e155), NoViolationAtLo),
         (lambda: find_critical_visibility(bell_spec(2), n=5, params=CoarseningParams(Delta=1e155)),
          NoViolationAtPureState),
+        (lambda: find_critical_delta(steering_spec(1100), StateSpec(n=1, p=0.0)), NoViolationAtLo),
     ],
     ids=["delta_sq-p0", "Delta_sq-p0", "delta_sq-Delta30", "p-Delta30",
          "Delta_sq-delta1e150", "p-delta1e150", "Delta_sq-delta1e155", "p-delta1e155",
-         "delta_sq-Delta1e155", "p-Delta1e155"],
+         "delta_sq-Delta1e155", "p-Delta1e155", "delta_sq-p0-c0-violates"],
 )
 def test_extreme_regimes_fail_cleanly(search, error):
     with pytest.raises(error):
@@ -361,6 +365,43 @@ def test_macroscopic_limit_against_scipy(spec, p, Delta):
     r = (spec.bound / optimum(spec, 0.0, 1.0)) / (p * math.exp(-4.0 * Delta * Delta))
     x_sq = 1.0 / (2.0 * erfinv(math.sqrt(r)) ** 2)
     assert macroscopic_limit(spec, p, Delta)[0] == pytest.approx(x_sq, rel=1e-13)
+
+
+def test_bell_macroscopic_limit_parity_split():
+    # V_c(m) rises along even m and falls along odd m toward pi/4, and x*^2
+    # falls as r = V_c / s rises: so x*^2(m) falls along even m and rises along
+    # odd m toward x*^2_inf = 1 / (2 erfinv(sqrt(pi / 4s))^2), and m = 2 is the
+    # largest; compared exactly in floats, for every m <= 10^5 + 1
+    for s, limit in ((1.0, 0.3998379), (0.85, 0.2340983)):
+        x_inf = 1.0 / (2.0 * erfinv(math.sqrt(math.pi / (4.0 * s))) ** 2)
+        assert x_inf == pytest.approx(limit, abs=5e-8)
+        x_sq = [macroscopic_limit(bell_spec(m), s)[0] for m in range(2, 10**5 + 2)]
+        even, odd = x_sq[::2], x_sq[1::2]  # m = 2, 4, ... and m = 3, 5, ...
+        assert all(a > b for a, b in zip(even, even[1:])) and even[-1] > x_inf, s
+        assert all(a < b for a, b in zip(odd, odd[1:])) and odd[-1] < x_inf, s
+        assert max(x_sq) == x_sq[0], s
+    # V_c(m) > 0.75 for every m >= 3, so at s = 0.75 only m = 2 has a macroscopic limit
+    for m in range(3, 10**5 + 1):
+        with pytest.raises(NoViolationAtLo):
+            macroscopic_limit(bell_spec(m), 0.75)
+
+
+def test_settings_count_rates():
+    # DLMF 4.19: m^2 (V_c(m) - pi/4) = -pi^3/96 + 0.040/m^2 + ... for even m and
+    # pi/4 - pi^3/96 - 0.283/m^2 + ... for odd m; the remainder past the
+    # leading term is below 0.3/m^2 from m = 3 on, which is the tolerance
+    for m in range(3, 2001):
+        lead = -math.pi**3 / 96 + (math.pi / 4 if m % 2 else 0.0)
+        gap = m * m * (V_c(bell_spec(m), 0.0) - math.pi / 4)
+        assert abs(gap - lead) <= 0.3 / m**2, m
+    # steering: V_c = 1/sqrt(m), r = 1 / (s sqrt m), and the erfinv series gives
+    # x*^2 pi / (2 s sqrt m) = 1 - pi r/6 - pi^2 r^2/120 - pi^3 r^3/756 - ..., so
+    # the gap to 1 is pi r/6 (0.52/sqrt m at s = 1) to within r^2/10 for r <= 0.12
+    for s in (1.0, 0.85):
+        for m in (10**2, 10**3, 10**4, 10**5):
+            r = 1.0 / (s * math.sqrt(m))
+            ratio = macroscopic_limit(steering_spec(m), s)[0] * math.pi * r / 2.0
+            assert abs(1.0 - ratio - math.pi * r / 6.0) <= r * r / 10.0, (s, m)
 
 
 @pytest.mark.parametrize("spec, p, Delta", LIMIT_CASES, ids=LIMIT_IDS)
