@@ -37,8 +37,7 @@ class StateSpec:
 
     def __post_init__(self):
         check_n(self.n)
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
+        check_p(self.p)
 
 
 @dataclass(frozen=True)
@@ -62,6 +61,12 @@ def check_n(n):
     # an exact int skips the numbers.Integral check, which takes about 1 us
     if type(n) is not int and (type(n) is bool or not isinstance(n, numbers.Integral)) or n < 1:
         raise ValueError("n must be a positive integer")
+
+
+def check_p(p):
+    """Raise ValueError unless the visibility p lies in [0, 1], as StateSpec requires."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
 
 
 def check_coarsening(delta=0.0, Delta=0.0):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .correlation import CoarseningParams, check_coarsening, check_n, invariants
+from .correlation import CoarseningParams, check_coarsening, check_n, check_p, invariants
 from .kernel import kernel_masses
 from .witness import V_c, WitnessSpec, optimum
 
@@ -113,8 +113,10 @@ def macroscopic_limit(spec, p=1.0, Delta=0.0):
     c0 -> 0 and a_n -> erf(u / sqrt 2), u = n / delta, so x*^2 = 1 / (2 erfinv(sqrt r)^2),
     r = V_c(spec, 0) / (p exp(-4 Delta^2)); kappa = rho g / (sqrt(8 pi) u* sqrt r) - 1/6, with
     g = exp(-u*^2 / 2) and rho = alpha / (beta p exp(-4 Delta^2)).  Raises NoViolationAtLo when
-    r >= 1: then no n violates at delta = 0.
+    r >= 1 (no n violates at delta = 0), and ValueError where StateSpec or CoarseningParams would.
     """
+    check_p(p)
+    check_coarsening(Delta=Delta)
     scale = p * math.exp(-4.0 * (Delta * Delta))
     y = math.sqrt(V_c(spec, 0.0) / scale) if scale > 0 else math.inf
     if not y < 1:
@@ -133,46 +135,33 @@ def _no_transition(spec, n, where="V = 0"):
     return NoTransitionAtHi(f"still violating at {where} for {spec.kind} m={spec.m}, n={n}")
 
 
-def _margin(spec, invariants_at):
-    bound = spec.bound
-    return lambda x: optimum(spec, *invariants_at(x)) - bound
-
-
-def _point(spec, n, margin, invariants_at, root, tol, hi, delta_sq, Delta_sq, p, reach=1.0):
-    """The TransitionPoint at root, its certificate at root -+ reach * w checked."""
-    width = reach * max(tol, RELATIVE_RESOLUTION * root)
-    cert_lo, cert_hi = margin(max(root - width, 0.0)), margin(min(root + width, hi))
+def _point(spec, n, value, root, tol, hi, delta_sq, Delta_sq, p, reach=1.0):
+    """The TransitionPoint at root, certified at root -+ reach * w; value(x): the witness at x."""
+    width, bound = reach * max(tol, RELATIVE_RESOLUTION * root), spec.bound
+    cert_lo, cert_hi = value(max(root - width, 0.0)) - bound, value(min(root + width, hi)) - bound
     if not cert_lo > 0 >= cert_hi or (root - width <= 0.0 and root + width >= hi):
         raise TransitionError(f"uncertified bracket at {root} in [0.0, {hi}]: margin "
                               f"{cert_lo} at -{width}, {cert_hi} at +{width}")
-    return TransitionPoint(delta_sq, Delta_sq, p, spec, n, optimum(spec, *invariants_at(root)),
-                           cert_lo, cert_hi)
-
-
-def _first_sign_change(margin, probes, hi):
-    """(a, margin(a), b, margin(b)): b the first probe below hi whose margin is < 0, else hi (an
-    exact 0, float noise, would pin every chord to b), a the last below b whose margin is > 0."""
-    b = min((x for x in probes if x < hi and margin(x) < 0), default=hi)
-    a = max(x for x in probes if x < b and margin(x) > 0)
-    return a, margin(a), b, margin(b)
+    return TransitionPoint(delta_sq, Delta_sq, p, spec, n, value(root), cert_lo, cert_hi)
 
 
 def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
     """Critical resolution variance delta^2 at fixed Delta, probing each point once.
 
-    :func:`_root` narrows [g - h, g + h], g = x*^2 n^2 + kappa (:func:`macroscopic_limit`), if
-    r < 1, g is a float and the margin changes sign there; else the first sign change the probes
-    show in [0, hi], hi = 4 n^2 doubled while the witness violates there.  A root x certifies at
-    -+ w/2, w = max(tol, 2^-48 x), or is searched again from those probes.  Violating past float
-    range raises NoTransitionAtHi; not violating at delta = 0 raises NoViolationAtLo.
+    The top is g + h, g = x*^2 n^2 + kappa (:func:`macroscopic_limit`), if r < 1, g is a float
+    and the margin changes sign on [g - h, g + h]; else hi = 4 n^2, doubled while the witness
+    violates there.  Each pass :func:`_root` narrows the first sign change the probes show below
+    the top, and a root x certifies at -+ w/2, w = max(tol, 2^-48 x), or is searched again until
+    its certificate probes nothing new.  Violating past float range raises NoTransitionAtHi; not
+    violating at delta = 0 raises NoViolationAtLo.
     """
     check_coarsening(Delta=Delta_fixed)  # validated once, at entry, with tol
     _check_tol(tol)
-    n, p = state.n, state.p
-    memo = {}  # each point is probed once (a dict: building a functools.cache costs more)
-    invariants_at = lambda x: memo[x] if x in memo else memo.setdefault(
-        x, invariants(kernel_masses(n, math.sqrt(x)), p, Delta_fixed))
-    margin = _margin(spec, invariants_at)
+    n, p, bound = state.n, state.p, spec.bound
+    memo = {}  # the witness value at each point, probed once (a functools.cache costs more)
+    value = lambda x: memo[x] if x in memo else memo.setdefault(
+        x, optimum(spec, *invariants(kernel_masses(n, math.sqrt(x)), p, Delta_fixed)))
+    margin = lambda x: value(x) - bound
     hi = math.inf  # 4 n^2; inf wherever that overflows, and h then reduces to w
     try:
         hi = 4.0 * n**2
@@ -182,8 +171,8 @@ def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
             tol, RELATIVE_RESOLUTION * seed)
     except (OverflowError, NoViolationAtLo):  # no float n^2, or r >= 1: no macroscopic limit
         seed = h = math.inf  # so seed - h is NaN: no seeded bracket
-    if 0 < (a := seed - h) and (fa := margin(a)) > 0 >= (fb := margin(b := seed + h)):
-        hi = b  # the seeded bracket holds a sign change: the search stays in it
+    if 0 < seed - h and margin(seed - h) > 0 >= margin(seed + h):
+        hi = seed + h  # the seeded bracket holds a sign change: the search stays in it
     else:
         while hi < math.inf and margin(hi) > 0:
             hi *= 2.0
@@ -192,17 +181,19 @@ def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
         if margin(0.0) <= 0:
             raise NoViolationAtLo(
                 f"no violation at delta^2 = 0.0 for {spec.kind} m={spec.m}, n={n}, p={p}")
-        a, fa, b, fb = _first_sign_change(margin, memo, hi)
-    while True:  # until a root certifies or a pass probes nothing new
+    while True:
+        # b: the first probe below hi whose margin is < 0, else hi (an exact 0, float noise,
+        # would pin every chord to b); a: the last probe below b whose margin is > 0
+        b = min((x for x, v in memo.items() if x < hi and v < bound), default=hi)
+        a = max(x for x, v in memo.items() if x < b and v > bound)
+        root = _root(margin, a, margin(a), b, margin(b), tol)
         probed = len(memo)
         try:
-            root = _root(margin, a, fa, b, fb, tol)
-            return _point(spec, n, margin, invariants_at, root, tol, hi, root,
-                          Delta_fixed * Delta_fixed, p, reach=0.5)
+            return _point(spec, n, value, root, tol, hi, root, Delta_fixed * Delta_fixed, p,
+                          reach=0.5)
         except TransitionError:
-            if len(memo) == probed:
+            if len(memo) == probed:  # no new certificate probe, as where it clamps to 0 and hi
                 raise
-        a, fa, b, fb = _first_sign_change(margin, memo, hi)
 
 
 def _edges(spec, n, invariants_at, tol, lo_error):
@@ -231,7 +222,7 @@ def find_critical_Delta(spec, state, delta_fixed=0.0, tol=DEFAULT_TOL):
         f"no violation at Delta^2 = 0.0 for {spec.kind} m={spec.m}, n={state.n}, p={state.p}"))
     ratio = V0 / V_crit  # overflows only for a subnormal V_c
     root = 0.25 * (math.log(ratio) if ratio < math.inf else math.log(V0) - math.log(V_crit))
-    return _point(spec, state.n, _margin(spec, invariants_at), invariants_at, root, tol, math.inf,
+    return _point(spec, state.n, lambda x: optimum(spec, *invariants_at(x)), root, tol, math.inf,
                   delta_fixed * delta_fixed, root, state.p)
 
 
@@ -248,7 +239,7 @@ def find_critical_visibility(spec, n, params=CoarseningParams(), tol=DEFAULT_TOL
     V1, V_crit = _edges(spec, n, invariants_at, tol, lambda: NoViolationAtPureState(
         f"no violation at p = 1 for {spec.kind} m={spec.m}, n={n}"))
     p = V_crit / V1
-    return _point(spec, n, _margin(spec, invariants_at), invariants_at, 1.0 - p, tol, 1.0,
+    return _point(spec, n, lambda q: optimum(spec, *invariants_at(q)), 1.0 - p, tol, 1.0,
                   params.delta * params.delta, params.Delta * params.Delta, p)
 
 

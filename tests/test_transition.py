@@ -6,6 +6,7 @@ import math
 import re
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -198,6 +199,20 @@ def test_delta_search_at_n_one_probes_no_more(monkeypatch, spec, most):
     pt = find_critical_delta(spec, StateSpec(1))
     assert pt.margin_lo > 0 >= pt.margin_hi
     assert len(probes) <= most, len(probes)
+
+
+@pytest.mark.parametrize("p, Delta, tol", [
+    (0.5, 0.1, 148.3),
+    (0.6267606745685309, 0.08091420588694692, 120.61323856719913),
+], ids=["raised-after-146", "certified-after-183"])
+def test_certificate_past_both_ends_ends_the_search(monkeypatch, p, Delta, tol):
+    # the first root's -+ w/2 reaches past both ends of [0, hi = 64], so its certificate probes
+    # only 0 and hi, both probed already, and the search raises after one pass; searching again
+    # from the probes took 146 probes to raise here, and 183 to certify a later root clamped at hi
+    probes = _counted_probes(monkeypatch)
+    with pytest.raises(TransitionError, match="uncertified bracket"):
+        find_critical_delta(steering_spec(117), StateSpec(4, p), Delta, tol)
+    assert len(probes) <= 5, len(probes)
 
 
 def test_bracket_certificate():
@@ -437,6 +452,20 @@ def test_macroscopic_limit_without_violation(spec, p, Delta):
         macroscopic_limit(spec, p, Delta)
 
 
+@pytest.mark.parametrize("p, Delta", [(1.5, 0.0), (-0.5, 0.0), (math.nan, 0.0), (1.0, math.nan),
+                                      (1.0, math.inf), (1.0, -0.3)],
+                         ids=["p-above-one", "p-negative", "p-nan", "Delta-nan", "Delta-inf",
+                              "Delta-negative"])
+def test_macroscopic_limit_refuses_what_the_constructors_refuse(p, Delta):
+    # p = 1.5 gave a limit for a state that cannot exist, Delta = -0.3 one that no search
+    # accepts, and the others read as "no violation for any n"
+    with pytest.raises(ValueError) as built:
+        StateSpec(1, p), CoarseningParams(Delta=Delta)
+    with pytest.raises(ValueError) as raised:
+        macroscopic_limit(bell_spec(2), p, Delta)
+    assert type(raised.value) is ValueError and str(raised.value) == str(built.value)
+
+
 def test_table1_roots_sit_near_their_tight_roots():
     # the seeded search returns the last chord, not the midpoint of a bracket
     # that stopped narrowing early: each root at the default tol lies within
@@ -487,8 +516,9 @@ def test_visibility_search_refuses_a_bad_n_as_StateSpec_does(n):
 def _certified_root(margin, hi, tol):
     """(root, margin_lo, margin_hi) of margin on [0, hi], as one delta^2 search pass finds them."""
     root = _root(margin, 0.0, margin(0.0), hi, margin(hi), tol)
-    pt = _point(bell_spec(2), 1, margin, lambda x: (0.0, 0.0), root, tol, hi, root, 0.0, 1.0,
-                reach=0.5)
+    # a stand-in spec with bound 0, so the value is the margin; the root's value is not counted
+    pt = _point(SimpleNamespace(bound=0.0), 1, lambda x: 0.0 if x == root else margin(x), root,
+                tol, hi, root, 0.0, 1.0, reach=0.5)
     return root, pt.margin_lo, pt.margin_hi
 
 
