@@ -23,13 +23,14 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass, field
 
-from .correlation import CoarseningParams, Correlator, StateSpec
+from .correlation import CoarseningParams, Correlator, StateSpec, check_coarsening, check_n, check_p
 from .transition import (
     DEFAULT_TOL,
     TransitionError,
+    check_tol,
     find_critical_Delta,
     find_critical_delta,
     trace_boundary,
@@ -55,80 +56,100 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; maps to exit status 2."""
 
 
-def _real(name, value):
-    """``value`` as a float, or ConfigError naming ``name`` unless it is a finite number."""
+# A field's kind reads its JSON or flag value and runs its check on the value or on each
+# item of a list; either raises ValueError, which validate prefixes with the field's name.
+
+def _same(value, check):
+    check(value)
+    return value
+
+
+def _real(value, check):
     # an exact comparison: it rejects nan, inf and integers past float range alike
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
             abs(value) <= sys.float_info.max):
-        raise ConfigError(f"{name}: must be a finite number, got {value!r}")
-    return float(value)
+        raise ValueError(f"must be a finite number, got {value!r}")
+    return _same(float(value), check)  # a JSON 1 writes the bytes of a flag's 1.0
 
 
-def _reals(name, values, lo=0.0, hi=math.inf):
-    """A list of finite numbers in [lo, hi], or ConfigError naming ``name``."""
+def _reals(values, check):
     if not isinstance(values, list):
-        raise ConfigError(f"{name}: must be a list of numbers, got {values!r}")
-    reals = [_real(name, v) for v in values]
-    if any(not lo <= v <= hi for v in reals):
-        raise ConfigError(f"{name}: values must lie in [{lo:g}, {hi:g}]")
-    return reals
+        raise ValueError(f"must be a list of numbers, got {values!r}")
+    return [_real(v, check) for v in values]
 
 
-@dataclass
+def _grid(values, check):
+    grid = _reals(values, check)
+    if len(grid) > MAX_COUNT or any(b < a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"must be an ascending list of at most {MAX_COUNT} points")
+    return grid
+
+
+def _pairs(pairs, check):
+    if not isinstance(pairs, list) or any(not isinstance(p, list) or len(p) != 2 for p in pairs):
+        raise ValueError("must be a list of [theta_i, theta_j] pairs")
+    return [_same(_reals(pair, lambda angle: None), check) for pair in pairs]
+
+
+def _settings_count(m):
+    WitnessSpec("bell", m)  # the m rule of both kinds
+    if m > MAX_COUNT:
+        raise ValueError(f"must be at most {MAX_COUNT}, got {m!r}")
+
+
+_check_Delta = functools.partial(check_coarsening, 0.0)  # check_coarsening(0, Delta)
+
+
+def _angle_pair(pair):
+    if not math.isfinite(2.0 * sum(pair)):  # the correlator's cos 2(theta_i + theta_j)
+        raise ValueError(f"2(theta_i + theta_j) overflows for {pair!r}")
+
+
+def _output_format(name):
+    if name not in ("csv", "json"):
+        raise ValueError(f"unknown format {name!r}")
+
+
+def _path(out):
+    if not isinstance(out, str):
+        raise ValueError(f"must be a path, got {out!r}")
+
+
+def _field(default, kind, check, flag=None):
+    """A row of the field table: the default (for a list, a function that builds it), the
+    kind, the check and the argparse keywords of the flag, if the field has one."""
+    metadata = {"kind": kind, "check": check, "flag": flag}
+    if callable(default):
+        return dataclasses.field(default_factory=default, metadata=metadata)
+    return dataclasses.field(default=default, metadata=metadata)
+
+
+@dataclasses.dataclass
 class ExperimentConfig:
     """Resolved experiment parameters; serialized verbatim into every output."""
 
-    witness: str = "bell"
-    m: int = 2
-    n: int = 5
-    p: float = 1.0
-    delta_sq: float = 0.0
-    Delta_sq: float = 0.0
-    delta_sq_grid: list = field(default_factory=list)
-    Delta_sq_grid: list = field(default_factory=list)
-    angle_pairs: list = field(default_factory=lambda: [[0.0, 0.0]])
-    p_list: list = field(default_factory=lambda: [0.85, 0.80, 0.75])
-    transition_tol: float = DEFAULT_TOL
-    format: str = "csv"
-    out: str = ""
+    witness: str = _field("bell", _same, functools.partial(WitnessSpec, m=2), {})
+    m: int = _field(2, _same, _settings_count, {"type": int})
+    n: int = _field(5, _same, check_n, {"type": int})
+    p: float = _field(1.0, _real, check_p, {"type": float})
+    delta_sq: float = _field(0.0, _real, check_coarsening)
+    Delta_sq: float = _field(0.0, _real, _check_Delta)
+    delta_sq_grid: list = _field(list, _grid, check_coarsening, {"metavar": "a:b:step"})
+    Delta_sq_grid: list = _field(list, _grid, _check_Delta, {"metavar": "a:b:step"})
+    angle_pairs: list = _field(lambda: [[0.0, 0.0]], _pairs, _angle_pair)
+    p_list: list = _field(lambda: [0.85, 0.80, 0.75], _reals, check_p)
+    transition_tol: float = _field(DEFAULT_TOL, _real, check_tol, {"type": float})
+    format: str = _field("csv", _same, _output_format, {})
+    out: str = _field("", _same, _path, {})
 
     def validate(self):
-        """Check the type and range of every field; raise ConfigError naming the first bad one."""
-        if self.witness not in ("bell", "steering"):
-            raise ConfigError(f"witness: unknown kind {self.witness!r}")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"format: unknown format {self.format!r}")
-        if not isinstance(self.out, str):
-            raise ConfigError(f"out: must be a path, got {self.out!r}")
-        for name, minimum in (("m", 2), ("n", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-                raise ConfigError(f"{name}: must be an integer >= {minimum}, got {value!r}")
-        if self.m > MAX_COUNT:
-            raise ConfigError(f"m: must be at most {MAX_COUNT}, got {self.m!r}")
-        # a JSON integer is stored as the float a flag gives, so outputs agree
-        for name, hi in (("p", 1.0), ("delta_sq", math.inf), ("Delta_sq", math.inf)):
-            setattr(self, name, _reals(name, [getattr(self, name)], hi=hi)[0])
-        self.transition_tol = _real("transition_tol", self.transition_tol)
-        if not self.transition_tol > 0:
-            raise ConfigError("transition_tol: must be positive")
-        for name in ("delta_sq_grid", "Delta_sq_grid"):
-            grid = _reals(name, getattr(self, name))
-            if len(grid) > MAX_COUNT:
-                raise ConfigError(f"{name}: has more than {MAX_COUNT} points")
-            if any(b < a for a, b in zip(grid, grid[1:])):
-                raise ConfigError(f"{name}: values must be sorted ascending")
-            setattr(self, name, grid)
-        self.p_list = _reals("p_list", self.p_list, hi=1.0)
-        pairs = self.angle_pairs
-        if not isinstance(pairs, list) or any(
-            not isinstance(pair, list) or len(pair) != 2 for pair in pairs
-        ):
-            raise ConfigError("angle_pairs: must be a list of [theta_i, theta_j] pairs")
-        for i, pair in enumerate(pairs):
-            a, b = pairs[i] = _reals("angle_pairs", pair, lo=-math.inf)
-            if not math.isfinite(2.0 * (a + b)):  # the correlator's cos 2(theta_i + theta_j)
-                raise ConfigError(f"angle_pairs: 2(theta_i + theta_j) overflows for {pair!r}")
+        """Read every field by its kind and check; raise ConfigError naming the first bad one."""
+        for f in dataclasses.fields(self):
+            try:
+                value = f.metadata["kind"](getattr(self, f.name), f.metadata["check"])
+            except ValueError as exc:
+                raise ConfigError(f"{f.name}: {exc}") from exc
+            setattr(self, f.name, value)
         return self
 
 
@@ -139,12 +160,9 @@ RESULT_FIELDS = ["m", "n", "p", "delta_sq", "Delta_sq", "witness_kind", "witness
 
 def _grid_number(text, value):
     try:
-        number = float(value)
+        return _real(float(value), lambda number: None)
     except ValueError:
-        number = math.nan
-    if not math.isfinite(number):
-        raise ConfigError(f"grid: {value.strip()!r} in {text!r} is not a finite number")
-    return number
+        raise ConfigError(f"grid: {value.strip()!r} in {text!r} is not a finite number") from None
 
 
 def parse_grid(text):
@@ -168,7 +186,7 @@ def parse_grid(text):
 def load_config(args):
     """Merge defaults, the optional JSON config file, and every flag named after a field."""
     values = {}
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -178,12 +196,12 @@ def load_config(args):
         if not isinstance(data, dict):
             raise ConfigError(f"config: top level must be an object, got {data!r:.40}")
         for key, value in data.items():
-            if key not in known:
+            if key not in fields:
                 raise ConfigError(f"config: unknown key {key!r}")
             values[key] = value
     for key, flag in vars(args).items():
-        if key in known and flag is not None:
-            values[key] = parse_grid(flag) if key.endswith("_grid") else flag
+        if key in fields and flag is not None:
+            values[key] = parse_grid(flag) if fields[key].metadata["kind"] is _grid else flag
     return ExperimentConfig(**values).validate()
 
 
@@ -225,6 +243,7 @@ def emit(config, rows, plot=()):
     """
     if not config.out:
         write_rows(config, rows, sys.stdout)
+        sys.stdout.flush()  # a closed stdout fails here, in main's reach, not at exit
         return
     try:
         with open(path := config.out, "w") as fh:
@@ -351,7 +370,7 @@ def cmd_table1(config):
                 line += f" {value:>10.{digits}f} {ref_text:>10} {rel_text:>9}"
             lines.append(line)
             rows += [_transition_row(config, pt) for pt in (d2, D2)]
-    print("\n".join(lines))
+    print("\n".join(lines), flush=True)
     if config.out:
         emit(config, rows)
     return 0
@@ -372,15 +391,9 @@ def build_parser():
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--p", type=float)
-    parser.add_argument("--witness")
-    parser.add_argument("--delta-sq-grid", dest="delta_sq_grid", metavar="a:b:step")
-    parser.add_argument("--Delta-sq-grid", dest="Delta_sq_grid", metavar="a:b:step")
-    parser.add_argument("--transition-tol", dest="transition_tol", type=float)
-    parser.add_argument("--format")
-    parser.add_argument("--out")
+    for f in dataclasses.fields(ExperimentConfig):
+        if (flag := f.metadata["flag"]) is not None:
+            parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name, **flag)
     return parser
 
 
@@ -394,6 +407,10 @@ def main(argv=None):
     except TransitionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # from stdout: every other file's OSError becomes a ConfigError
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the flush at exit
+        print(f"error: out: cannot write <stdout>: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -76,7 +76,8 @@ class TransitionPoint:
     margin_hi: float
 
 
-def _check_tol(tol):
+def check_tol(tol):
+    """Raise ValueError unless the search tolerance tol is finite and positive."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
@@ -156,7 +157,7 @@ def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
     violating at delta = 0 raises NoViolationAtLo.
     """
     check_coarsening(Delta=Delta_fixed)  # validated once, at entry, with tol
-    _check_tol(tol)
+    check_tol(tol)
     n, p, bound = state.n, state.p, spec.bound
     memo = {}  # the witness value at each point, probed once (a functools.cache costs more)
     value = lambda x: memo[x] if x in memo else memo.setdefault(
@@ -198,7 +199,7 @@ def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
 
 def _edges(spec, n, invariants_at, tol, lo_error):
     """(V(0), V_c) of a search in which c0 is fixed and V falls as x grows from 0."""
-    _check_tol(tol)
+    check_tol(tol)
     c0, V_edge = invariants_at(0.0)
     V_crit = V_c(spec, c0)
     if V_edge <= V_crit:

@@ -48,7 +48,7 @@ class WitnessSpec:
             raise ValueError(f"unknown witness kind: {self.kind!r}")
         m = self.m  # an exact int skips the numbers.Integral check, which takes about 1 us
         if type(m) is not int and (type(m) is bool or not isinstance(m, numbers.Integral)) or m < 2:
-            raise ValueError(f"{self.kind} witness requires an integer m >= 2, got {self.m!r}")
+            raise ValueError(f"m must be an integer >= 2, got {self.m!r}")
 
     @property
     def bound(self):

@@ -179,6 +179,20 @@ def test_unwritable_out_exits_2(tmp_path, capsys, target):
     assert err.startswith(f"error: out: cannot write {out}") and err.count("\n") == 1, err
 
 
+def test_closed_stdout_exits_2():
+    # a reader that stops early, as `| head -c 100` does: one error line, and no
+    # "Exception ignored" line when the interpreter flushes stdout at exit
+    src = str(Path(fuzzycorr.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "fuzzycorr.cli", "profile", "--delta-sq-grid", "0:2000:0.1"]
+    with subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    assert err.startswith("error: out: cannot write ") and err.count("\n") == 1, err
+
+
 class _FullFile(io.StringIO):
     """A file on a full disk: every write fails with ENOSPC and no filename."""
 
@@ -237,6 +251,29 @@ def test_bad_flag_value_exits_2(capsys, flag, value):
     assert main(["correlate", flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag[2:]}:"), err
+
+
+@pytest.mark.parametrize("flag,value,values", [
+    ("--m", "1", {"m": 1}),
+    ("--n", "0", {"n": 0}),
+    ("--p", "1.5", {"p": 1.5}),
+    ("--witness", "chsh", {"witness": "chsh"}),
+    ("--delta-sq-grid", "2,1", {"delta_sq_grid": [2, 1]}),
+    ("--Delta-sq-grid", "-0.5", {"Delta_sq_grid": [-0.5]}),
+    ("--transition-tol", "0", {"transition_tol": 0}),
+    ("--format", "xml", {"format": "xml"}),
+])
+def test_flag_and_config_key_run_the_same_check(tmp_path, capsys, flag, value, values):
+    # a value the argument parser accepts reaches the field's one check either way
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(values))
+    errs = []
+    for argv in ([flag, value], ["--config", str(cfg)]):
+        assert main(["correlate", *argv]) == 2
+        errs.append(capsys.readouterr().err)
+    [key] = values
+    assert errs[0] == errs[1], errs
+    assert errs[0].startswith(f"error: {key}:") and errs[0].count("\n") == 1, errs
 
 
 def test_zero_transition_tol_flag_exits_2(capsys):

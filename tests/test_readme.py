@@ -1,7 +1,9 @@
 """README examples: the library quickstart and every command-line example run, and the
 macroscopic-limit table reads what the package computes."""
 
+import dataclasses
 import math
+import re
 import shlex
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import pytest
 from scipy.special import erfinv
 
 from fuzzycorr import NoViolationAtLo, V_c, bell_spec, macroscopic_limit
-from fuzzycorr.cli import COMMANDS, main
+from fuzzycorr.cli import COMMANDS, ExperimentConfig, build_parser, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -37,6 +39,18 @@ def test_every_command_has_an_example():
 def test_command_example_exits_0(tmp_path, monkeypatch, line):
     monkeypatch.chdir(tmp_path)  # the examples write their --out files here
     assert main(shlex.split(line)[1:]) == 0
+
+
+def test_config_keys_are_the_fields_in_order():
+    keys = README.split("with the keys ", 1)[1].split(";", 1)[0]
+    assert re.findall(r"`(\w+)`", keys) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+
+
+def test_flags_are_the_parser_options_in_order():
+    flags = README.split("Flags:", 1)[1].split(". ", 1)[0]
+    options = [option for action in build_parser()._actions if action.dest != "help"
+               for option in action.option_strings]
+    assert re.findall(r"`(--[\w-]+)", flags) == options
 
 
 def _printed(value, cell):
