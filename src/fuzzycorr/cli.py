@@ -12,14 +12,16 @@ Configuration is a JSON file of key/value pairs; command-line flags
 override individual keys.  Every output file starts with the fully
 resolved configuration; the same configuration reproduces the same bytes.
 
-Exit status: 0 success, 2 configuration error, 3 numeric failure
-(no transition inside the bracket).
+Exit status: 0 success, 2 configuration error or failed write (a closed or full
+stdout included), 3 numeric failure (no transition inside the bracket).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import errno
 import functools
 import json
 import math
@@ -53,7 +55,7 @@ MAX_COUNT = 10**6
 
 
 class ConfigError(ValueError):
-    """Invalid experiment configuration; maps to exit status 2."""
+    """Invalid experiment configuration or unwritable output; maps to exit status 2."""
 
 
 # A field's kind reads its JSON or flag value and runs its check on the value or on each
@@ -216,6 +218,13 @@ def format_number(value):
     return str(value)
 
 
+def _write_csv(header, fields, rows, stream):
+    """Write the header line(s), then the ``fields`` cells of each row as one CSV line."""
+    stream.write(header + "\n")
+    for row in rows:
+        stream.write(",".join(format_number(row[name]) for name in fields) + "\n")
+
+
 def write_rows(config, rows, stream):
     """Emit rows in the configured format, preceded by the resolved config."""
     resolved = vars(config)  # asdict without its deep copy: every field is a plain value
@@ -229,34 +238,34 @@ def write_rows(config, rows, stream):
         json.dump(payload, stream, indent=2, allow_nan=False)
         stream.write("\n")
         return
-    stream.write("# config " + json.dumps(resolved, sort_keys=True) + "\n")
-    stream.write(",".join(RESULT_FIELDS) + "\n")
-    for row in rows:
-        stream.write(",".join(format_number(row[name]) for name in RESULT_FIELDS) + "\n")
+    header = f"# config {json.dumps(resolved, sort_keys=True)}\n{','.join(RESULT_FIELDS)}"
+    _write_csv(header, RESULT_FIELDS, rows, stream)
+
+
+def _sink(path, write):
+    """Call ``write`` on the file at ``path``, or on stdout for "", and flush: the one place
+    that opens an output file or touches stdout.  Any OSError, or a stdout closed before the
+    run began (None), raises the one ConfigError naming what was written."""
+    try:
+        with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as stream:
+            if stream is None:  # the descriptor was closed before the run began
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            write(stream)
+            stream.flush()  # a closed stdout fails here, not in the flush at exit
+    except OSError as exc:
+        if not path and sys.stdout is not None:  # so the flush at exit prints no second error
+            with open(os.devnull, "w") as null, contextlib.suppress(OSError):  # no fileno()
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        raise ConfigError(f"out: cannot write {path or '<stdout>'}: {exc.strerror}") from exc
 
 
 def emit(config, rows, plot=()):
-    """Write the rows to ``config.out``, or to stdout without one.
-
-    With ``plot = (header, fields)`` and an output path, also write
-    ``<out>.plot.csv``: the header, then those cells of each row as floats.
-    """
-    if not config.out:
-        write_rows(config, rows, sys.stdout)
-        sys.stdout.flush()  # a closed stdout fails here, in main's reach, not at exit
-        return
-    try:
-        with open(path := config.out, "w") as fh:
-            write_rows(config, rows, fh)
-        if plot:
-            header, fields = plot
-            with open(path := config.out + ".plot.csv", "w") as fh:
-                fh.write(header + "\n")
-                for row in rows:
-                    cells = (format_number(row[name]) for name in fields)
-                    fh.write(",".join(cells) + "\n")
-    except OSError as exc:
-        raise ConfigError(f"out: cannot write {path}: {exc.strerror}") from exc
+    """Write the rows to ``config.out``, or to stdout without one.  With ``plot = (header,
+    fields)`` and an output path, also write ``<out>.plot.csv``: the header, then those cells
+    of each row as floats."""
+    _sink(config.out, functools.partial(write_rows, config, rows))
+    if plot and config.out:
+        _sink(config.out + ".plot.csv", functools.partial(_write_csv, *plot, rows))
 
 
 def _params(delta_sq, Delta_sq):
@@ -347,10 +356,8 @@ def cmd_boundary(config):
 def cmd_table1(config):
     """Transition variances for m = 2 at each configured visibility.
 
-    Prints a table with the computed values, the reference values and the
-    relative deviations; rows are also emitted through the standard writer
-    when an output path is set.
-    """
+    Prints them beside the published values and their relative deviations, and writes the
+    rows to ``out`` if one is set."""
     rows = []
     lines = [
         f"{'p':>6} {'witness':>9} {'d2(D=0)':>10} {'ref':>10} {'rel':>9}"
@@ -370,7 +377,7 @@ def cmd_table1(config):
                 line += f" {value:>10.{digits}f} {ref_text:>10} {rel_text:>9}"
             lines.append(line)
             rows += [_transition_row(config, pt) for pt in (d2, D2)]
-    print("\n".join(lines), flush=True)
+    _sink("", lambda stdout: stdout.write("\n".join(lines) + "\n"))
     if config.out:
         emit(config, rows)
     return 0
@@ -401,16 +408,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](load_config(args))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TransitionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:  # from stdout: every other file's OSError becomes a ConfigError
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the flush at exit
-        print(f"error: out: cannot write <stdout>: {exc.strerror}", file=sys.stderr)
-        return 2
+    except (ConfigError, TransitionError) as exc:
+        print(f"error: {exc!s:.300}", file=sys.stderr)  # a message may quote a value of any size
+        return 2 if isinstance(exc, ConfigError) else 3
 
 
 if __name__ == "__main__":

@@ -212,6 +212,49 @@ def test_failed_write_names_its_file(tmp_path, capsys, monkeypatch, suffix):
     assert err == f"error: out: cannot write {full}: {os.strerror(errno.ENOSPC)}\n", err
 
 
+_COMMANDS = [
+    ["correlate"],
+    ["profile", "--delta-sq-grid", "0,2"],
+    ["boundary", "--Delta-sq-grid", "0"],
+    ["table1"],
+]
+
+
+@pytest.mark.parametrize("argv", _COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("stdout,reason", [
+    (None, os.strerror(errno.EBADF)),  # the descriptor was closed before the run began
+    (_FullFile(), os.strerror(errno.ENOSPC)),  # a stream with no fileno()
+], ids=["closed", "full"])
+def test_broken_stdout_exits_2(capsys, monkeypatch, argv, stdout, reason):
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: out: cannot write <stdout>: {reason}\n", err
+
+
+def test_closed_stdout_descriptor_exits_2():
+    # `fuzzycorr table1 >&-`: print dropped the table and the run exited 0
+    src = str(Path(fuzzycorr.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-m", "fuzzycorr.cli", "table1"],
+                         env=dict(os.environ, PYTHONPATH=src), stderr=subprocess.PIPE,
+                         text=True, timeout=60, preexec_fn=lambda: os.close(1))
+    assert run.returncode == 2, run.stderr
+    assert run.stderr == f"error: out: cannot write <stdout>: {os.strerror(errno.EBADF)}\n"
+
+
+@pytest.mark.parametrize("values", [
+    {"p_list": {"k": [0.5] * 200_000}},  # the list kind quotes the whole value
+    {"m": [2] * 100_000},  # so does WitnessSpec's m rule
+], ids=["p_list", "m"])
+def test_error_line_is_bounded(tmp_path, capsys, values):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(values))
+    assert main(["table1", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {next(iter(values))}: ") and err.count("\n") == 1
+    assert len(err) <= 400, len(err)
+
+
 @pytest.mark.parametrize("command,values,field", [
     ("correlate", {"m": "2"}, "m"),
     ("correlate", {"m": True}, "m"),
