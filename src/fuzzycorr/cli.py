@@ -409,7 +409,9 @@ def main(argv=None):
     try:
         return COMMANDS[args.command](load_config(args))
     except (ConfigError, TransitionError) as exc:
-        print(f"error: {exc!s:.300}", file=sys.stderr)  # a message may quote a value of any size
+        # a message may quote a value of any size, or a path that holds a line break
+        message = str(exc).replace("\n", "\\n").replace("\r", "\\r")
+        print(f"error: {message:.300}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 3
 
 

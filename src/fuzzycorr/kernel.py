@@ -37,7 +37,10 @@ def kernel_masses(n, delta):
     summed over k <= min(n, K) only.  Z is that sum below delta = 2 (K <= 16)
     and sqrt(2 pi) delta from there on, where the Poisson sum's image terms
     (DLMF 1.8(iv)) are below 1e-34.  Below EULER_MACLAURIN_DELTA the g_k are
-    summed (at most 97 terms); from there on, with u = n / delta, r = 1 / delta,
+    summed (at most 97 terms) in one pass over increasing k with plain float +,
+    left to right: the order sum() used before Python 3.12, whose compensated
+    float sum rounds differently, so the masses have the same bits on every
+    Python.  From there on, with u = n / delta, r = 1 / delta,
     a_n Z = 2 int_0^n g + 2 sum_{j<=4} B_2j / (2j)! g^(2j-1)(n) (DLMF 2.10(i)),
     where g^(k)(n) = (-r)^k He_k(u) g_n: the end terms (g_0 + g_n) / 2 of
     the sum cancel exactly, so a_n = erf(u / sqrt 2) - O(r^2 g_n) has no
@@ -63,7 +66,15 @@ def kernel_masses(n, delta):
         return (0.0 if past else g_n / (_SQRT_2PI * delta)), a_n
     half = math.ceil(TRUNCATION_SIGMAS * max(delta, 1.0))
     c = -0.5 * (r * r)
-    g = [math.exp(c * (k * k)) for k in range((half if delta < 2.0 else min(n, half)) + 1)]
-    Z = 1.0 + 2.0 * sum(g[1:]) if delta < 2.0 else _SQRT_2PI * delta
-    w_n = g[n] / Z if n <= half else 0.0
-    return w_n, (1.0 + 2.0 * sum(g[1:n])) / Z + w_n
+    # one pass, k = 1, 2, ... with plain float +: total is g_1 + ... + g_k, inner stops at g_{n-1}
+    inner = total = g_n = 0.0
+    for k in range(1, (half if delta < 2.0 else min(n, half)) + 1):
+        g = math.exp(c * (k * k))
+        if k == n:
+            inner, g_n = total, g
+        total += g
+    if n > half:
+        inner = total
+    Z = 1.0 + 2.0 * total if delta < 2.0 else _SQRT_2PI * delta
+    w_n = g_n / Z
+    return w_n, (1.0 + 2.0 * inner) / Z + w_n

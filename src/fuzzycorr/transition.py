@@ -57,7 +57,7 @@ class NoViolationAtPureState(TransitionError):
     """The optimized witness does not exceed its bound even at p = 1."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TransitionPoint:
     """A (delta^2, Delta^2, p) triple on the quantum-to-classical boundary.
 
@@ -74,6 +74,12 @@ class TransitionPoint:
     achieved_value: float
     margin_lo: float
     margin_hi: float
+
+    def __init__(self, delta_sq, Delta_sq, p, witness, n, achieved_value, margin_lo, margin_hi):
+        # one write past the frozen __setattr__, where eight object.__setattr__ calls cost ~1 us
+        self.__dict__.update(delta_sq=delta_sq, Delta_sq=Delta_sq, p=p, witness=witness, n=n,
+                             achieved_value=achieved_value, margin_lo=margin_lo,
+                             margin_hi=margin_hi)
 
 
 def check_tol(tol):
@@ -146,15 +152,24 @@ def _point(spec, n, value, root, tol, hi, delta_sq, Delta_sq, p, reach=1.0):
     return TransitionPoint(delta_sq, Delta_sq, p, spec, n, value(root), cert_lo, cert_hi)
 
 
+def _sign_change(memo, hi, bound):
+    """(a, b), the first sign change the probes show below hi.  b: the first probe below hi whose
+    value is < bound, else hi (an exact bound, float noise, would pin every chord to b); a: the
+    last probe below b whose value is > bound."""
+    b = min((x for x, v in memo.items() if x < hi and v < bound), default=hi)
+    return max(x for x, v in memo.items() if x < b and v > bound), b
+
+
 def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
     """Critical resolution variance delta^2 at fixed Delta, probing each point once.
 
     The top is g + h, g = x*^2 n^2 + kappa (:func:`macroscopic_limit`), if r < 1, g is a float
     and the margin changes sign on [g - h, g + h]; else hi = 4 n^2, doubled while the witness
-    violates there.  Each pass :func:`_root` narrows the first sign change the probes show below
-    the top, and a root x certifies at -+ w/2, w = max(tol, 2^-48 x), or is searched again until
-    its certificate probes nothing new.  Violating past float range raises NoTransitionAtHi; not
-    violating at delta = 0 raises NoViolationAtLo.
+    violates there.  :func:`_root` narrows the seeded bracket itself, else the first sign change
+    the probes show below the top, and a root x certifies at -+ w/2, w = max(tol, 2^-48 x), or
+    is searched again from the first sign change until its certificate probes nothing new.
+    Violating past float range raises NoTransitionAtHi; not violating at delta = 0 raises
+    NoViolationAtLo.
     """
     check_coarsening(Delta=Delta_fixed)  # validated once, at entry, with tol
     check_tol(tol)
@@ -173,7 +188,8 @@ def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
     except (OverflowError, NoViolationAtLo):  # no float n^2, or r >= 1: no macroscopic limit
         seed = h = math.inf  # so seed - h is NaN: no seeded bracket
     if 0 < seed - h and margin(seed - h) > 0 >= margin(seed + h):
-        hi = seed + h  # the seeded bracket holds a sign change: the search stays in it
+        a, b = seed - h, seed + h  # the seeded bracket holds a sign change: search it directly
+        hi = b
     else:
         while hi < math.inf and margin(hi) > 0:
             hi *= 2.0
@@ -182,11 +198,8 @@ def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
         if margin(0.0) <= 0:
             raise NoViolationAtLo(
                 f"no violation at delta^2 = 0.0 for {spec.kind} m={spec.m}, n={n}, p={p}")
+        a, b = _sign_change(memo, hi, bound)
     while True:
-        # b: the first probe below hi whose margin is < 0, else hi (an exact 0, float noise,
-        # would pin every chord to b); a: the last probe below b whose margin is > 0
-        b = min((x for x, v in memo.items() if x < hi and v < bound), default=hi)
-        a = max(x for x, v in memo.items() if x < b and v > bound)
         root = _root(margin, a, margin(a), b, margin(b), tol)
         probed = len(memo)
         try:
@@ -195,6 +208,7 @@ def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
         except TransitionError:
             if len(memo) == probed:  # no new certificate probe, as where it clamps to 0 and hi
                 raise
+        a, b = _sign_change(memo, hi, bound)
 
 
 def _edges(spec, n, invariants_at, tol, lo_error):

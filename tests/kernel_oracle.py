@@ -9,7 +9,9 @@ a_n = (zeta_mean(kernel, n) - zeta_mean(kernel, -n)) / 2.
 """
 
 import decimal
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -92,3 +94,24 @@ def decimal_kernel_masses(delta, n_max, digits=40):
             masses.append((w / norm, (inner + w) / norm))
             inner += 2 * w
     return masses
+
+
+def summed_kernel_masses(n, delta):
+    """(w_n, a_n) of ``kernel_masses`` below its Euler-Maclaurin width, summed as a list.
+
+    Every g_k = exp(c k^2), c = -1 / 2 delta^2, k = 0..K (below delta = 2) or
+    0..min(n, K), goes into a list, and each sum adds its slice left to right
+    with plain float +: the bits ``sum()`` gave before Python 3.12, whose
+    compensated float sum rounds differently.
+    """
+    if delta * delta == 0 or math.exp(-0.5 / (delta * delta)) == 0:
+        return 0.0, 1.0
+    r = 1.0 / delta
+    half = math.ceil(TRUNCATION_SIGMAS * max(delta, 1.0))
+    c = -0.5 * (r * r)
+    g = [math.exp(c * (k * k)) for k in range((half if delta < 2.0 else min(n, half)) + 1)]
+    Z = math.sqrt(2.0 * math.pi) * delta
+    if delta < 2.0:
+        Z = 1.0 + 2.0 * functools.reduce(operator.add, g[1:], 0.0)
+    w_n = g[n] / Z if n <= half else 0.0
+    return w_n, (1.0 + 2.0 * functools.reduce(operator.add, g[1:n], 0.0)) / Z + w_n

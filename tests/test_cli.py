@@ -179,6 +179,17 @@ def test_unwritable_out_exits_2(tmp_path, capsys, target):
     assert err.startswith(f"error: out: cannot write {out}") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r"], ids=["LF", "CR"])
+@pytest.mark.parametrize("flag,path,prefix", [
+    ("--out", "no{}such/x.csv", "error: out: "),
+    ("--config", "no{}such.json", "error: config: "),
+], ids=["out", "config"])
+def test_path_with_a_line_break_gives_one_error_line(tmp_path, capsys, brk, flag, path, prefix):
+    assert main(["correlate", flag, str(tmp_path / path.format(brk))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and len(err.splitlines()) == 1 and err.endswith("\n"), err
+
+
 def test_closed_stdout_exits_2():
     # a reader that stops early, as `| head -c 100` does: one error line, and no
     # "Exception ignored" line when the interpreter flushes stdout at exit

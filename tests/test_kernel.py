@@ -19,7 +19,7 @@ from scipy.integrate import quad
 from fuzzycorr import CoarseningParams, Correlator, StateSpec
 from fuzzycorr.kernel import EULER_MACLAURIN_DELTA, TRUNCATION_SIGMAS, kernel_masses
 from kernel_oracle import (correlator_constants, decimal_kernel_masses, make_discrete_kernel,
-                           zeta_mean)
+                           summed_kernel_masses, zeta_mean)
 from paper_oracle import reference_nodes
 from table1_oracle import gaussian_weights
 
@@ -210,6 +210,21 @@ def test_kernel_masses_where_eight_delta_overflows():
     w_n, a_n = kernel_masses(5, delta)
     assert w_n == 0.0
     assert a_n == pytest.approx(10.0 / math.sqrt(2.0 * math.pi) / delta, rel=1e-13)
+
+
+# Widths in (0, 2), 2 itself, [2, 12) and the last float below 12: every
+# summed regime, each norm rule and both sides of each switch.
+_SUMMED_DELTAS = (0.03, 0.1, 0.3, 0.5, 0.9, 1.0, 1.3, 1.7, math.nextafter(2.0, 0.0), 2.0, 2.5,
+                  3.0, 4.7, 6.0, 8.0, 10.0, 11.5, math.nextafter(EULER_MACLAURIN_DELTA, 0.0))
+
+
+@pytest.mark.parametrize("delta", _SUMMED_DELTAS)
+def test_kernel_masses_have_the_bits_of_a_left_to_right_sum(delta):
+    # sum() of floats is compensated from Python 3.12 on, so the package adds its
+    # terms itself: the same bits on every Python, and the goldens with them
+    half = math.ceil(TRUNCATION_SIGMAS * max(delta, 1.0))
+    for n in (1, 2, 3, 5, 8, 16, 17, 97, 98, 5000, 10**30, half, half + 1):
+        assert kernel_masses(n, delta) == summed_kernel_masses(n, delta), (n, delta)
 
 
 def test_kernel_masses_memory_does_not_grow_with_n():

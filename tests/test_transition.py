@@ -1,5 +1,6 @@
 """Transition-search tests: critical coarsenings, critical visibility, boundary curves."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -23,6 +24,7 @@ from fuzzycorr import (
     NoViolationAtPureState,
     StateSpec,
     TransitionError,
+    TransitionPoint,
     V_c,
     WitnessSpec,
     bell_spec,
@@ -230,6 +232,25 @@ def test_transition_point_metadata():
     assert pt.Delta_sq == 0.0
     angles = optimal_angles(pt.witness)
     assert len(angles.alice) == 2 and len(angles.bob) == 2
+
+
+def test_transition_point_keeps_its_dataclass_contract():
+    # TransitionPoint sets its fields in one write; it must behave as a plain frozen dataclass
+    Plain = dataclasses.make_dataclass("TransitionPoint", [
+        ("delta_sq", "float"), ("Delta_sq", "float"), ("p", "float"), ("witness", "WitnessSpec"),
+        ("n", "int"), ("achieved_value", "float"), ("margin_lo", "float"),
+        ("margin_hi", "float")], frozen=True)
+    fields = [(f.name, f.type) for f in dataclasses.fields(TransitionPoint)]
+    assert fields == [(f.name, f.type) for f in dataclasses.fields(Plain)]
+    args = (2.5, 0.1, 0.9, steering_spec(2), 5, 1.0, 1e-3, -1e-3)
+    pt, plain = TransitionPoint(*args), Plain(*args)
+    assert TransitionPoint(**{name: a for (name, _), a in zip(fields, args)}) == pt
+    assert pt == TransitionPoint(*args) and hash(pt) == hash(plain) and repr(pt) == repr(plain)
+    moved = dataclasses.replace(pt, Delta_sq=0.2)
+    assert moved == TransitionPoint(*args[:1], 0.2, *args[2:]) and moved != pt
+    assert repr(moved) == repr(dataclasses.replace(plain, Delta_sq=0.2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pt.delta_sq = 3.0
 
 
 def test_mixed_state_split(table1_points):
