@@ -24,7 +24,7 @@ from .kernel import kernel_masses
 __all__ = ["StateSpec", "CoarseningParams", "Correlator", "invariants"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StateSpec:
     """Macroscopicity index n and visibility p of the shared state.
 
@@ -35,12 +35,14 @@ class StateSpec:
     n: int
     p: float = 1.0
 
-    def __post_init__(self):
-        check_n(self.n)
-        check_p(self.p)
+    def __init__(self, n, p=1.0):
+        check_n(n)
+        check_p(p)
+        fields = self.__dict__  # each set once, past the frozen __setattr__
+        fields["n"], fields["p"] = n, p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CoarseningParams:
     """The coarsening pair (delta, Delta).
 
@@ -52,8 +54,10 @@ class CoarseningParams:
     delta: float = 0.0
     Delta: float = 0.0
 
-    def __post_init__(self):
-        check_coarsening(self.delta, self.Delta)
+    def __init__(self, delta=0.0, Delta=0.0):
+        check_coarsening(delta, Delta)
+        fields = self.__dict__  # each set once, past the frozen __setattr__
+        fields["delta"], fields["Delta"] = delta, Delta
 
 
 def check_n(n):

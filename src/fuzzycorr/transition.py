@@ -40,6 +40,12 @@ RELATIVE_RESOLUTION = 2.0**-48
 # asymptote's next term held 0.0053 of them for n = 2..30, m = 2..400 (README)
 SEED_SPREAD = 0.006
 
+# the constants of macroscopic_limit: Winitzki's 2 / (pi a), a = 0.147, and erf's 2 / sqrt(pi)
+_WINITZKI = 2.0 / (math.pi * 0.147)
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+_SQRT_2 = math.sqrt(2.0)
+_SQRT_8PI = math.sqrt(8.0 * math.pi)
+
 
 class TransitionError(RuntimeError):
     """Base class for transition-search failures."""
@@ -125,17 +131,23 @@ def macroscopic_limit(spec, p=1.0, Delta=0.0):
     check_p(p)
     check_coarsening(Delta=Delta)
     scale = p * math.exp(-4.0 * (Delta * Delta))
-    y = math.sqrt(V_c(spec, 0.0) / scale) if scale > 0 else math.inf
+    y = math.sqrt(spec.bound / spec.beta / scale) if scale > 0 else math.inf  # V_c(spec, 0)
     if not y < 1:
         raise NoViolationAtLo(f"no violation at delta = 0 for any n: {spec.kind} m={spec.m}")
     # v = erfinv(y) to an ulp: Winitzki's start, 4 Newton steps (DLMF 7.17), exact 1 - y
     log = math.log((1.0 - y) * (1.0 + y))
-    v = math.sqrt(math.sqrt((t := 2.0 / (math.pi * 0.147) + 0.5 * log) ** 2 - log / 0.147) - t)
+    v = math.sqrt(math.sqrt((t := _WINITZKI + 0.5 * log) ** 2 - log / 0.147) - t)
     for _ in range(4):
         v += (math.erfc(v) - (1.0 - y) if y > 0.5 else y - math.erf(v)) / (
-            2.0 / math.sqrt(math.pi) * math.exp(-v * v))
-    u, rho = math.sqrt(2.0) * v, optimum(spec, 1.0, 0.0) / (optimum(spec, 0.0, 1.0) * scale)
-    return 1.0 / (u * u), rho * math.exp(-0.5 * u * u) / (math.sqrt(8.0 * math.pi) * u * y) - 1 / 6
+            _TWO_OVER_SQRT_PI * math.exp(-v * v))
+    u, rho = _SQRT_2 * v, spec.alpha / (spec.beta * scale)
+    return 1.0 / (u * u), rho * math.exp(-0.5 * u * u) / (_SQRT_8PI * u * y) - 1 / 6
+
+
+def _optimum_at(spec, masses, p, Delta):
+    """The witness optimum at one probe, the (c0, V) of :func:`invariants` unpacked first."""
+    c0, V = invariants(masses, p, Delta)  # optimum(spec, *pair) costs ~0.13 us more a probe
+    return optimum(spec, c0, V)
 
 
 def _no_transition(spec, n, where="V = 0"):
@@ -176,7 +188,7 @@ def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
     n, p, bound = state.n, state.p, spec.bound
     memo = {}  # the witness value at each point, probed once (a functools.cache costs more)
     value = lambda x: memo[x] if x in memo else memo.setdefault(
-        x, optimum(spec, *invariants(kernel_masses(n, math.sqrt(x)), p, Delta_fixed)))
+        x, _optimum_at(spec, kernel_masses(n, math.sqrt(x)), p, Delta_fixed))
     margin = lambda x: value(x) - bound
     hi = math.inf  # 4 n^2; inf wherever that overflows, and h then reduces to w
     try:
@@ -211,10 +223,10 @@ def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
         a, b = _sign_change(memo, hi, bound)
 
 
-def _edges(spec, n, invariants_at, tol, lo_error):
-    """(V(0), V_c) of a search in which c0 is fixed and V falls as x grows from 0."""
+def _edges(spec, n, masses, p, Delta, tol, lo_error):
+    """(V, V_c) at the violating edge (p, Delta) of a search in which c0 is fixed and V falls."""
     check_tol(tol)
-    c0, V_edge = invariants_at(0.0)
+    c0, V_edge = invariants(masses, p, Delta)
     V_crit = V_c(spec, c0)
     if V_edge <= V_crit:
         raise lo_error()
@@ -231,14 +243,13 @@ def find_critical_Delta(spec, state, delta_fixed=0.0, tol=DEFAULT_TOL):
     the c0 term alone reaches the bound.
     """
     check_coarsening(delta=delta_fixed)  # validated once, at entry
-    masses = kernel_masses(state.n, delta_fixed)
-    invariants_at = lambda x: invariants(masses, state.p, math.sqrt(x))
-    V0, V_crit = _edges(spec, state.n, invariants_at, tol, lambda: NoViolationAtLo(
-        f"no violation at Delta^2 = 0.0 for {spec.kind} m={spec.m}, n={state.n}, p={state.p}"))
+    n, p, masses = state.n, state.p, kernel_masses(state.n, delta_fixed)
+    V0, V_crit = _edges(spec, n, masses, p, 0.0, tol, lambda: NoViolationAtLo(
+        f"no violation at Delta^2 = 0.0 for {spec.kind} m={spec.m}, n={n}, p={p}"))
     ratio = V0 / V_crit  # overflows only for a subnormal V_c
     root = 0.25 * (math.log(ratio) if ratio < math.inf else math.log(V0) - math.log(V_crit))
-    return _point(spec, state.n, lambda x: optimum(spec, *invariants_at(x)), root, tol, math.inf,
-                  delta_fixed * delta_fixed, root, state.p)
+    return _point(spec, n, lambda x: _optimum_at(spec, masses, p, math.sqrt(x)), root,
+                  tol, math.inf, delta_fixed * delta_fixed, root, p)
 
 
 def find_critical_visibility(spec, n, params=CoarseningParams(), tol=DEFAULT_TOL):
@@ -249,13 +260,12 @@ def find_critical_visibility(spec, n, params=CoarseningParams(), tol=DEFAULT_TOL
     NoTransitionAtHi when the c0 term alone reaches the bound.
     """
     check_n(n)  # validated once, at entry
-    masses = kernel_masses(n, params.delta)
-    invariants_at = lambda q: invariants(masses, 1.0 - q, params.Delta)
-    V1, V_crit = _edges(spec, n, invariants_at, tol, lambda: NoViolationAtPureState(
+    masses, Delta = kernel_masses(n, params.delta), params.Delta
+    V1, V_crit = _edges(spec, n, masses, 1.0, Delta, tol, lambda: NoViolationAtPureState(
         f"no violation at p = 1 for {spec.kind} m={spec.m}, n={n}"))
     p = V_crit / V1
-    return _point(spec, n, lambda q: optimum(spec, *invariants_at(q)), 1.0 - p, tol, 1.0,
-                  params.delta * params.delta, params.Delta * params.Delta, p)
+    return _point(spec, n, lambda q: _optimum_at(spec, masses, 1.0 - q, Delta), 1.0 - p,
+                  tol, 1.0, params.delta * params.delta, Delta * Delta, p)
 
 
 def trace_boundary(spec, state, Delta_sq_grid, tol=DEFAULT_TOL):
@@ -268,6 +278,7 @@ def trace_boundary(spec, state, Delta_sq_grid, tol=DEFAULT_TOL):
         raise ValueError("Delta_sq_grid must be sorted ascending")
     points = []
     for Delta_sq in grid:
+        check_coarsening(Delta=Delta_sq)  # named before math.sqrt, which a negative fails
         try:
             pt = find_critical_delta(spec, state, Delta_fixed=math.sqrt(Delta_sq), tol=tol)
         except NoViolationAtLo:

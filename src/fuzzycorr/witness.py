@@ -38,7 +38,14 @@ STEERING = "steering"
 
 @dataclass(frozen=True)
 class WitnessSpec:
-    """A witness identity: kind ("bell" or "steering") and settings count m >= 2."""
+    """A witness identity: kind ("bell" or "steering") and settings count m >= 2.
+
+    Each spec computes its constants once, as attributes that are not fields: ``bound``,
+    floor((m^2 + 1)/2) for Bell and 1 for steering, and ``alpha``, ``beta`` of its optimum
+    alpha c0 + beta V: m and m / ``sine``, sine = sin(pi / 2m), for Bell; sqrt(m) twice for
+    steering.  An m whose beta is no float is refused: a Bell m past 1.68e154, where m and
+    the bound still are, and a steering m that is itself past float range.
+    """
 
     kind: str
     m: int
@@ -49,11 +56,21 @@ class WitnessSpec:
         m = self.m  # an exact int skips the numbers.Integral check, which takes about 1 us
         if type(m) is not int and (type(m) is bool or not isinstance(m, numbers.Integral)) or m < 2:
             raise ValueError(f"m must be an integer >= 2, got {self.m!r}")
-
-    @property
-    def bound(self):
-        """Classical bound: floor((m^2 + 1)/2) for Bell, 1 for steering."""
-        return float((self.m * self.m + 1) // 2) if self.kind == BELL else 1.0
+        m, sine = int(m), None
+        try:
+            if self.kind == BELL:
+                sine = math.sin(math.pi / (2 * m))
+                bound, alpha, beta = float((m * m + 1) // 2), float(m), m / sine
+            else:
+                bound, alpha = 1.0, math.sqrt(m)
+                beta = alpha
+        except OverflowError:  # float(m), or the Bell bound, is past float range
+            beta = math.inf
+        if not beta < math.inf:  # the Bell beta, ~2 m^2 / pi, overflows first, to inf
+            raise ValueError(f"m is too large for float {self.kind} constants, "
+                             f"got an integer of {m.bit_length()} bits")
+        # past the frozen __setattr__; not fields, so ==, hash, repr and replace see kind and m only
+        self.__dict__.update(bound=bound, alpha=alpha, beta=beta, sine=sine)
 
 
 def _reduced(seq):
@@ -157,18 +174,19 @@ def optimum(spec, c0, V):
     """Witness value maximized over all angles under the correlator c0 - V cos 2(a + b).
 
     Bell: m c0 + V B*_m with B*_m = m / sin(pi / 2m); steering:
-    sqrt(m) (c0 + V).  Each is :func:`evaluate` at :func:`optimal_angles`.
+    sqrt(m) (c0 + V), from the spec's alpha and sine.  Each is :func:`evaluate` at
+    :func:`optimal_angles`.
     """
-    m = spec.m
+    alpha = spec.alpha
     if spec.kind == BELL:
-        return m * c0 + V * m / math.sin(math.pi / (2 * m))
-    return math.sqrt(m) * (c0 + V)
+        return alpha * c0 + V * alpha / spec.sine
+    return alpha * (c0 + V)
 
 
 def V_c(spec, c0):
     """(bound - alpha c0) / beta: the witness violates exactly when V > V_c.
 
-    :func:`optimum` is alpha c0 + beta V, so alpha c0 = optimum(spec, c0, 0)
-    and beta = optimum(spec, 0, 1), each to the bit.
+    :func:`optimum` is alpha c0 + beta V, with the spec's alpha and beta: alpha c0 =
+    optimum(spec, c0, 0) and beta = optimum(spec, 0, 1), each to the bit.
     """
-    return (spec.bound - optimum(spec, c0, 0.0)) / optimum(spec, 0.0, 1.0)
+    return (spec.bound - spec.alpha * c0) / spec.beta

@@ -8,7 +8,10 @@ its trace, as the witnesses are defined.
 ``reference_angles`` and ``reference_evaluate`` keep the O(m) form as it
 was first written, item by item with ``sum`` and ``itertools.accumulate``:
 ``AngleAssignment`` and ``evaluate`` do the same float operations in the
-same order, so they must agree with it bit for bit.
+same order, so they must agree with it bit for bit.  ``reference_bound``,
+``reference_optimum`` and ``reference_V_c`` keep the bound, the optimum and
+V_c as first written, from m at every call: ``WitnessSpec``'s constants,
+``optimum`` and ``V_c`` must agree with them bit for bit too.
 """
 
 import cmath
@@ -77,3 +80,22 @@ def reference_evaluate(spec, alice, bob, c0, V):
     prefix = list(itertools.accumulate(cmath.rect(1.0, 2.0 * b) for b in bob))
     paired = sum(x_i * p for x_i, p in zip(x, reversed(prefix)))  # sum_i x_i P_{m+1-i}
     return m * c0 - V * (2.0 * paired - sum(x) * prefix[-1]).real
+
+
+def reference_bound(spec):
+    """The classical bound as first written: floor((m^2 + 1)/2) for Bell, 1 for steering."""
+    return 1.0 if spec.kind == STEERING else float((spec.m * spec.m + 1) // 2)
+
+
+def reference_optimum(spec, c0, V):
+    """The optimum as first written: m c0 + V m / sin(pi / 2m) for Bell, sqrt(m) (c0 + V)."""
+    m = spec.m
+    if spec.kind == STEERING:
+        return math.sqrt(m) * (c0 + V)
+    return m * c0 + V * m / math.sin(math.pi / (2 * m))
+
+
+def reference_V_c(spec, c0):
+    """V_c as first written: (bound - alpha c0) / beta, alpha c0 and beta read from the optimum."""
+    return (reference_bound(spec) - reference_optimum(spec, c0, 0.0)) / reference_optimum(
+        spec, 0.0, 1.0)

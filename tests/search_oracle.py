@@ -115,6 +115,7 @@ def trace_boundary(spec, state, Delta_sq_grid, tol=1e-3):
         raise ValueError("Delta_sq_grid must be sorted ascending")
     points = []
     for Delta_sq in grid:
+        CoarseningParams(Delta=Delta_sq)  # names a negative grid value before math.sqrt fails
         try:
             pt = find_critical_delta(spec, state, Delta_fixed=math.sqrt(Delta_sq), tol=tol)
         except NoViolationAtLo:

@@ -11,6 +11,7 @@ Oracles used here are deliberately independent of the implementation:
   which validates every regime at once.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from fuzzycorr import (
     find_critical_delta,
     steering_spec,
 )
+from fuzzycorr.correlation import check_coarsening, check_n, check_p
 from kernel_oracle import make_discrete_kernel
 from matrix_oracle import pair_matrix
 from operator_oracle import operator_oracle
@@ -387,3 +389,47 @@ def test_counts_accept_the_same_values(value, accepted):
         else:
             with pytest.raises(ValueError):
                 build(value)
+
+
+def _plain(name, fields, check):
+    """A plain frozen dataclass of ``fields`` whose __post_init__ passes them to ``check``."""
+    return dataclasses.make_dataclass(name, fields, frozen=True, namespace={
+        "__post_init__": lambda self: check(*(getattr(self, f[0]) for f in fields))})
+
+
+def _built(make, *args):
+    """make(*args), or the type and message of what it raises."""
+    try:
+        return make(*args)
+    except Exception as exc:  # the error is the outcome compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("cls, plain, good, bad", [
+    (StateSpec, _plain("StateSpec", [("n", "int"), ("p", "float", dataclasses.field(default=1.0))],
+                       lambda n, p: (check_n(n), check_p(p))),
+     (5, 0.9), [(0, 0.9), (-1, 0.5), (2.0, 0.5), (True, 0.5), ("5", 0.5), (None, 0.5), (5, -0.1),
+                (5, 1.5), (5, math.nan), (5, "x"), (0, math.nan)]),
+    (CoarseningParams, _plain("CoarseningParams", [
+        ("delta", "float", dataclasses.field(default=0.0)),
+        ("Delta", "float", dataclasses.field(default=0.0))], check_coarsening),
+     (1.2, 0.05), [(-1.0, 0.0), (math.nan, 0.0), (math.inf, 0.0), (0.0, -0.5), (0.0, math.nan),
+                   (0.0, -math.inf), (-1.0, math.nan), ("x", 0.0), (0.0, None)]),
+], ids=["StateSpec", "CoarseningParams"])
+def test_specs_keep_their_dataclass_contract(cls, plain, good, bad):
+    # StateSpec and CoarseningParams set their fields in one write; each must behave as the
+    # plain frozen dataclass that checks its fields in __post_init__
+    fields = [(f.name, f.type, f.default) for f in dataclasses.fields(cls)]
+    assert fields == [(f.name, f.type, f.default) for f in dataclasses.fields(plain)]
+    made, model = cls(*good), plain(*good)
+    assert cls(**{name: a for (name, _, _), a in zip(fields, good)}) == made == cls(*good)
+    assert hash(made) == hash(model) and repr(made) == repr(model)
+    assert cls(good[0]) == cls(good[0], fields[1][2]) and repr(cls(good[0])) == repr(plain(good[0]))
+    moved = dataclasses.replace(made, **{fields[1][0]: 0.5})
+    assert moved == cls(good[0], 0.5) and moved != made
+    assert repr(moved) == repr(dataclasses.replace(model, **{fields[1][0]: 0.5}))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(made, fields[0][0], good[0])
+    for args in bad:
+        assert _built(cls, *args) == _built(plain, *args), args
+        assert isinstance(_built(cls, *args), tuple), args

@@ -40,6 +40,7 @@ from fuzzycorr import (
 from fuzzycorr.correlation import invariants
 from fuzzycorr.transition import DEFAULT_TOL, RELATIVE_RESOLUTION, _point, _root
 from kernel_oracle import correlator_constants
+from matrix_oracle import reference_bound, reference_optimum
 
 PURE5 = StateSpec(n=5, p=1.0)
 
@@ -217,6 +218,47 @@ def test_certificate_past_both_ends_ends_the_search(monkeypatch, p, Delta, tol):
     assert len(probes) <= 5, len(probes)
 
 
+def test_points_carry_the_first_written_optimum_bit_for_bit(monkeypatch):
+    # a probe reads a spec's stored constants where it recomputed them from m: the witness
+    # value and both margins of every point must be the first-written optimum at the (c0, V)
+    # pairs the search read, bit for bit; Delta^2 and p read them in a fixed order
+    read = []
+
+    def recorded(masses, p, Delta):
+        read.append(pair := invariants(masses, p, Delta))
+        return pair
+
+    monkeypatch.setattr(fuzzycorr.transition, "invariants", recorded)
+    rng = np.random.default_rng(34)
+    roots = dict.fromkeys(["delta_sq", "Delta_sq", "p"], 0)
+    for axis in roots:
+        for draw in range(1000):
+            spec = WitnessSpec("bell" if draw % 2 else "steering",
+                               int(rng.choice([2, 3, 4, 5, 8, 17, 64, 400, 10**5])))
+            n = max(1, int(10.0 ** rng.uniform(0.0, 8.0)))
+            p, delta, Delta, log_tol = rng.uniform([0.6, 0.0, 0.0, -9.0], [1.0, n / 3, 0.3, -2.0])
+            p, delta, Delta, tol = float(p), float(delta), float(Delta), 10.0 ** float(log_tol)
+            read.clear()
+            try:
+                if axis == "delta_sq":
+                    pt = find_critical_delta(spec, StateSpec(n, p), Delta, tol)
+                elif axis == "Delta_sq":
+                    pt = find_critical_Delta(spec, StateSpec(n, p), delta, tol)
+                else:
+                    pt = find_critical_visibility(spec, n, CoarseningParams(delta, Delta), tol)
+            except TransitionError:
+                continue
+            roots[axis] += 1
+            values = [reference_optimum(spec, c0, V) for c0, V in read]
+            margins = [v - reference_bound(spec) for v in values]
+            assert pt.achieved_value.hex() in {v.hex() for v in values}, (axis, pt)
+            assert {pt.margin_lo.hex(), pt.margin_hi.hex()} <= {v.hex() for v in margins}, pt
+            if axis != "delta_sq":  # the edge, root - w, root + w, root
+                got = [pt.margin_lo, pt.margin_hi, pt.achieved_value]
+                assert [x.hex() for x in got] == [x.hex() for x in margins[1:3] + values[3:]], pt
+    assert min(roots.values()) >= 300, roots
+
+
 def test_bracket_certificate():
     pt = find_critical_delta(bell_spec(2), PURE5)
     assert pt.margin_lo > 0.0 > pt.margin_hi
@@ -299,6 +341,16 @@ def test_trace_boundary_points_carry_their_grid_values():
 def test_trace_boundary_rejects_unsorted_grid():
     with pytest.raises(ValueError):
         trace_boundary(bell_spec(2), PURE5, [0.02, 0.0])
+
+
+@pytest.mark.parametrize("value", [-0.1, -math.inf, math.nan, math.inf])
+def test_trace_boundary_names_a_bad_grid_value(value):
+    # a negative value raised ValueError('math domain error') from math.sqrt
+    message = f"Delta must be finite and non-negative, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        trace_boundary(bell_spec(2), StateSpec(5, 0.9), [value])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        trace_boundary(steering_spec(3), PURE5, [value, 0.0] if value < 0 else [0.0, value])
 
 
 @pytest.mark.parametrize("golden", ["boundary_bell2.csv", "boundary_steering3.csv"])

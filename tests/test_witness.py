@@ -2,6 +2,8 @@
 
 import array
 import dataclasses
+import functools
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -17,6 +19,7 @@ from fuzzycorr import (
     Correlator,
     NoViolationAtLo,
     StateSpec,
+    TransitionError,
     bell_spec,
     WitnessSpec,
     evaluate,
@@ -36,7 +39,10 @@ from matrix_oracle import (
     matrix_witness,
     pair_matrix,
     reference_angles,
+    reference_bound,
     reference_evaluate,
+    reference_optimum,
+    reference_V_c,
 )
 from nm_oracle import maximize
 from operator_oracle import operator_oracle
@@ -455,6 +461,71 @@ def test_V_c_is_the_linear_condition_exactly(kind):
                        else (math.sqrt(m), math.sqrt(m)))
         for c0 in (0.0, 1e-300, 1e-12, 1e-3, 0.0625, 0.3, 1.0 / m, 0.5, 1.0, 7.5):
             assert V_c(spec, c0) == (spec.bound - alpha * c0) / beta, (kind, m, c0)
+
+
+def test_optimum_and_V_c_are_the_first_written_expressions_bit_for_bit():
+    # each spec reads its bound, alpha, beta and sine once; optimum and V_c must still give the
+    # floats of the expressions that recomputed them from m at every call: bits, not approx
+    rng = np.random.default_rng(34)
+    draws = rng.uniform(0.0, 1.0, (200, 2)) * 10.0 ** rng.integers(-320, 2, (200, 2))
+    edges = [0.0, 5e-324, 2.0**-1074 * 3, 2.0**-1023, 2.2250738585072014e-308, 1e-300, 0.5, 1.0]
+    pairs = [*itertools.product(edges, repeat=2), *map(tuple, draws.tolist())]
+    for kind in ("bell", "steering"):
+        for m in [*range(2, 65), 10**3, 10**5, 10**6]:
+            shared = bell_spec(m) if kind == "bell" else steering_spec(m)
+            for spec in (WitnessSpec(kind, m), shared):
+                assert spec.bound.hex() == reference_bound(spec).hex(), (kind, m)
+                for c0, V in pairs:
+                    got, want = optimum(spec, c0, V), reference_optimum(spec, c0, V)
+                    assert got.hex() == want.hex(), (kind, m, c0, V)
+                    assert V_c(spec, c0).hex() == reference_V_c(spec, c0).hex(), (kind, m, c0)
+
+
+# the last m whose constants are floats: for Bell the last whose beta = m / sin(pi / 2m) is,
+# ~1.68e154 (its bound leaves float range only past ~1.90e154), for steering the last int that
+# rounds to a float (2^1024 - 2^970 rounds up, half to even, to 2^1024)
+LAST_STEERING_M = 2**1024 - 2**970 - 1
+
+
+def _last_bell_m():
+    lo, hi = 10**154, 10**155  # reference_optimum(m, 0, 1) = beta is a float at lo, not at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        beta = reference_optimum(SimpleNamespace(kind="bell", m=mid), 0.0, 1.0)
+        lo, hi = (mid, hi) if beta < math.inf else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("kind", ["bell", "steering"])
+def test_a_huge_m_is_refused_at_construction(kind):
+    # such an m was built, and then raised OverflowError at its first bound, optimum, V_c or
+    # search, or ended a delta^2 search in a ZeroDivisionError, where beta was inf
+    last = _last_bell_m() if kind == "bell" else LAST_STEERING_M
+    shared = bell_spec if kind == "bell" else steering_spec
+    for make in (functools.partial(WitnessSpec, kind), shared):
+        spec = make(last)
+        assert spec.bound == reference_bound(spec) < math.inf
+        assert math.isfinite(V_c(spec, 0.5)) and V_c(spec, 0.5) == reference_V_c(spec, 0.5)
+        assert optimum(spec, 0.25, 0.5) == reference_optimum(spec, 0.25, 0.5)
+        for search in (lambda: find_critical_delta(spec, StateSpec(5, 0.9), 0.1),
+                       lambda: find_critical_visibility(spec, 5, CoarseningParams(1.0))):
+            try:
+                search()
+            except TransitionError:  # a root or a named failure, not an OverflowError
+                pass
+        for m in (last + 1, 10**155 if kind == "bell" else 10**309):
+            with pytest.raises(ValueError, match=f"^m is too large for float {kind} constants, "
+                                                 f"got an integer of {m.bit_length()} bits$"):
+                make(m)
+
+
+def test_a_numpy_m_has_the_constants_of_its_int():
+    # the constants come from int(m): an int64 m past ~3.04e9 wrapped in m * m, and its Bell
+    # bound with it
+    for kind in ("bell", "steering"):
+        got, want = WitnessSpec(kind, np.int64(4 * 10**9)), WitnessSpec(kind, 4 * 10**9)
+        assert (got.bound, got.alpha, got.beta, got.sine) == (
+            want.bound, want.alpha, want.beta, want.sine) and got.bound == reference_bound(want)
 
 
 def test_optimal_angles_layout():
