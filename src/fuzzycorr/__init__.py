@@ -7,28 +7,8 @@ location of the coarsening / visibility values where the optimized witness
 drops to its classical bound.
 """
 
-from .correlation import CoarseningParams, Correlator, StateSpec
-from .transition import (
-    NoTransitionAtHi,
-    NoViolationAtLo,
-    NoViolationAtPureState,
-    TransitionError,
-    TransitionPoint,
-    find_critical_Delta,
-    find_critical_delta,
-    find_critical_visibility,
-    macroscopic_limit,
-    trace_boundary,
-)
-from .witness import (
-    AngleAssignment,
-    V_c,
-    WitnessSpec,
-    bell_spec,
-    evaluate,
-    optimal_angles,
-    optimum,
-    steering_spec,
-)
+from .correlation import *
+from .transition import *
+from .witness import *
 
 __version__ = "0.1.0"

@@ -28,15 +28,10 @@ import math
 import os
 import sys
 
-from .correlation import CoarseningParams, Correlator, StateSpec, check_coarsening, check_n, check_p
-from .transition import (
-    DEFAULT_TOL,
-    TransitionError,
-    check_tol,
-    find_critical_Delta,
-    find_critical_delta,
-    trace_boundary,
-)
+from .correlation import (FLOAT_MAX, CoarseningParams, Correlator, StateSpec, check_coarsening,
+                          check_n, check_p, check_tol, quoted)
+from .transition import (DEFAULT_TOL, TransitionError, find_critical_Delta, find_critical_delta,
+                         trace_boundary)
 from .witness import WitnessSpec, bell_spec, optimal_angles, optimum, steering_spec
 
 __all__ = ["ExperimentConfig", "main"]
@@ -69,14 +64,14 @@ def _same(value, check):
 def _real(value, check):
     # an exact comparison: it rejects nan, inf and integers past float range alike
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
-            abs(value) <= sys.float_info.max):
-        raise ValueError(f"must be a finite number, got {value!r}")
+            abs(value) <= FLOAT_MAX):
+        raise ValueError(f"must be a finite number, got {quoted(value)}")
     return _same(float(value), check)  # a JSON 1 writes the bytes of a flag's 1.0
 
 
 def _reals(values, check):
     if not isinstance(values, list):
-        raise ValueError(f"must be a list of numbers, got {values!r}")
+        raise ValueError(f"must be a list of numbers, got {quoted(values)}")
     return [_real(v, check) for v in values]
 
 
@@ -109,12 +104,12 @@ def _angle_pair(pair):
 
 def _output_format(name):
     if name not in ("csv", "json"):
-        raise ValueError(f"unknown format {name!r}")
+        raise ValueError(f"unknown format {quoted(name)}")
 
 
 def _path(out):
     if not isinstance(out, str):
-        raise ValueError(f"must be a path, got {out!r}")
+        raise ValueError(f"must be a path, got {quoted(out)}")
 
 
 def _field(default, kind, check, flag=None):

@@ -11,17 +11,25 @@ both, with or without noise -- has the closed form
 E(a, b) = c0 - V cos 2(a + b).  :func:`invariants` states c0 and V once,
 from the two kernel masses; :class:`Correlator` reads them at
 construction, after which a correlator call is one cosine.
+
+The input rules of the package live here, each stated once: :func:`is_count` for n and m,
+FLOAT_MAX for every real (an exact comparison with it refuses nan, inf and an int past
+float range alike), and :func:`check_n`, :func:`check_p`, :func:`check_coarsening` and
+:func:`check_tol`, which the constructors, the searches and the command line all call.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 from .kernel import kernel_masses
 
-__all__ = ["StateSpec", "CoarseningParams", "Correlator", "invariants"]
+__all__ = ["StateSpec", "CoarseningParams", "Correlator"]
+
+FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True, init=False)
@@ -48,7 +56,7 @@ class CoarseningParams:
 
     delta smears the outcome-label dichotomization (label units); Delta
     jitters the measurement angle (radians).  Both must be finite and
-    non-negative.
+    non-negative, 0 <= x <= FLOAT_MAX, so an int past float range is refused.
     """
 
     delta: float = 0.0
@@ -60,10 +68,26 @@ class CoarseningParams:
         fields["delta"], fields["Delta"] = delta, Delta
 
 
+def is_count(value, least):
+    """Whether value is an integer, not a bool, of at least ``least``: the rule of n and m."""
+    # an exact int skips the numbers.Integral check, which takes about 1 us
+    return (type(value) is int or type(value) is not bool and isinstance(
+        value, numbers.Integral)) and value >= least
+
+
+def quoted(value):
+    """repr(value), or "an integer of N bits" for an int past the interpreter's digit limit."""
+    try:
+        return repr(value)
+    except ValueError:  # the limit (4300 digits by default); a container holding one raises
+        if not isinstance(value, int):
+            raise
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+
+
 def check_n(n):
     """Raise ValueError unless n is a positive integer, as StateSpec requires."""
-    # an exact int skips the numbers.Integral check, which takes about 1 us
-    if type(n) is not int and (type(n) is bool or not isinstance(n, numbers.Integral)) or n < 1:
+    if not is_count(n, 1):
         raise ValueError("n must be a positive integer")
 
 
@@ -75,9 +99,18 @@ def check_p(p):
 
 def check_coarsening(delta=0.0, Delta=0.0):
     """Raise ValueError naming the first of delta, Delta that is not finite and non-negative."""
-    if not (0 <= delta < math.inf and 0 <= Delta < math.inf):
-        name, value = ("Delta", Delta) if 0 <= delta < math.inf else ("delta", delta)
-        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+    if not (0 <= delta <= FLOAT_MAX and 0 <= Delta <= FLOAT_MAX):
+        name, value = ("Delta", Delta) if 0 <= delta <= FLOAT_MAX else ("delta", delta)
+        raise ValueError(f"{name} must be finite and non-negative, got {quoted(value)}")
+
+
+def check_tol(tol):
+    """Raise ValueError unless the search tolerance tol is finite and positive.
+
+    0 < tol <= FLOAT_MAX, so an int past float range is refused, as nan and inf are.
+    """
+    if not 0 < tol <= FLOAT_MAX:
+        raise ValueError(f"tol must be finite and positive, got {quoted(tol)}")
 
 
 def invariants(masses, p, Delta):

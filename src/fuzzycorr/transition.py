@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .correlation import CoarseningParams, check_coarsening, check_n, check_p, invariants
+from .correlation import CoarseningParams, check_coarsening, check_n, check_p, check_tol, invariants
 from .kernel import kernel_masses
 from .witness import V_c, WitnessSpec, optimum
 
@@ -86,12 +86,6 @@ class TransitionPoint:
         self.__dict__.update(delta_sq=delta_sq, Delta_sq=Delta_sq, p=p, witness=witness, n=n,
                              achieved_value=achieved_value, margin_lo=margin_lo,
                              margin_hi=margin_hi)
-
-
-def check_tol(tol):
-    """Raise ValueError unless the search tolerance tol is finite and positive."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
 def _root(margin, a, fa, b, fb, tol):

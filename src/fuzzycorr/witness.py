@@ -17,9 +17,10 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import numbers
 import types
 from dataclasses import dataclass
+
+from .correlation import is_count, quoted
 
 __all__ = [
     "WitnessSpec",
@@ -52,11 +53,10 @@ class WitnessSpec:
 
     def __post_init__(self):
         if self.kind not in (BELL, STEERING):
-            raise ValueError(f"unknown witness kind: {self.kind!r}")
-        m = self.m  # an exact int skips the numbers.Integral check, which takes about 1 us
-        if type(m) is not int and (type(m) is bool or not isinstance(m, numbers.Integral)) or m < 2:
-            raise ValueError(f"m must be an integer >= 2, got {self.m!r}")
-        m, sine = int(m), None
+            raise ValueError(f"unknown witness kind: {quoted(self.kind)}")
+        if not is_count(self.m, 2):
+            raise ValueError(f"m must be an integer >= 2, got {quoted(self.m)}")
+        m, sine = int(self.m), None
         try:
             if self.kind == BELL:
                 sine = math.sin(math.pi / (2 * m))
@@ -101,7 +101,12 @@ class AngleAssignment:
 
     def __init__(self, alice, bob):
         fields = self.__dict__  # each set once, past the frozen __setattr__
-        fields["alice"], fields["bob"] = alice, bob = _reduced(alice), _reduced(bob)
+        try:
+            fields["alice"] = alice = _reduced(alice)
+            fields["bob"] = bob = _reduced(bob)
+        except OverflowError:  # float() of an int angle past float range, refused as inf is
+            party = "bob" if "alice" in fields else "alice"
+            raise ValueError(f"{party}: every angle must be finite") from None
         if len(alice) != len(bob):
             raise ValueError("alice and bob must have the same number of settings")
         # a non-finite angle reduces to nan, and so does every sum that holds it

@@ -406,6 +406,23 @@ def test_oversized_input_exits_2(capsys, argv, key):
     assert err.startswith(f"error: {key}:") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("p", 10**5000, "must be a finite number, got an integer of 16610 bits"),
+    ("transition_tol", -10**5000, "must be a finite number, got a negative integer of 16610 bits"),
+    ("m", -10**5000, "m must be an integer >= 2, got a negative integer of 16610 bits"),
+    ("p_list", 10**5000, "must be a list of numbers, got an integer of 16610 bits"),
+    ("out", 10**5000, "must be a path, got an integer of 16610 bits"),
+    ("witness", 10**5000, "unknown witness kind: an integer of 16610 bits"),
+    ("format", 10**5000, "unknown format an integer of 16610 bits"),
+], ids=["p", "transition_tol", "m", "p_list", "out", "witness", "format"])
+def test_a_huge_int_config_value_is_quoted_by_its_size(key, value, message):
+    # JSON and the flags cannot carry an int past the 4300-digit limit; a config built in
+    # Python can, and its repr raised the interpreter's limit error in place of the field's
+    with pytest.raises(ConfigError) as raised:
+        ExperimentConfig(**{key: value}).validate()
+    assert str(raised.value) == f"{key}: {message}"
+
+
 def test_grid_at_the_point_limit():
     assert len(parse_grid("0:999999:1")) == 10**6
     with pytest.raises(ConfigError, match="more than 1000000 points"):

@@ -30,7 +30,7 @@ from fuzzycorr import (
     find_critical_delta,
     steering_spec,
 )
-from fuzzycorr.correlation import check_coarsening, check_n, check_p
+from fuzzycorr.correlation import check_coarsening, check_n, check_p, check_tol, quoted
 from kernel_oracle import make_discrete_kernel
 from matrix_oracle import pair_matrix
 from operator_oracle import operator_oracle
@@ -286,6 +286,11 @@ def test_correlator_invariants_against_operator_oracle():
     (0.0, math.nan, "Delta"),
     (0.0, math.inf, "Delta"),
     (0.0, -math.inf, "Delta"),
+    # an int past float range: a Correlator then overflowed in kernel_masses
+    pytest.param(10**400, 0.0, "delta", id="10**400-0.0-delta"),
+    pytest.param(0.0, 10**400, "Delta", id="0.0-10**400-Delta"),
+    pytest.param(-10**400, 0.0, "delta", id="-10**400-0.0-delta"),
+    pytest.param(0.0, -10**400, "Delta", id="0.0--10**400-Delta"),
 ])
 def test_coarsening_rejects_non_finite(delta, Delta, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
@@ -389,6 +394,35 @@ def test_counts_accept_the_same_values(value, accepted):
         else:
             with pytest.raises(ValueError):
                 build(value)
+
+
+HUGE = 10**5000  # past the 4300-digit limit of int-to-str conversion (CPython 3.10.7 on)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: WitnessSpec("bell", -HUGE), "m must be an integer >= 2, got a negative integer of"),
+    (lambda: CoarseningParams(0, -HUGE), "Delta must be finite and non-negative, got a negative "
+                                         "integer of"),
+    (lambda: CoarseningParams(HUGE), "delta must be finite and non-negative, got an integer of"),
+    (lambda: check_coarsening(0.0, HUGE), "Delta must be finite and non-negative, got an "
+                                          "integer of"),
+    (lambda: check_tol(HUGE), "tol must be finite and positive, got an integer of"),
+    (lambda: check_tol(-HUGE), "tol must be finite and positive, got a negative integer of"),
+], ids=["m", "Delta-negative", "delta", "check_coarsening", "tol", "tol-negative"])
+def test_a_huge_int_is_quoted_by_its_size(build, message):
+    # the message's repr of such an int raised the interpreter's "Exceeds the limit" ValueError
+    # in place of the message itself
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == f"{message} {HUGE.bit_length()} bits"
+
+
+def test_quoted_is_repr_below_the_digit_limit():
+    for value in (10**4000, -10**4000, math.nan, "x", [1.5]):
+        assert quoted(value) == repr(value)
+    with pytest.raises(ValueError):  # a container holding such an int has no size to quote
+        quoted([HUGE])
 
 
 def _plain(name, fields, check):

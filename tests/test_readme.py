@@ -5,12 +5,15 @@ import dataclasses
 import math
 import re
 import shlex
+import types
 from pathlib import Path
 
 import pytest
 from scipy.special import erfinv
 
+import fuzzycorr
 from fuzzycorr import NoViolationAtLo, V_c, bell_spec, macroscopic_limit
+from fuzzycorr import correlation, transition, witness
 from fuzzycorr.cli import COMMANDS, ExperimentConfig, build_parser, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -81,3 +84,30 @@ def test_macroscopic_limit_table():
                     expected += [None, None]
         assert cells == ["\N{EM DASH}" if value is None else _printed(value, cell)
                          for value, cell in zip(expected, cells)], m
+
+
+# What ``import fuzzycorr`` exports besides its submodules: the names of the three modules'
+# __all__, which __init__ re-exports and does not list again.
+PUBLIC_NAMES = [
+    "AngleAssignment", "CoarseningParams", "Correlator", "NoTransitionAtHi", "NoViolationAtLo",
+    "NoViolationAtPureState", "StateSpec", "TransitionError", "TransitionPoint", "V_c",
+    "WitnessSpec", "bell_spec", "evaluate", "find_critical_Delta", "find_critical_delta",
+    "find_critical_visibility", "macroscopic_limit", "optimal_angles", "optimum",
+    "steering_spec", "trace_boundary",
+]
+
+
+def test_public_names_are_pinned():
+    # the submodules are left out: which of them are attributes depends on what was imported
+    names = sorted(name for name, value in vars(fuzzycorr).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert names == PUBLIC_NAMES
+    assert sorted(correlation.__all__ + transition.__all__ + witness.__all__) == PUBLIC_NAMES
+    assert transition.check_tol is correlation.check_tol
+
+
+def test_public_api_list_names_every_export():
+    # the bullet list under "## Public API", not the prose after it
+    exports = README.split("\n## Public API\n", 1)[1].split(" exports:\n\n", 1)[1]
+    named = set(re.findall(r"`(\w+)", exports.split("\n\n", 1)[0]))
+    assert [name for name in PUBLIC_NAMES if name not in named] == []

@@ -343,7 +343,9 @@ def test_trace_boundary_rejects_unsorted_grid():
         trace_boundary(bell_spec(2), PURE5, [0.02, 0.0])
 
 
-@pytest.mark.parametrize("value", [-0.1, -math.inf, math.nan, math.inf])
+@pytest.mark.parametrize("value", [-0.1, -math.inf, math.nan, math.inf,
+                                   pytest.param(10**400, id="10**400"),
+                                   pytest.param(-10**400, id="-10**400")])
 def test_trace_boundary_names_a_bad_grid_value(value):
     # a negative value raised ValueError('math domain error') from math.sqrt
     message = f"Delta must be finite and non-negative, got {value!r}"
@@ -526,9 +528,10 @@ def test_macroscopic_limit_without_violation(spec, p, Delta):
 
 
 @pytest.mark.parametrize("p, Delta", [(1.5, 0.0), (-0.5, 0.0), (math.nan, 0.0), (1.0, math.nan),
-                                      (1.0, math.inf), (1.0, -0.3)],
+                                      (1.0, math.inf), (1.0, -0.3), (1.0, 10**400),
+                                      (1.0, -10**400)],
                          ids=["p-above-one", "p-negative", "p-nan", "Delta-nan", "Delta-inf",
-                              "Delta-negative"])
+                              "Delta-negative", "Delta-huge-int", "Delta-huge-negative-int"])
 def test_macroscopic_limit_refuses_what_the_constructors_refuse(p, Delta):
     # p = 1.5 gave a limit for a state that cannot exist, Delta = -0.3 one that no search
     # accepts, and the others read as "no violation for any n"
@@ -549,7 +552,9 @@ def test_table1_roots_sit_near_their_tight_roots():
         assert abs(loose - tight) <= DEFAULT_TOL / 8, (p, spec.kind, loose, tight)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf,
+                                 pytest.param(10**400, id="10**400"),
+                                 pytest.param(-10**400, id="-10**400")])
 def test_bisect_rejects_bad_tolerance(monkeypatch, tol):
     # each public search checks tol at entry, before its first (c0, V) probe
     probes = []
@@ -567,7 +572,8 @@ def test_bisect_rejects_bad_tolerance(monkeypatch, tol):
     assert probes == []
 
 
-@pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("value", [math.nan, -1.0, math.inf, pytest.param(10**400, id="10**400"),
+                                   pytest.param(-10**400, id="-10**400")])
 def test_searches_refuse_a_bad_fixed_coarsening_as_CoarseningParams_does(value):
     # checked at entry by the check CoarseningParams runs, with no object built
     for search, name in (

@@ -236,7 +236,8 @@ def test_angle_length_mismatch_rejected():
 
 
 @pytest.mark.parametrize("party", ["alice", "bob"])
-@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan,
+                                   pytest.param(10**400, id="10**400")])
 def test_non_finite_angle_rejected(party, angle):
     angles = {"alice": [0.0, 0.0], "bob": [0.0, 0.0]}
     angles[party][0] = angle
