@@ -380,6 +380,7 @@ def cmd_table1(config):
 
 COMMANDS = {"correlate": cmd_correlate, "profile": cmd_profile,
             "boundary": cmd_boundary, "table1": cmd_table1}
+GRID_FLAGS = ("--delta-sq-grid", "--Delta-sq-grid")  # each takes a list that may start below 0
 
 
 @functools.cache  # built on the first call, not at import
@@ -400,6 +401,10 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(argv))):  # argparse takes the -1,0 of "--flag -1,0" for a flag
+        if argv[i - 1] in GRID_FLAGS and argv[i].startswith("-") and argv[i][1:2] != "-":
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](load_config(args))

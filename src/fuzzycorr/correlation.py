@@ -76,13 +76,21 @@ def is_count(value, least):
 
 
 def quoted(value):
-    """repr(value), or "an integer of N bits" for an int past the interpreter's digit limit."""
+    """repr(value), or, where that raises, "an integer of N bits" or "a value of type T"."""
     try:
         return repr(value)
-    except ValueError:  # the limit (4300 digits by default); a container holding one raises
-        if not isinstance(value, int):
-            raise
-        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+    except Exception:  # the digit limit, in a container too, a deep nesting, a broken __repr__
+        if isinstance(value, int):
+            return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+        return f"a value of type {type(value).__name__}"
+
+
+def _between(lo, x, hi):
+    """lo <= x <= hi, and False for a non-number such as "1" or None, which does not compare."""
+    try:
+        return lo <= x <= hi
+    except TypeError:
+        return False
 
 
 def check_n(n):
@@ -93,14 +101,14 @@ def check_n(n):
 
 def check_p(p):
     """Raise ValueError unless the visibility p lies in [0, 1], as StateSpec requires."""
-    if not 0.0 <= p <= 1.0:
+    if not _between(0.0, p, 1.0):
         raise ValueError("p must lie in [0, 1]")
 
 
 def check_coarsening(delta=0.0, Delta=0.0):
     """Raise ValueError naming the first of delta, Delta that is not finite and non-negative."""
-    if not (0 <= delta <= FLOAT_MAX and 0 <= Delta <= FLOAT_MAX):
-        name, value = ("Delta", Delta) if 0 <= delta <= FLOAT_MAX else ("delta", delta)
+    if not (_between(0, delta, FLOAT_MAX) and _between(0, Delta, FLOAT_MAX)):
+        name, value = ("Delta", Delta) if _between(0, delta, FLOAT_MAX) else ("delta", delta)
         raise ValueError(f"{name} must be finite and non-negative, got {quoted(value)}")
 
 
@@ -109,7 +117,7 @@ def check_tol(tol):
 
     0 < tol <= FLOAT_MAX, so an int past float range is refused, as nan and inf are.
     """
-    if not 0 < tol <= FLOAT_MAX:
+    if not (_between(0, tol, FLOAT_MAX) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {quoted(tol)}")
 
 

@@ -27,6 +27,9 @@ EULER_MACLAURIN_DELTA = 12.0
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
 
+_SQUARES = tuple(float(k * k) for k in range(  # exact k^2, k = 1..K of the widest summed kernel
+    1, math.ceil(TRUNCATION_SIGMAS * EULER_MACLAURIN_DELTA) + 1))
+
 
 def kernel_masses(n, delta):
     """(w_n, a_n) of the kernel exp(-k^2 / 2 delta^2), k = -K..K, normalized.
@@ -37,10 +40,10 @@ def kernel_masses(n, delta):
     summed over k <= min(n, K) only.  Z is that sum below delta = 2 (K <= 16)
     and sqrt(2 pi) delta from there on, where the Poisson sum's image terms
     (DLMF 1.8(iv)) are below 1e-34.  Below EULER_MACLAURIN_DELTA the g_k are
-    summed (at most 97 terms) in one pass over increasing k with plain float +,
-    left to right: the order sum() used before Python 3.12, whose compensated
-    float sum rounds differently, so the masses have the same bits on every
-    Python.  From there on, with u = n / delta, r = 1 / delta,
+    summed (at most 97 terms) over increasing k with plain float +, left to
+    right, in two loops split at k = n: the order sum() used before Python 3.12,
+    whose compensated float sum rounds differently, so the masses have the same
+    bits on every Python.  From there on, with u = n / delta, r = 1 / delta,
     a_n Z = 2 int_0^n g + 2 sum_{j<=4} B_2j / (2j)! g^(2j-1)(n) (DLMF 2.10(i)),
     where g^(k)(n) = (-r)^k He_k(u) g_n: the end terms (g_0 + g_n) / 2 of
     the sum cancel exactly, so a_n = erf(u / sqrt 2) - O(r^2 g_n) has no
@@ -64,17 +67,18 @@ def kernel_masses(n, delta):
                       / 30240.0 - r2 * (((u2 - 21.0) * u2 + 105.0) * u2 - 105.0) / 1209600.0)))
         a_n = math.erf(u * _SQRT_HALF) - 2.0 / _SQRT_2PI * r2 * g_n * series
         return (0.0 if past else g_n / (_SQRT_2PI * delta)), a_n
-    half = math.ceil(TRUNCATION_SIGMAS * max(delta, 1.0))
-    c = -0.5 * (r * r)
-    # one pass, k = 1, 2, ... with plain float +: total is g_1 + ... + g_k, inner stops at g_{n-1}
-    inner = total = g_n = 0.0
-    for k in range(1, (half if delta < 2.0 else min(n, half)) + 1):
-        g = math.exp(c * (k * k))
-        if k == n:
-            inner, g_n = total, g
-        total += g
-    if n > half:
-        inner = total
+    half = math.ceil(TRUNCATION_SIGMAS * (1.0 if 1.0 > delta else delta))  # max(delta, 1.0)
+    c, exp = -0.5 * (r * r), math.exp
+    inner = g_n = 0.0  # plain float +, k = 1, 2, ...: inner = g_1 + ... + g_{n-1}
+    for k2 in _SQUARES[:n - 1 if n <= half else half]:
+        inner += exp(c * k2)
+    total = inner  # below delta = 2, summed on from inner through g_K
+    if n <= half:
+        g_n = exp(c * _SQUARES[n - 1])
+        if delta < 2.0:
+            total += g_n
+            for k2 in _SQUARES[n:half]:
+                total += exp(c * k2)
     Z = 1.0 + 2.0 * total if delta < 2.0 else _SQRT_2PI * delta
     w_n = g_n / Z
     return w_n, (1.0 + 2.0 * inner) / Z + w_n

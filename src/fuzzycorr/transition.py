@@ -5,7 +5,7 @@ angle-optimized witness value falls to its classical bound: where V falls
 to :func:`~fuzzycorr.witness.V_c` of c0.  With delta fixed, c0 and a_n are
 fixed too, so the Delta^2 and p roots are closed forms; delta^2 moves both,
 so one chord loop narrows its bracket, seeded by :func:`macroscopic_limit`.
-Each probe reads the optimum from :func:`~fuzzycorr.correlation.invariants`.
+A probe is one :func:`~fuzzycorr.witness.optimum` call at the (c0, V) of ``invariants``.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def _root(margin, a, fa, b, fb, tol):
     x, moved, nudged = math.inf, 0, False  # moved: +1 after a moved, -1 after b
     while True:
         probe = a + (b - a) * (fa / (fa - fb))
-        width = max(tol, RELATIVE_RESOLUTION * probe)
+        width = w if (w := RELATIVE_RESOLUTION * probe) > tol else tol  # max(tol, w), no call
         if a < probe < b or nudged or b - a <= width:
             if not a < probe < b:  # halve [a, b], as w/2 steps crawl where the sign is float noise
                 probe = 0.5 * a + 0.5 * b  # 0.5 * (a + b) in floats, but cannot overflow
@@ -138,21 +138,16 @@ def macroscopic_limit(spec, p=1.0, Delta=0.0):
     return 1.0 / (u * u), rho * math.exp(-0.5 * u * u) / (_SQRT_8PI * u * y) - 1 / 6
 
 
-def _optimum_at(spec, masses, p, Delta):
-    """The witness optimum at one probe, the (c0, V) of :func:`invariants` unpacked first."""
-    c0, V = invariants(masses, p, Delta)  # optimum(spec, *pair) costs ~0.13 us more a probe
-    return optimum(spec, c0, V)
-
-
 def _no_transition(spec, n, where="V = 0"):
     return NoTransitionAtHi(f"still violating at {where} for {spec.kind} m={spec.m}, n={n}")
 
 
 def _point(spec, n, value, root, tol, hi, delta_sq, Delta_sq, p, reach=1.0):
     """The TransitionPoint at root, certified at root -+ reach * w; value(x): the witness at x."""
-    width, bound = reach * max(tol, RELATIVE_RESOLUTION * root), spec.bound
-    cert_lo, cert_hi = value(max(root - width, 0.0)) - bound, value(min(root + width, hi)) - bound
-    if not cert_lo > 0 >= cert_hi or (root - width <= 0.0 and root + width >= hi):
+    width, bound = reach * (w if (w := RELATIVE_RESOLUTION * root) > tol else tol), spec.bound
+    lo, up = root - width, root + width  # certified at lo and up, clamped to [0, hi]
+    cert_lo, cert_hi = value(0.0 if 0.0 > lo else lo) - bound, value(hi if hi < up else up) - bound
+    if not cert_lo > 0 >= cert_hi or (lo <= 0.0 and up >= hi):
         raise TransitionError(f"uncertified bracket at {root} in [0.0, {hi}]: margin "
                               f"{cert_lo} at -{width}, {cert_hi} at +{width}")
     return TransitionPoint(delta_sq, Delta_sq, p, spec, n, value(root), cert_lo, cert_hi)
@@ -180,17 +175,22 @@ def find_critical_delta(spec, state, Delta_fixed=0.0, tol=DEFAULT_TOL):
     check_coarsening(Delta=Delta_fixed)  # validated once, at entry, with tol
     check_tol(tol)
     n, p, bound = state.n, state.p, spec.bound
+    jitter = math.exp(-4.0 * (Delta_fixed * Delta_fixed))  # V = p a_n^2 jitter, as invariants
     memo = {}  # the witness value at each point, probed once (a functools.cache costs more)
-    value = lambda x: memo[x] if x in memo else memo.setdefault(
-        x, _optimum_at(spec, kernel_masses(n, math.sqrt(x)), p, Delta_fixed))
+    def value(x):
+        if x in memo:
+            return memo[x]
+        w_n, a_n = kernel_masses(n, math.sqrt(x))
+        v = memo[x] = optimum(spec, w_n**2, p * a_n**2 * jitter)
+        return v
     margin = lambda x: value(x) - bound
     hi = math.inf  # 4 n^2; inf wherever that overflows, and h then reduces to w
     try:
         hi = 4.0 * n**2
         x_sq, kappa = macroscopic_limit(spec, p, Delta_fixed)
         seed = x_sq * n * n + kappa
-        h = SEED_SPREAD * (1.0 + (12.0 * kappa + 3.0) / x_sq) ** 2 / (0.25 * hi) + max(
-            tol, RELATIVE_RESOLUTION * seed)
+        h = SEED_SPREAD * (1.0 + (12.0 * kappa + 3.0) / x_sq) ** 2 / (0.25 * hi) + (
+            w if (w := RELATIVE_RESOLUTION * seed) > tol else tol)
     except (OverflowError, NoViolationAtLo):  # no float n^2, or r >= 1: no macroscopic limit
         seed = h = math.inf  # so seed - h is NaN: no seeded bracket
     if 0 < seed - h and margin(seed - h) > 0 >= margin(seed + h):
@@ -242,7 +242,9 @@ def find_critical_Delta(spec, state, delta_fixed=0.0, tol=DEFAULT_TOL):
         f"no violation at Delta^2 = 0.0 for {spec.kind} m={spec.m}, n={n}, p={p}"))
     ratio = V0 / V_crit  # overflows only for a subnormal V_c
     root = 0.25 * (math.log(ratio) if ratio < math.inf else math.log(V0) - math.log(V_crit))
-    return _point(spec, n, lambda x: _optimum_at(spec, masses, p, math.sqrt(x)), root,
+    c0, scale = masses[0] ** 2, p * masses[1] ** 2  # V = scale exp(-4 Delta^2), as invariants
+    return _point(spec, n, lambda x: optimum(
+        spec, c0, scale * math.exp(-4.0 * ((Delta := math.sqrt(x)) * Delta))), root,
                   tol, math.inf, delta_fixed * delta_fixed, root, p)
 
 
@@ -258,7 +260,8 @@ def find_critical_visibility(spec, n, params=CoarseningParams(), tol=DEFAULT_TOL
     V1, V_crit = _edges(spec, n, masses, 1.0, Delta, tol, lambda: NoViolationAtPureState(
         f"no violation at p = 1 for {spec.kind} m={spec.m}, n={n}"))
     p = V_crit / V1
-    return _point(spec, n, lambda q: _optimum_at(spec, masses, 1.0 - q, Delta), 1.0 - p,
+    c0, a_sq, jitter = masses[0] ** 2, masses[1] ** 2, math.exp(-4.0 * (Delta * Delta))
+    return _point(spec, n, lambda q: optimum(spec, c0, (1.0 - q) * a_sq * jitter), 1.0 - p,
                   tol, 1.0, params.delta * params.delta, Delta * Delta, p)
 
 

@@ -96,6 +96,31 @@ def decimal_kernel_masses(delta, n_max, digits=40):
     return masses
 
 
+def one_pass_kernel_masses(n, delta):
+    """(w_n, a_n) of ``kernel_masses`` below its Euler-Maclaurin width, summed in one pass.
+
+    g_k = exp(c (k * k)), c = -1 / 2 delta^2, for k = 1, 2, ... up to K (below delta = 2) or
+    min(n, K), each added to one running total with plain float +; the inner sum is that total
+    as it stood just before g_n.  So a split of the sum at k = n must keep these bits.
+    """
+    if delta * delta == 0 or math.exp(-0.5 / (delta * delta)) == 0:
+        return 0.0, 1.0
+    r = 1.0 / delta
+    half = math.ceil(TRUNCATION_SIGMAS * max(delta, 1.0))
+    c = -0.5 * (r * r)
+    inner = total = g_n = 0.0
+    for k in range(1, (half if delta < 2.0 else min(n, half)) + 1):
+        g = math.exp(c * (k * k))
+        if k == n:
+            inner, g_n = total, g
+        total += g
+    if n > half:
+        inner = total
+    Z = 1.0 + 2.0 * total if delta < 2.0 else math.sqrt(2.0 * math.pi) * delta
+    w_n = g_n / Z
+    return w_n, (1.0 + 2.0 * inner) / Z + w_n
+
+
 def summed_kernel_masses(n, delta):
     """(w_n, a_n) of ``kernel_masses`` below its Euler-Maclaurin width, summed as a list.
 

@@ -316,6 +316,7 @@ def test_bad_flag_value_exits_2(capsys, flag, value):
     ("--Delta-sq-grid", "-0.5", {"Delta_sq_grid": [-0.5]}),
     ("--transition-tol", "0", {"transition_tol": 0}),
     ("--format", "xml", {"format": "xml"}),
+    ("--delta-sq-grid", "-1,0", {"delta_sq_grid": [-1, 0]}),  # argparse took -1,0 for a flag
 ])
 def test_flag_and_config_key_run_the_same_check(tmp_path, capsys, flag, value, values):
     # a value the argument parser accepts reaches the field's one check either way

@@ -30,6 +30,7 @@ from fuzzycorr import (
     find_critical_delta,
     steering_spec,
 )
+from fuzzycorr.cli import ConfigError, ExperimentConfig
 from fuzzycorr.correlation import check_coarsening, check_n, check_p, check_tol, quoted
 from kernel_oracle import make_discrete_kernel
 from matrix_oracle import pair_matrix
@@ -291,6 +292,11 @@ def test_correlator_invariants_against_operator_oracle():
     pytest.param(0.0, 10**400, "Delta", id="0.0-10**400-Delta"),
     pytest.param(-10**400, 0.0, "delta", id="-10**400-0.0-delta"),
     pytest.param(0.0, -10**400, "Delta", id="0.0--10**400-Delta"),
+    # a non-number does not compare with 0: a TypeError escaped the check
+    ("1", 0.0, "delta"),
+    (None, 0.0, "delta"),
+    (0.0, "1", "Delta"),
+    (0.0, None, "Delta"),
 ])
 def test_coarsening_rejects_non_finite(delta, Delta, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
@@ -309,10 +315,12 @@ def test_state_rejects_non_integral_n():
             StateSpec(n)
 
 
-@pytest.mark.parametrize("p", [1.5, -0.1, math.nan])
+@pytest.mark.parametrize("p", [1.5, -0.1, math.nan, "1", None])
 def test_state_rejects_visibility_outside_unit_interval(p):
-    with pytest.raises(ValueError, match="p must lie in"):
+    # a non-number, which does not compare with 0, gets the same ValueError, not a TypeError
+    with pytest.raises(ValueError, match="p must lie in") as raised:
         StateSpec(5, p)
+    assert type(raised.value) is ValueError
 
 
 def test_boundedness_randomized():
@@ -421,8 +429,18 @@ def test_a_huge_int_is_quoted_by_its_size(build, message):
 def test_quoted_is_repr_below_the_digit_limit():
     for value in (10**4000, -10**4000, math.nan, "x", [1.5]):
         assert quoted(value) == repr(value)
-    with pytest.raises(ValueError):  # a container holding such an int has no size to quote
-        quoted([HUGE])
+
+
+def test_a_container_that_repr_refuses_is_quoted_by_its_type():
+    # a container holding a huge int has no size to quote; its repr raised the digit-limit
+    # ValueError in place of the message, so a config field reported that error, not its own
+    for value in ([HUGE], {"k": HUGE}, (1.0, -HUGE)):
+        assert quoted(value) == f"a value of type {type(value).__name__}"
+    unprintable = type("Unprintable", (), {"__repr__": lambda self: 1 / 0})()
+    assert quoted(unprintable) == "a value of type Unprintable"  # any repr that raises
+    with pytest.raises(ConfigError) as raised:
+        ExperimentConfig(p_list={"k": HUGE}).validate()
+    assert str(raised.value) == "p_list: must be a list of numbers, got a value of type dict"
 
 
 def _plain(name, fields, check):

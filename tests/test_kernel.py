@@ -19,7 +19,7 @@ from scipy.integrate import quad
 from fuzzycorr import CoarseningParams, Correlator, StateSpec
 from fuzzycorr.kernel import EULER_MACLAURIN_DELTA, TRUNCATION_SIGMAS, kernel_masses
 from kernel_oracle import (correlator_constants, decimal_kernel_masses, make_discrete_kernel,
-                           summed_kernel_masses, zeta_mean)
+                           one_pass_kernel_masses, summed_kernel_masses, zeta_mean)
 from paper_oracle import reference_nodes
 from table1_oracle import gaussian_weights
 
@@ -225,6 +225,23 @@ def test_kernel_masses_have_the_bits_of_a_left_to_right_sum(delta):
     half = math.ceil(TRUNCATION_SIGMAS * max(delta, 1.0))
     for n in (1, 2, 3, 5, 8, 16, 17, 97, 98, 5000, 10**30, half, half + 1):
         assert kernel_masses(n, delta) == summed_kernel_masses(n, delta), (n, delta)
+
+
+def test_kernel_masses_have_the_bits_of_a_one_pass_sum():
+    # the sums split at k = n add the terms in the order of one running total, and read
+    # their squares k^2 from a table: every n = 1..120 (below, at and past K <= 96) at seeded
+    # widths in (0, 12), just below and above 2 and just below 12, compared by float.hex
+    rng = np.random.default_rng(36)
+    below_two, below_twelve = math.nextafter(2.0, 0.0), math.nextafter(EULER_MACLAURIN_DELTA, 0.0)
+    deltas = [*rng.uniform(0.0, 2.0, 20), *rng.uniform(0.0, EULER_MACLAURIN_DELTA, 40),
+              *rng.uniform(11.0, EULER_MACLAURIN_DELTA, 8), 1.0, below_two, 2.0,
+              math.nextafter(2.0, 3.0), below_twelve, math.nextafter(below_twelve, 0.0)]
+    for delta in map(float, deltas):
+        half = math.ceil(TRUNCATION_SIGMAS * max(delta, 1.0))
+        assert half < 120
+        for n in range(1, 121):
+            got, want = kernel_masses(n, delta), one_pass_kernel_masses(n, delta)
+            assert [x.hex() for x in got] == [x.hex() for x in want], (n, delta, half)
 
 
 def test_kernel_masses_memory_does_not_grow_with_n():

@@ -38,6 +38,7 @@ from fuzzycorr import (
     trace_boundary,
 )
 from fuzzycorr.correlation import invariants
+from fuzzycorr.kernel import kernel_masses
 from fuzzycorr.transition import DEFAULT_TOL, RELATIVE_RESOLUTION, _point, _root
 from kernel_oracle import correlator_constants
 from matrix_oracle import reference_bound, reference_optimum
@@ -167,14 +168,22 @@ def test_each_point_is_probed_once(monkeypatch, search, count):
 
 
 def _counted_probes(monkeypatch):
-    """The list to which every (c0, V) pair a search reads appends its arguments."""
+    """The list to which every probe of a search appends its (c0, V) pair, in order.
+
+    A probe is an optimum call, or the closed forms' one invariants call at the violating edge.
+    """
     probes = []
 
-    def counted(masses, p, Delta):
-        probes.append((masses, p, Delta))
-        return invariants(masses, p, Delta)
+    def counted_optimum(spec, c0, V):
+        probes.append((c0, V))
+        return optimum(spec, c0, V)
 
-    monkeypatch.setattr(fuzzycorr.transition, "invariants", counted)
+    def counted_edge(masses, p, Delta):
+        probes.append(pair := invariants(masses, p, Delta))
+        return pair
+
+    monkeypatch.setattr(fuzzycorr.transition, "optimum", counted_optimum)
+    monkeypatch.setattr(fuzzycorr.transition, "invariants", counted_edge)
     return probes
 
 
@@ -222,13 +231,7 @@ def test_points_carry_the_first_written_optimum_bit_for_bit(monkeypatch):
     # a probe reads a spec's stored constants where it recomputed them from m: the witness
     # value and both margins of every point must be the first-written optimum at the (c0, V)
     # pairs the search read, bit for bit; Delta^2 and p read them in a fixed order
-    read = []
-
-    def recorded(masses, p, Delta):
-        read.append(pair := invariants(masses, p, Delta))
-        return pair
-
-    monkeypatch.setattr(fuzzycorr.transition, "invariants", recorded)
+    read = _counted_probes(monkeypatch)
     rng = np.random.default_rng(34)
     roots = dict.fromkeys(["delta_sq", "Delta_sq", "p"], 0)
     for axis in roots:
@@ -257,6 +260,60 @@ def test_points_carry_the_first_written_optimum_bit_for_bit(monkeypatch):
                 got = [pt.margin_lo, pt.margin_hi, pt.achieved_value]
                 assert [x.hex() for x in got] == [x.hex() for x in margins[1:3] + values[3:]], pt
     assert min(roots.values()) >= 300, roots
+
+
+def test_every_probe_reads_the_pair_invariants_gives_at_its_point(monkeypatch):
+    # a search fixes its factors once and multiplies V in invariants' order, p a_n^2 e^{-4 Delta^2}
+    # left to right, so each probe's (c0, V) is invariants' pair at the probed point, bit for bit:
+    # for delta^2 at the width of the kernel read just before it, for Delta^2 and p at root - w,
+    # root + w (clamped to the search's range) and the root
+    events = []
+
+    def masses_at(n, delta):
+        events.append(delta)
+        return kernel_masses(n, delta)
+
+    def recorded(spec, c0, V):
+        events.append((c0, V))
+        return optimum(spec, c0, V)
+
+    monkeypatch.setattr(fuzzycorr.transition, "kernel_masses", masses_at)
+    monkeypatch.setattr(fuzzycorr.transition, "optimum", recorded)
+    rng = np.random.default_rng(36)
+    checked = dict.fromkeys(["delta_sq", "Delta_sq", "p"], 0)
+    for axis in checked:
+        for draw in range(600):
+            spec = WitnessSpec("bell" if draw % 2 else "steering",
+                               int(rng.choice([2, 3, 5, 17, 64, 10**5])))
+            n = max(1, int(10.0 ** rng.uniform(0.0, 6.0)))
+            p, delta, Delta, log_tol = rng.uniform([0.6, 0.0, 0.0, -9.0], [1.0, n / 3, 0.3, -2.0])
+            p, delta, Delta, tol = float(p), float(delta), float(Delta), 10.0 ** float(log_tol)
+            events.clear()
+            try:
+                if axis == "delta_sq":
+                    find_critical_delta(spec, StateSpec(n, p), Delta, tol)
+                elif axis == "Delta_sq":
+                    pt = find_critical_Delta(spec, StateSpec(n, p), delta, tol)
+                else:
+                    pt = find_critical_visibility(spec, n, CoarseningParams(delta, Delta), tol)
+            except TransitionError:
+                if axis != "delta_sq":
+                    continue
+            if axis == "delta_sq":  # each probe reads the kernel, then calls optimum once
+                widths, pairs = events[0::2], events[1::2]
+                assert all(isinstance(w, float) for w in widths) and len(widths) == len(pairs)
+                want = [invariants(kernel_masses(n, w), p, Delta) for w in widths]
+            else:
+                masses, pairs = kernel_masses(n, events[0]), events[1:]
+                root, hi = (pt.Delta_sq, math.inf) if axis == "Delta_sq" else (1.0 - pt.p, 1.0)
+                w = max(tol, RELATIVE_RESOLUTION * root)
+                points = [max(root - w, 0.0), min(root + w, hi), root]
+                want = [invariants(masses, p, math.sqrt(x)) if axis == "Delta_sq" else
+                        invariants(masses, 1.0 - x, Delta) for x in points]
+            assert [(c0.hex(), V.hex()) for c0, V in pairs] == [
+                (c0.hex(), V.hex()) for c0, V in want], (axis, spec, n, p, delta, Delta, tol)
+            checked[axis] += len(pairs)
+    assert min(checked.values()) >= 900, checked
 
 
 def test_bracket_certificate():
@@ -554,16 +611,10 @@ def test_table1_roots_sit_near_their_tight_roots():
 
 @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf,
                                  pytest.param(10**400, id="10**400"),
-                                 pytest.param(-10**400, id="-10**400")])
+                                 pytest.param(-10**400, id="-10**400"), "1", None])
 def test_bisect_rejects_bad_tolerance(monkeypatch, tol):
     # each public search checks tol at entry, before its first (c0, V) probe
-    probes = []
-
-    def counted(*args):
-        probes.append(args)
-        return invariants(*args)
-
-    monkeypatch.setattr(fuzzycorr.transition, "invariants", counted)
+    probes = _counted_probes(monkeypatch)
     for search in (lambda: find_critical_delta(bell_spec(2), PURE5, tol=tol),
                    lambda: find_critical_Delta(bell_spec(2), PURE5, tol=tol),
                    lambda: find_critical_visibility(bell_spec(2), 5, tol=tol)):
@@ -573,7 +624,7 @@ def test_bisect_rejects_bad_tolerance(monkeypatch, tol):
 
 
 @pytest.mark.parametrize("value", [math.nan, -1.0, math.inf, pytest.param(10**400, id="10**400"),
-                                   pytest.param(-10**400, id="-10**400")])
+                                   pytest.param(-10**400, id="-10**400"), "1", None])
 def test_searches_refuse_a_bad_fixed_coarsening_as_CoarseningParams_does(value):
     # checked at entry by the check CoarseningParams runs, with no object built
     for search, name in (
