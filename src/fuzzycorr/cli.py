@@ -29,7 +29,8 @@ import os
 import sys
 
 from .correlation import (FLOAT_MAX, CoarseningParams, Correlator, StateSpec, check_coarsening,
-                          check_n, check_p, check_tol, quoted)
+                          check_n, check_p, check_tol, invariants, quoted)
+from .kernel import kernel_masses
 from .transition import (DEFAULT_TOL, TransitionError, find_critical_Delta, find_critical_delta,
                          trace_boundary)
 from .witness import WitnessSpec, bell_spec, optimal_angles, optimum, steering_spec
@@ -44,8 +45,8 @@ TABLE1_REFERENCE = {
     0.75: (4.81042, 0.0147, 6.137, 0.0147),
 }
 
-# Largest settings count m and largest grid: at m = 10^6 a profile row takes
-# about 4 s and writes 38 MB, a 10^5-point grid about 2.5 s (wall, 2 vCPUs).
+# Largest settings count m and largest grid: at m = 10^6 the first profile row takes about
+# 2.2 s and each later one 0.06 s, 38 MB each; a 10^5-point grid about 1.2 s (wall, 2 vCPUs).
 MAX_COUNT = 10**6
 
 
@@ -63,8 +64,8 @@ def _same(value, check):
 
 def _real(value, check):
     # an exact comparison: it rejects nan, inf and integers past float range alike
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
-            abs(value) <= FLOAT_MAX):
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(
+            value, (int, float))) or not abs(value) <= FLOAT_MAX:
         raise ValueError(f"must be a finite number, got {quoted(value)}")
     return _same(float(value), check)  # a JSON 1 writes the bytes of a flag's 1.0
 
@@ -88,8 +89,14 @@ def _pairs(pairs, check):
     return [_same(_reals(pair, lambda angle: None), check) for pair in pairs]
 
 
+def _spec(kind, m):
+    """WitnessSpec(kind, m), shared for a known kind: a run after the first builds none."""
+    known = kind in ("bell", "steering")  # WitnessSpec's own test
+    return (bell_spec if kind == "bell" else steering_spec)(m) if known else WitnessSpec(kind, m)
+
+
 def _settings_count(m):
-    WitnessSpec("bell", m)  # the m rule of both kinds
+    bell_spec(m)  # the m rule of both kinds
     if m > MAX_COUNT:
         raise ValueError(f"must be at most {MAX_COUNT}, got {m!r}")
 
@@ -125,7 +132,7 @@ def _field(default, kind, check, flag=None):
 class ExperimentConfig:
     """Resolved experiment parameters; serialized verbatim into every output."""
 
-    witness: str = _field("bell", _same, functools.partial(WitnessSpec, m=2), {})
+    witness: str = _field("bell", _same, functools.partial(_spec, m=2), {})
     m: int = _field(2, _same, _settings_count, {"type": int})
     n: int = _field(5, _same, check_n, {"type": int})
     p: float = _field(1.0, _real, check_p, {"type": float})
@@ -141,18 +148,25 @@ class ExperimentConfig:
 
     def validate(self):
         """Read every field by its kind and check; raise ConfigError naming the first bad one."""
-        for f in dataclasses.fields(self):
+        for name, kind, check in _CHECKS:
             try:
-                value = f.metadata["kind"](getattr(self, f.name), f.metadata["check"])
+                value = kind(getattr(self, name), check)
             except ValueError as exc:
-                raise ConfigError(f"{f.name}: {exc}") from exc
-            setattr(self, f.name, value)
+                raise ConfigError(f"{name}: {exc}") from exc
+            setattr(self, name, value)
         return self
 
+
+# The field table, read once: each field by name, by flag, and as (name, kind, check) in order.
+_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+_FLAGS = {"--" + f.name.replace("_", "-"): f for f in _FIELDS.values()
+          if f.metadata["flag"] is not None}
+_CHECKS = tuple((f.name, f.metadata["kind"], f.metadata["check"]) for f in _FIELDS.values())
 
 # The columns of every result row, in output order.
 RESULT_FIELDS = ["m", "n", "p", "delta_sq", "Delta_sq", "witness_kind", "witness_value",
                  "bound", "violated", "angles"]
+_CONFIG_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps builds one each call
 
 
 def _grid_number(text, value):
@@ -183,7 +197,6 @@ def parse_grid(text):
 def load_config(args):
     """Merge defaults, the optional JSON config file, and every flag named after a field."""
     values = {}
-    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -193,31 +206,34 @@ def load_config(args):
         if not isinstance(data, dict):
             raise ConfigError(f"config: top level must be an object, got {data!r:.40}")
         for key, value in data.items():
-            if key not in fields:
+            if key not in _FIELDS:
                 raise ConfigError(f"config: unknown key {key!r}")
             values[key] = value
     for key, flag in vars(args).items():
-        if key in fields and flag is not None:
-            values[key] = parse_grid(flag) if fields[key].metadata["kind"] is _grid else flag
+        if key in _FIELDS and flag is not None:
+            values[key] = parse_grid(flag) if _FIELDS[key].metadata["kind"] is _grid else flag
     return ExperimentConfig(**values).validate()
 
 
 def format_number(value):
     """CSV cell: shortest round-trip float (1.0 as "1"), true/false or ";"-joined angles."""
+    if isinstance(value, float):  # most cells; a bool is no float
+        return repr(value).removesuffix(".0")
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, list):
         return ";".join(repr(a).removesuffix(".0") for a in value)  # every angle is a float
-    if isinstance(value, float):
-        return repr(value).removesuffix(".0")
     return str(value)
 
 
 def _write_csv(header, fields, rows, stream):
     """Write the header line(s), then the ``fields`` cells of each row as one CSV line."""
     stream.write(header + "\n")
+    lists = {}  # each list's cell by id: a command's rows share their angles list and hold it
     for row in rows:
-        stream.write(",".join(format_number(row[name]) for name in fields) + "\n")
+        stream.write(",".join([lists.get(id(v)) or lists.setdefault(id(v), format_number(v))
+                               if type(v) is list else format_number(v)
+                               for v in map(row.__getitem__, fields)]) + "\n")
 
 
 def write_rows(config, rows, stream):
@@ -233,7 +249,7 @@ def write_rows(config, rows, stream):
         json.dump(payload, stream, indent=2, allow_nan=False)
         stream.write("\n")
         return
-    header = f"# config {json.dumps(resolved, sort_keys=True)}\n{','.join(RESULT_FIELDS)}"
+    header = f"# config {_CONFIG_ENCODER.encode(resolved)}\n{','.join(RESULT_FIELDS)}"
     _write_csv(header, RESULT_FIELDS, rows, stream)
 
 
@@ -263,10 +279,6 @@ def emit(config, rows, plot=()):
         _sink(config.out + ".plot.csv", functools.partial(_write_csv, *plot, rows))
 
 
-def _params(delta_sq, Delta_sq):
-    return CoarseningParams(delta=math.sqrt(delta_sq), Delta=math.sqrt(Delta_sq))
-
-
 def _flat(angles):
     return list(angles.alice) + list(angles.bob)
 
@@ -279,10 +291,10 @@ def _row(config, **cells):
     return {**point, **cells}
 
 
-def _transition_row(config, pt):
+def _transition_row(config, pt, angles):
     return _row(config, m=pt.witness.m, p=pt.p, delta_sq=pt.delta_sq, Delta_sq=pt.Delta_sq,
                 witness_kind=pt.witness.kind, witness_value=pt.achieved_value,
-                bound=pt.witness.bound, angles=_flat(optimal_angles(pt.witness)))
+                bound=pt.witness.bound, angles=angles)
 
 
 def cmd_correlate(config):
@@ -293,13 +305,13 @@ def cmd_correlate(config):
     """
     state = StateSpec(n=config.n, p=config.p)
     pure = StateSpec(n=config.n, p=1.0)
-    delta_sq, Delta_sq = config.delta_sq, config.Delta_sq
+    delta, Delta = math.sqrt(config.delta_sq), math.sqrt(config.Delta_sq)
     regimes = [
-        ("resolution", Correlator(pure, _params(delta_sq, 0.0))),
-        ("reference", Correlator(pure, _params(0.0, Delta_sq))),
-        ("full", Correlator(pure, _params(delta_sq, Delta_sq))),
-        ("werner_resolution", Correlator(state, _params(delta_sq, 0.0))),
-        ("werner_full", Correlator(state, _params(delta_sq, Delta_sq))),
+        ("resolution", Correlator(pure, CoarseningParams(delta, 0.0))),
+        ("reference", Correlator(pure, CoarseningParams(0.0, Delta))),
+        ("full", Correlator(pure, CoarseningParams(delta, Delta))),
+        ("werner_resolution", Correlator(state, CoarseningParams(delta, 0.0))),
+        ("werner_full", Correlator(state, CoarseningParams(delta, Delta))),
     ]
     rows = []
     for ti, tj in config.angle_pairs:
@@ -320,14 +332,14 @@ def cmd_profile(config):
         axis, grid = "Delta_sq", config.Delta_sq_grid
     else:
         raise ConfigError("delta_sq_grid: profile requires a variance grid")
-    spec = WitnessSpec(config.witness, config.m)
-    state = StateSpec(n=config.n, p=config.p)
+    spec = _spec(config.witness, config.m)
     angles = _flat(optimal_angles(spec))
     rows = []
     for variance in grid:
         point = {"delta_sq": config.delta_sq, "Delta_sq": config.Delta_sq, axis: variance}
-        corr = Correlator(state, _params(point["delta_sq"], point["Delta_sq"]))
-        value = optimum(spec, corr.c0, corr.V)
+        c0, V = invariants(kernel_masses(config.n, math.sqrt(point["delta_sq"])), config.p,
+                           math.sqrt(point["Delta_sq"]))  # a Correlator's, bit for bit
+        value = optimum(spec, c0, V)
         rows.append(_row(config, **point, witness_value=value, bound=spec.bound,
                          violated=value > spec.bound, angles=angles))
     emit(config, rows, plot=("variance,witness_value,bound", (axis, "witness_value", "bound")))
@@ -338,12 +350,13 @@ def cmd_boundary(config):
     """Trace the transition curve delta_c^2(Delta^2) over the Delta^2 grid."""
     if not config.Delta_sq_grid:
         raise ConfigError("Delta_sq_grid: boundary requires a Delta^2 grid")
-    spec = WitnessSpec(config.witness, config.m)
+    spec = _spec(config.witness, config.m)
     state = StateSpec(n=config.n, p=config.p)
     points = trace_boundary(spec, state, config.Delta_sq_grid, tol=config.transition_tol)
     if not points:
         raise TransitionError("no boundary point found on the supplied grid")
-    emit(config, [_transition_row(config, pt) for pt in points],
+    angles = _flat(optimal_angles(spec))
+    emit(config, [_transition_row(config, pt, angles) for pt in points],
          plot=("Delta_sq,delta_sq", ("Delta_sq", "delta_sq")))
     return 0
 
@@ -358,11 +371,12 @@ def cmd_table1(config):
         f"{'p':>6} {'witness':>9} {'d2(D=0)':>10} {'ref':>10} {'rel':>9}"
         f" {'D2(d=0)':>10} {'ref':>10} {'rel':>9}"
     ]
+    specs = [(spec, _flat(optimal_angles(spec))) for spec in (bell_spec(2), steering_spec(2))]
     for p in config.p_list:
         state = StateSpec(n=config.n, p=p)
         label = f"{p:.2f}" if float(f"{p:.2f}") == p else repr(p)  # 0.849 is not 0.85
         refs = TABLE1_REFERENCE.get(p, (None,) * 4)  # the published p exactly
-        for spec, ref_d2, ref_D2 in ((bell_spec(2), *refs[:2]), (steering_spec(2), *refs[2:])):
+        for (spec, angles), ref_d2, ref_D2 in zip(specs, refs[::2], refs[1::2]):
             d2 = find_critical_delta(spec, state, Delta_fixed=0.0, tol=config.transition_tol)
             D2 = find_critical_Delta(spec, state, delta_fixed=0.0, tol=config.transition_tol)
             line = f"{label:>6} {spec.kind:>9}"
@@ -371,7 +385,7 @@ def cmd_table1(config):
                     f"{ref:.{digits}f}", f"{(value - ref) / ref:.2%}")
                 line += f" {value:>10.{digits}f} {ref_text:>10} {rel_text:>9}"
             lines.append(line)
-            rows += [_transition_row(config, pt) for pt in (d2, D2)]
+            rows += [_transition_row(config, pt, angles) for pt in (d2, D2)]
     _sink("", lambda stdout: stdout.write("\n".join(lines) + "\n"))
     if config.out:
         emit(config, rows)
@@ -380,7 +394,8 @@ def cmd_table1(config):
 
 COMMANDS = {"correlate": cmd_correlate, "profile": cmd_profile,
             "boundary": cmd_boundary, "table1": cmd_table1}
-GRID_FLAGS = ("--delta-sq-grid", "--Delta-sq-grid")  # each takes a list that may start below 0
+# The spellings argparse reads as a field flag: each flag and its prefixes, no two options alike
+_FLAG_SPELLINGS = {flag[:end] for flag in _FLAGS for end in range(3, len(flag) + 1)}
 
 
 @functools.cache  # built on the first call, not at import
@@ -394,16 +409,15 @@ def build_parser():
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="JSON configuration file")
-    for f in dataclasses.fields(ExperimentConfig):
-        if (flag := f.metadata["flag"]) is not None:
-            parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name, **flag)
+    for flag, f in _FLAGS.items():
+        parser.add_argument(flag, dest=f.name, **f.metadata["flag"])
     return parser
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in reversed(range(1, len(argv))):  # argparse takes the -1,0 of "--flag -1,0" for a flag
-        if argv[i - 1] in GRID_FLAGS and argv[i].startswith("-") and argv[i][1:2] != "-":
+        if argv[i - 1] in _FLAG_SPELLINGS and argv[i].startswith("-") and argv[i][1:2] != "-":
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:

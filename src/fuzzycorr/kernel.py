@@ -50,9 +50,9 @@ def kernel_masses(n, delta):
     cancellation at small u.  delta = 0 is the point mass at offset zero
     (sharp readout): (0, 1).
     """
-    # Below delta ~ 0.026 every weight but the centre one underflows to 0, and
-    # below ~1.5e-162 delta * delta itself does: either way the point mass, exactly.
-    if delta * delta == 0 or math.exp(-0.5 / (delta * delta)) == 0:
+    # Below delta ~ 0.026 every weight but the centre one underflows to 0 (from 0.03 on it
+    # is above 5e-242), and below ~1.5e-162 delta * delta does: either way the point mass.
+    if delta * delta == 0 or delta < 0.03 and math.exp(-0.5 / (delta * delta)) == 0:
         return 0.0, 1.0
     r = 1.0 / delta
     if delta >= EULER_MACLAURIN_DELTA:

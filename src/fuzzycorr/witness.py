@@ -75,8 +75,10 @@ class WitnessSpec:
 
 def _reduced(seq):
     """The angles of ``seq`` as floats reduced to [0, pi); a 1-D numeric buffer is read whole."""
-    # item access written in Python (a masked array's) may yield other items than the buffer
-    if not isinstance(getattr(type(seq), "__getitem__", None), types.FunctionType):
+    # item access written in Python (a masked array's) may yield other items than the buffer;
+    # a list, the usual input, has no buffer, and memoryview's TypeError costs about 1 us
+    if type(seq) is not list and not isinstance(getattr(type(seq), "__getitem__", None),
+                                                types.FunctionType):
         try:
             view = memoryview(seq)
         except (TypeError, ValueError):  # no buffer: a list, a generator, a datetime64 array

@@ -18,6 +18,7 @@ from fuzzycorr import (
     CoarseningParams,
     Correlator,
     StateSpec,
+    WitnessSpec,
     bell_spec,
     evaluate,
     find_critical_delta,
@@ -317,6 +318,14 @@ def test_bad_flag_value_exits_2(capsys, flag, value):
     ("--transition-tol", "0", {"transition_tol": 0}),
     ("--format", "xml", {"format": "xml"}),
     ("--delta-sq-grid", "-1,0", {"delta_sq_grid": [-1, 0]}),  # argparse took -1,0 for a flag
+    # so it did after an abbreviated flag, and took -inf, -nan and -1e-3 for flags after any
+    ("--delta", "-1,0", {"delta_sq_grid": [-1, 0]}),
+    ("--Delta", "-0.5", {"Delta_sq_grid": [-0.5]}),
+    ("--p", "-inf", {"p": -math.inf}),
+    ("--p", "-nan", {"p": math.nan}),
+    ("--p", "-1e-3", {"p": -1e-3}),
+    ("--transition-tol", "-1e-3", {"transition_tol": -1e-3}),
+    ("--trans", "-inf", {"transition_tol": -math.inf}),
 ])
 def test_flag_and_config_key_run_the_same_check(tmp_path, capsys, flag, value, values):
     # a value the argument parser accepts reaches the field's one check either way
@@ -329,6 +338,18 @@ def test_flag_and_config_key_run_the_same_check(tmp_path, capsys, flag, value, v
     [key] = values
     assert errs[0] == errs[1], errs
     assert errs[0].startswith(f"error: {key}:") and errs[0].count("\n") == 1, errs
+
+
+def test_each_flag_spelling_main_joins_is_read_as_its_flag():
+    # main joins "<spelling> -x" into "<spelling>=-x": argparse must read each spelling as the one
+    # field flag it abbreviates, which takes a value
+    flags = {"--" + f.name.replace("_", "-"): f.name for f in dataclasses.fields(ExperimentConfig)
+             if f.metadata["flag"] is not None}
+    for spelling in cli._FLAG_SPELLINGS:
+        [name] = [name for flag, name in flags.items() if flag.startswith(spelling)]
+        args = vars(build_parser().parse_args(["correlate", spelling + "=7"]))
+        assert str(args.pop(name)).startswith("7"), spelling
+        assert args.pop("command") == "correlate" and set(args.values()) == {None}, spelling
 
 
 def test_zero_transition_tol_flag_exits_2(capsys):
@@ -442,6 +463,53 @@ def test_cli_import_loads_no(package):
 
 
 # ---------------------------------------------------------------- profile
+
+def test_a_second_profile_run_builds_no_spec_or_correlator(tmp_path, monkeypatch):
+    # the shared witness specs serve every check and row; each row reads (c0, V) directly
+    built = []
+    for cls, method in ((WitnessSpec, "__post_init__"), (CoarseningParams, "__init__"),
+                        (Correlator, "__init__")):
+        def counting(self, *args, real=getattr(cls, method), **kwargs):
+            built.append(type(self).__name__)
+            return real(self, *args, **kwargs)
+        monkeypatch.setattr(cls, method, counting)
+    argv = ["profile", "--witness", "steering", "--m", "3", "--delta-sq-grid", "0,2,8",
+            "--out", str(tmp_path / "rows.csv")]
+    assert main(argv) == 0
+    built.clear()
+    assert main(argv) == 0
+    assert built == []
+
+
+def test_profile_formats_its_angles_once_per_file(tmp_path, monkeypatch):
+    # every row holds the one angles list; the CSV file formats it once, the plot file never
+    lists, real = [], cli.format_number
+
+    def counting(value):
+        if isinstance(value, list):
+            lists.append(value)
+        return real(value)
+
+    monkeypatch.setattr(cli, "format_number", counting)
+    out = tmp_path / "rows.csv"
+    assert main(["profile", "--m", "3", "--delta-sq-grid", "0:8:2", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 5 and len({row["angles"] for row in rows}) == 1
+    assert len(lists) == 1
+
+
+@pytest.mark.parametrize("argv, specs", [
+    (["boundary", "--p", "0.95", "--Delta-sq-grid", "0:0.04:0.02"], [bell_spec(2)]),
+    (["table1"], [bell_spec(2), steering_spec(2)]),
+], ids=["boundary", "table1"])
+def test_optimal_angles_once_per_spec(tmp_path, monkeypatch, capsys, argv, specs):
+    calls, real = [], cli.optimal_angles
+    monkeypatch.setattr(cli, "optimal_angles", lambda spec: calls.append(spec) or real(spec))
+    out = tmp_path / "rows.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert len(read_csv(out)[1]) > len(specs)
+    assert calls == specs
+
 
 def test_profile_sharp_optima(tmp_path):
     out = tmp_path / "bell.csv"

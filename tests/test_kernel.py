@@ -74,6 +74,18 @@ def test_tiny_delta_is_point_mass():
         kernel = make_discrete_kernel(delta)
         np.testing.assert_array_equal(kernel.weights, make_discrete_kernel(0.0).weights)
         assert kernel_masses(5, delta) == (0.0, 1.0)
+    # within 10^4 ulps of the edge g_1 = exp(-1 / 2 delta^2) underflows, and the point mass is
+    # taken exactly where exp(-0.5 / (delta * delta)) == 0; elsewhere w_1 = g_1, a_1 = 1 + g_1
+    delta, taken = 0.0259040720592474, set()
+    for _ in range(10**4):
+        delta = math.nextafter(delta, 0.0)
+    for _ in range(2 * 10**4 + 1):
+        point = math.exp(-0.5 / (delta * delta)) == 0
+        taken.add(point)
+        g_1 = math.exp(-0.5 * ((1.0 / delta) * (1.0 / delta)))
+        assert kernel_masses(1, delta) == ((0.0, 1.0) if point else (g_1, 1.0)), delta.hex()
+        delta = math.nextafter(delta, 1.0)
+    assert taken == {True, False}
 
 
 def test_rejects_negative_delta():
